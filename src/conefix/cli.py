@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import ConefixError
@@ -35,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runner.add_argument("scenario", nargs="?", help="scenario name from 'conefix list'")
     runner.add_argument("--all", action="store_true",
-                        help="run every scenario concurrently; --out must be a directory")
+                        help="run every scenario in turn; --out must be a directory")
     runner.add_argument("--tol", type=float, default=None,
                         help="solver tolerance override")
     runner.add_argument("--horizon", type=int, default=None,
@@ -63,27 +62,19 @@ def _report_to_stderr(run: ScenarioRun) -> None:
 def _run_all(args: argparse.Namespace, config: ScenarioConfig) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = list(SCENARIOS)
-    outcomes: dict[str, ScenarioRun | Exception] = {}
-    with ThreadPoolExecutor(max_workers=min(4, len(names))) as pool:
-        futures = {name: pool.submit(run_scenario, name, config) for name in names}
-        for name, future in futures.items():
-            try:
-                outcomes[name] = future.result()
-            except (KeyError, ValueError, ConefixError) as exc:
-                outcomes[name] = exc
     invalid = False
     all_pass = True
-    for name in names:
-        outcome = outcomes[name]
-        if isinstance(outcome, Exception):
-            print(f"{name}: error: {outcome}", file=sys.stderr)
+    for name in SCENARIOS:
+        try:
+            run = run_scenario(name, config)
+        except (KeyError, ValueError, ConefixError) as exc:
+            print(f"{name}: error: {exc}", file=sys.stderr)
             invalid = True
             continue
         target = out_dir / f"{name}.{args.format}"
-        target.write_text(_payload(outcome, args.format))
-        _report_to_stderr(outcome)
-        all_pass = all_pass and outcome.verdict
+        target.write_text(_payload(run, args.format))
+        _report_to_stderr(run)
+        all_pass = all_pass and run.verdict
     if invalid:
         return 2
     return 0 if all_pass else 1

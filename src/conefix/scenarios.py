@@ -14,6 +14,7 @@ clock or ambient state; all randomness flows from the seed knob.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -610,8 +611,8 @@ def run_scenario(name: str, config: ScenarioConfig | None = None) -> ScenarioRun
     for key, value in knobs.items():
         if key in ("horizon", "grid_pts") and value is not None and value < 1:
             raise ValueError(f"{key} must be positive, got {value}")
-        if key == "tol" and value is not None and value <= 0.0:
-            raise ValueError(f"tol must be positive, got {value}")
+        if key == "tol" and value is not None and not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"tol must be positive and finite, got {value}")
     indices, dists, bounds, respected, verdict, notes = scenario.runner(knobs)
     return ScenarioRun(
         name, scenario.anchor, dict(sorted(knobs.items())),

@@ -11,12 +11,16 @@ spurious axiom violations, which is noise, not geometry.
 The convergence probe treats "gets small in the cone sense" operationally:
 a sequence passes for a probe c if from some index on every member sits
 strictly inside the cone below c, with a configurable tail of consecutive
-passing indices required before the verdict counts at the horizon.
+passing indices required before the verdict counts at the horizon.  The
+probe judge keeps each entry as its two coordinates in compact float
+buffers (16 bytes per entry) and tests all entries against a probe at once
+with exact IEEE comparisons a < c per coordinate, no epsilon.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +30,6 @@ from .algebra import (
     UT2Elem,
     cone_compare,
     in_cone,
-    norm,
     zero,
 )
 from .errors import MemberOutsideCone, PointOutsideCarrier
@@ -380,11 +383,8 @@ class ProbeOutcome:
     probe: tuple[float, float]
     n_found: int | None
     verdict: bool
-    norm_tail_ok: bool
 
     def to_jsonable(self) -> dict:
-        # norm_tail_ok is an in-memory diagnostic; the serialized shape is
-        # exactly probe / N_found / verdict
         return {
             "probe": list(self.probe),
             "N_found": self.n_found,
@@ -417,29 +417,42 @@ def is_c_sequence(seq, cfg: CSeqProbeConfig) -> CSeqProbeReport:
     """Probe whether a cone sequence gets eventually small, empirically.
 
     seq is either a callable on integer indices or an indexable sequence;
-    indices cfg.start .. cfg.horizon inclusive are evaluated once.  Every
-    entry must lie in the cone (MemberOutsideCone otherwise).
+    indices cfg.start .. cfg.horizon inclusive are fetched once, in order.
+    Every entry must lie in the cone; MemberOutsideCone is raised at the
+    first entry that does not, before any later index is fetched.
 
     For each probe c the report carries the least index N such that every
     evaluated entry from N on sits strictly below c in the cone interior
     sense, with N = 0 meaning no entry ever failed.  The probe verdict
     requires the final tail_required indices to pass; a sequence that only
-    dips below c briefly does not pass.  The norm_tail_ok flag is a
-    diagnostic: whether norm(seq(n)) < norm(c) across that same tail.
+    dips below c briefly does not pass.
+
+    Entries are kept as two buffers of coordinates, 16 bytes per entry, and
+    judged against each probe in one pass of exact IEEE comparisons a < c
+    per coordinate, no epsilon.  With gradual underflow c - a > 0 holds
+    exactly when a < c, infinities included, so this is the way_below test
+    of cone_compare.  Entries of another kind than a probe raise
+    AlgebraMismatchError, as cone_compare does.
     """
     fetch = seq if callable(seq) else seq.__getitem__
-    entries = []
+    firsts = array("d")
+    seconds = array("d")
+    kinds: dict[type, object] = {}  # an entry per kind, in order of first appearance
     for n in range(cfg.start, cfg.horizon + 1):
         v = fetch(n)
         if not in_cone(v):
             raise MemberOutsideCone(f"entry at index {n} left the cone: {v!r}")
-        entries.append(v)
+        kinds[type(v)] = v
+        firsts.append(v.first)
+        seconds.append(v.second)
+    a = np.frombuffer(firsts, dtype=np.float64)
+    b = np.frombuffer(seconds, dtype=np.float64)
     outcomes = []
     for c in cfg.probes:
-        last_fail = None
-        for pos, v in enumerate(entries):
-            if not cone_compare(v, c).way_below:
-                last_fail = cfg.start + pos
+        for v in kinds.values():
+            v._require_same_kind(c)
+        fails = np.flatnonzero(~((a < c.first) & (b < c.second)))
+        last_fail = cfg.start + int(fails[-1]) if fails.size else None
         if last_fail is None:
             n_found: int | None = 0
             verdict = True
@@ -449,8 +462,5 @@ def is_c_sequence(seq, cfg: CSeqProbeConfig) -> CSeqProbeReport:
         else:
             n_found = None
             verdict = False
-        c_norm = norm(c)
-        tail = entries[-cfg.tail_required:]
-        norm_tail_ok = all(norm(v) < c_norm for v in tail)
-        outcomes.append(ProbeOutcome((c.first, c.second), n_found, verdict, norm_tail_ok))
+        outcomes.append(ProbeOutcome((c.first, c.second), n_found, verdict))
     return CSeqProbeReport(tuple(outcomes), cfg.horizon, all(o.verdict for o in outcomes))

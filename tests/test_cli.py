@@ -88,6 +88,15 @@ def test_bad_knob_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tol_exits_two(tol, capsys):
+    assert main(["run", "thm_2_9", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "verdict" not in captured.err
+
+
 def test_parser_rejects_contradictory_requests(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "thm_2_9", "--all", "--out", "somewhere"])

@@ -1,0 +1,39 @@
+"""Golden payload gate: every scenario's JSON and CSV at default knobs.
+
+Each scenario runs once and both payloads must equal the committed files
+under tests/golden byte for byte.  A performance or refactoring change that
+moves one bit of a payload is a behaviour change; a golden file may be
+regenerated only by a change that states which columns moved and why.
+
+Regenerate with:  PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from conefix.scenarios import SCENARIOS, run_scenario
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_payloads_match_golden(name):
+    run = run_scenario(name)
+    json_golden = (GOLDEN_DIR / f"{name}.json").read_bytes()
+    csv_golden = (GOLDEN_DIR / f"{name}.csv").read_bytes()
+    assert run.to_json().encode() == json_golden
+    assert run.to_csv().encode() == csv_golden
+
+
+def _write_goldens() -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name in SCENARIOS:
+        run = run_scenario(name)
+        (GOLDEN_DIR / f"{name}.json").write_bytes(run.to_json().encode())
+        (GOLDEN_DIR / f"{name}.csv").write_bytes(run.to_csv().encode())
+        print(f"wrote {name}.json and {name}.csv")
+
+
+if __name__ == "__main__":
+    _write_goldens()

@@ -6,17 +6,26 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conefix.algebra import R2Elem, UT2Elem, mul, scale, zero
-from conefix.errors import EmptyGrid, MemberOutsideCone, PointOutsideCarrier
+from conefix.algebra import R2Elem, UT2Elem, cone_compare, in_cone, mul, scale, zero
+from conefix.errors import (
+    AlgebraMismatchError,
+    EmptyGrid,
+    MemberOutsideCone,
+    PointOutsideCarrier,
+)
 from conefix.grid import GridFunction, cumulative_trapezoid_from
 from conefix.spaces import (
     BieleckiPairSpace,
     BoxDomain,
     CSeqProbeConfig,
+    CSeqProbeReport,
     IntervalDomain,
     IntervalUT2Space,
     PlaneR2Space,
+    ProbeOutcome,
     bielecki_norm,
     check_metric_axioms,
     default_probes,
@@ -331,3 +340,110 @@ def test_probe_outcome_serialization():
         report.outcome_for(R2Elem(0.9, 0.9))
     top = report.to_jsonable()
     assert set(top) == {"horizon", "passed", "probes"}
+
+
+# ------------------------------------------------- judge against an oracle
+
+
+def _reference_judge(seq, cfg):
+    """The scalar judge: one cone_compare per entry and probe."""
+    fetch = seq if callable(seq) else seq.__getitem__
+    entries = []
+    for n in range(cfg.start, cfg.horizon + 1):
+        v = fetch(n)
+        if not in_cone(v):
+            raise MemberOutsideCone(f"entry at index {n} left the cone: {v!r}")
+        entries.append(v)
+    outcomes = []
+    for c in cfg.probes:
+        last_fail = None
+        for pos, v in enumerate(entries):
+            if not cone_compare(v, c).way_below:
+                last_fail = cfg.start + pos
+        if last_fail is None:
+            n_found, verdict = 0, True
+        elif last_fail <= cfg.horizon - cfg.tail_required:
+            n_found, verdict = last_fail + 1, True
+        else:
+            n_found, verdict = None, False
+        outcomes.append(ProbeOutcome((c.first, c.second), n_found, verdict))
+    return CSeqProbeReport(tuple(outcomes), cfg.horizon, all(o.verdict for o in outcomes))
+
+
+_TINY = 5e-324
+_PROBE_COORDS = (1.0, 0.1, 1e-3, 3.0, 1e-300, _TINY, 2.0 ** -1022, math.inf)
+
+
+def _near(values):
+    """Each value with its neighbours one ulp down and up."""
+    out = set()
+    for x in values:
+        out.update((x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)))
+    return out
+
+
+@st.composite
+def _judge_cases(draw):
+    kind = draw(st.sampled_from((R2Elem, UT2Elem)))
+    probes = tuple(
+        kind.of(draw(st.sampled_from(_PROBE_COORDS)), draw(st.sampled_from(_PROBE_COORDS)))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    horizon = draw(st.integers(1, 40))
+    tail_required = draw(st.integers(1, horizon))
+    start = draw(st.integers(0, horizon + 1))
+    cfg = CSeqProbeConfig(probes, horizon, tail_required, start)
+    coords = ([p.first for p in probes], [p.second for p in probes])
+    cand = [sorted(_near(cs)) + [0.0, -0.0, _TINY, math.inf] for cs in coords]
+    # past the cut, entries sit below every probe, so tails can pass
+    low = [[v for v in vs if v < min(cs)] for vs, cs in zip(cand, coords)]
+    cut = draw(st.integers(0, horizon + 1))
+    entries = [
+        kind.of(
+            draw(st.sampled_from(cand[0] if n < cut else low[0])),
+            draw(st.sampled_from(cand[1] if n < cut else low[1])),
+        )
+        for n in range(horizon + 1)
+    ]
+    seq = entries.__getitem__ if draw(st.booleans()) else entries
+    return seq, cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(_judge_cases())
+def test_judge_matches_scalar_reference(case):
+    seq, cfg = case
+    assert is_c_sequence(seq, cfg) == _reference_judge(seq, cfg)
+
+
+def test_judge_stops_at_first_entry_outside_cone():
+    fetched = []
+
+    def seq(n):
+        fetched.append(n)
+        return R2Elem(0.0, -1e-300) if n == 7 else zero(R2Elem)
+
+    cfg = CSeqProbeConfig.default(R2Elem, horizon=50)
+    with pytest.raises(MemberOutsideCone, match="index 7"):
+        is_c_sequence(seq, cfg)
+    assert fetched == list(range(1, 8))
+
+
+def test_judge_rejects_nan_entries():
+    cfg = CSeqProbeConfig.default(UT2Elem, horizon=20)
+    with pytest.raises(MemberOutsideCone, match="index 3"):
+        is_c_sequence(lambda n: UT2Elem(math.nan if n == 3 else 0.0, 0.0), cfg)
+
+
+def test_judge_rejects_other_kind_against_probes():
+    cfg = CSeqProbeConfig.default(R2Elem, horizon=30)
+    ut2 = lambda n: UT2Elem(1.0 / n, 1.0 / n)
+    with pytest.raises(AlgebraMismatchError) as got:
+        is_c_sequence(ut2, cfg)
+    with pytest.raises(AlgebraMismatchError) as want:
+        _reference_judge(ut2, cfg)
+    assert str(got.value) == str(want.value)
+    # one stray entry among the right kind is caught too
+    mixed = lambda n: UT2Elem(0.0, 0.0) if n == 17 else R2Elem(0.0, 0.0)
+    with pytest.raises(AlgebraMismatchError, match="cannot combine UT2Elem with R2Elem"):
+        is_c_sequence(mixed, cfg)
