@@ -185,10 +185,16 @@ def coupled_sequence_harness(
     coefficient_bound: R2Elem | None = None,
     tol: float = 1e-12,
     fp_cache: dict | None = None,
+    lane_map: Callable | None = None,
 ) -> ConvergenceReport:
     """Roots of a system family against the limit system's root, with the
     varying-coefficient fixed point bound driven by the members'
-    displacement at the limit root."""
+    displacement at the limit root.
+
+    lane_map, when given, is the members' operator on numpy lanes (see
+    MapFamily); for systems whose equations are array-safe it is
+    lambda ns, p: members(ns).operator(p).
+    """
     space = PlaneR2Space()
     if coefficient_bound is None:
         coefficient_bound = R2Elem(max(members(1).lip, limit.lip), 0.0)
@@ -196,6 +202,7 @@ def coupled_sequence_harness(
         lambda n: members(n).as_contraction(),
         limit.as_contraction(),
         coefficient_bound=coefficient_bound,
+        lane_map=lane_map,
     )
     return pointwise_limit_harness(
         family, space, cfg, indices, start, tol=tol, fp_cache=fp_cache

@@ -4,6 +4,8 @@ Payloads (JSON or CSV) go to stdout or the --out target; human commentary
 and the verdict line go to stderr, so piped output stays clean.  Exit code
 0 means every requested verdict passed, 1 means at least one failed, and 2
 means the request itself was invalid (unknown scenario, bad knob values).
+A valid request whose computation does not converge (NoConvergence) is a
+failure, exit code 1, with the error on stderr and no payload.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ConefixError
+from .errors import ConefixError, NoConvergence
 from .scenarios import SCENARIOS, ScenarioConfig, ScenarioRun, run_scenario
 
 
@@ -67,6 +69,10 @@ def _run_all(args: argparse.Namespace, config: ScenarioConfig) -> int:
     for name in SCENARIOS:
         try:
             run = run_scenario(name, config)
+        except NoConvergence as exc:
+            print(f"{name}: error: {exc}", file=sys.stderr)
+            all_pass = False
+            continue
         except (KeyError, ValueError, ConefixError) as exc:
             print(f"{name}: error: {exc}", file=sys.stderr)
             invalid = True
@@ -105,6 +111,9 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
+    except NoConvergence as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, ConefixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,10 @@ The harnesses replay limit theorems for families of contractions at desk
 scale.  Each harness computes, per index n, the distance between a member
 fixed point and the limit fixed point together with the theorem's certified
 upper bound for that distance, and reports whether the cone inequality held
-and whether the distance sequence passes the smallness probe.
+and whether the distance sequence passes the smallness probe.  A family that
+declares a lane_map has all the members a harness needs solved together as
+numpy lanes, each lane stopping on its own threshold, with fixed points,
+iteration counts and residuals bit for bit those of picard_solve.
 
 Bounds are outward rounded: series inverses are truncations, so the raw
 product (inverse * displacement) can undershoot the true bound by the
@@ -30,7 +33,14 @@ import numpy as np
 from .algebra import cone_compare, mul, norm, scale, spectral_radius
 from .algebra import _neumann_with_tail
 from .errors import IterateEscapedDomain, NoConvergence, WitnessOutsideDomain
-from .spaces import BoxDomain, CSeqProbeConfig, CSeqProbeReport, IntervalDomain, is_c_sequence
+from .spaces import (
+    BoxDomain,
+    CSeqProbeConfig,
+    CSeqProbeReport,
+    IntervalDomain,
+    PlaneR2Space,
+    is_c_sequence,
+)
 
 __all__ = [
     "ContractionMap",
@@ -142,6 +152,16 @@ class MapFamily:
     in the cone order (used by the pointwise-limit bound).  adversarial,
     when given, maps n to extra domain points the uniform checker must
     include for that index.
+
+    lane_map, when given, is the member map evaluated for many indices at
+    once: lane_map(ns, xs) with ns an int64 array and xs the matching
+    points, a float64 array on the interval space or a pair of float64
+    coordinate columns (xs, ys) on the plane space, returning the images
+    in the same form.  Lane i must equal member(ns[i]).map at that point
+    bit for bit, which holds when both are written once with + - * / and
+    abs only, on floats (IEEE exact in numpy and in Python alike; int64
+    products of indices could wrap where Python ints grow).  With it the
+    harnesses solve all the members they need together as numpy lanes.
     """
 
     def __init__(
@@ -150,11 +170,13 @@ class MapFamily:
         limit: ContractionMap,
         coefficient_bound=None,
         adversarial: Callable[[int], list] | None = None,
+        lane_map: Callable | None = None,
     ) -> None:
         self._members = members
         self.limit = limit
         self.coefficient_bound = coefficient_bound
         self.adversarial = adversarial
+        self.lane_map = lane_map
         self._cache: dict[int, ContractionMap] = {}
 
     def member(self, n: int) -> ContractionMap:
@@ -504,6 +526,141 @@ def _padded_bound(inv, inv_tail: float, displacement, kind):
     return raw + kind.of(pad, pad)
 
 
+# lanes per block of the lane solver: bounds the size of its temporaries
+_LANE_BLOCK = 1024
+# a lane whose step has not shrunk over this many iterations is left to
+# picard_solve; one lane that never settles would otherwise keep its whole
+# block iterating up to max_iter, at numpy's per-call cost per iteration
+_LANE_STALL = 64
+
+
+def _domain_axes(domain, dim: int):
+    """Per-axis (lo, hi, open_lo, open_hi) of a member domain, or None if the
+    domain has no such form for points of this dimension.
+
+    No domain reads as the whole line per axis.  That also rejects NaN,
+    which only drops a lane the carrier would reject anyway.
+    """
+    if domain is None:
+        return ((-math.inf, math.inf, False, False),) * dim
+    if dim == 1 and isinstance(domain, IntervalDomain):
+        return ((domain.lo, domain.hi, domain.open_lo, domain.open_hi),)
+    if dim == 2 and isinstance(domain, BoxDomain):
+        return tuple((domain.lo[i], domain.hi[i], False, domain.open_hi) for i in (0, 1))
+    return None
+
+
+def _lane_start(x0, dim: int):
+    """The start as a tuple of dim floats, or None if it is not of that form."""
+    if dim == 1:
+        return (x0,) if type(x0) is float else None
+    if type(x0) is tuple and len(x0) == 2 and all(type(c) is float for c in x0):
+        return x0
+    return None
+
+
+def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
+    """picard_solve for the members in block, as numpy lanes.
+
+    Each lane runs picard_solve's steps on float64 columns: its own stop
+    threshold, computed in Python as picard_solve computes it, then per
+    iteration the domain test, the carrier test and the stop test.  A lane
+    that would raise in picard_solve (a member that cannot be built, a
+    start of another form, an escape from the domain or the carrier, no
+    convergence within max_iter) is left out of the cache, as is the whole
+    block if lane_map fails, so that the lazy scalar solve raises exactly
+    what picard_solve raises.  So is a lane whose step stalls for
+    _LANE_STALL iterations, which picard_solve then settles or gives up on
+    at scalar cost.
+    """
+    ns, starts, thresholds, axes = [], [], [], []
+    for n in block:
+        try:
+            member = family.member(n)
+            # read the radius while this member's entry is still in the
+            # radius cache; a later read could miss and recompute it
+            r = member.radius_estimate
+            threshold = tol * (1.0 - r) / max(r, 1e-15)
+            x0 = _lane_start(start(n), dim)
+            lane_axes = _domain_axes(member.domain, dim)
+        except Exception:
+            continue
+        if x0 is None or lane_axes is None:
+            continue
+        ns.append(n)
+        starts.append(x0)
+        thresholds.append(threshold)
+        axes.append(lane_axes)
+    if not ns:
+        return
+
+    def pack(cols):
+        return cols[0] if dim == 1 else tuple(cols)
+
+    def step(idx, cols):
+        out = family.lane_map(idx, pack(cols))
+        out = (out,) if dim == 1 else tuple(out)
+        if any(c.dtype != np.float64 or c.shape != idx.shape for c in out):
+            raise TypeError("lane_map must return float64 columns, one entry per lane")
+        return out
+
+    def inside(bounds, cols):
+        ok = np.ones(cols[0].shape, dtype=bool)
+        for a, c in enumerate(cols):
+            lo, hi, open_lo, open_hi = bounds[:, a].T
+            ok &= np.where(open_lo != 0.0, c > lo, c >= lo)
+            ok &= np.where(open_hi != 0.0, c < hi, c <= hi)
+        return ok
+
+    try:
+        with np.errstate(all="ignore"):
+            lane = np.arange(len(ns))
+            idx = all_idx = np.asarray(ns, dtype=np.int64)
+            thr = np.asarray(thresholds, dtype=np.float64)
+            bounds = np.asarray(axes, dtype=np.float64)  # lane x axis x 4
+            x = [np.asarray(c, dtype=np.float64) for c in zip(*starts)]
+            keep = inside(bounds, x)
+            lane, idx, thr, bounds = lane[keep], idx[keep], thr[keep], bounds[keep]
+            x = [c[keep] for c in x]
+            stall_ref = np.full(lane.size, np.inf)  # step at the last stall check
+            done_lane, done_iter = [], []
+            done_x: list[list[np.ndarray]] = [[] for _ in range(dim)]
+            for it in range(1, max_iter + 1):
+                if not lane.size:
+                    break
+                x_next = step(idx, x)
+                d1, d2, outside = space.distances(pack(x_next), pack(x))
+                delta = np.abs(d1) + np.abs(d2)
+                ok = inside(bounds, x_next) & ~outside
+                done = ok & ((delta < thr) | (delta == 0.0))
+                done_lane.append(lane[done])
+                done_iter.append(np.full(int(done.sum()), it))
+                for a in range(dim):
+                    done_x[a].append(x_next[a][done])
+                keep = ok & ~done
+                if it % _LANE_STALL == 0:
+                    keep &= delta < stall_ref
+                    stall_ref = delta
+                lane, idx, thr, bounds = lane[keep], idx[keep], thr[keep], bounds[keep]
+                stall_ref = stall_ref[keep]
+                x = [c[keep] for c in x_next]
+            if not done_lane:
+                return
+            lane = np.concatenate(done_lane)
+            x = [np.concatenate(c) for c in done_x]
+            r1, r2, outside = space.distances(pack(step(all_idx[lane], x)), pack(x))
+    except Exception:
+        return
+    kind = space.kind
+    points = x[0].tolist() if dim == 1 else list(zip(x[0].tolist(), x[1].tolist()))
+    for i, it, p, a, b, out in zip(
+        lane.tolist(), np.concatenate(done_iter).tolist(),
+        points, r1.tolist(), r2.tolist(), outside.tolist(),
+    ):
+        if not out:
+            cache[ns[i]] = FixedPointResult(p, it, kind.of(a, b), True)
+
+
 def _solve_members(
     family: MapFamily,
     space,
@@ -511,8 +668,23 @@ def _solve_members(
     tol: float,
     max_iter: int,
     cache: dict | None,
+    want=(),
 ):
+    """A memoised n -> picard_solve(family.member(n), space, start(n), ...).
+
+    want names the indices the caller will fetch.  When the family has a
+    lane_map and the space a batch distances, they are solved up front as
+    numpy lanes, with results bit for bit those of picard_solve; anything
+    the lanes leave out is solved lazily by picard_solve itself.
+    """
     cache = cache if cache is not None else {}
+    if (family.lane_map is not None and hasattr(space, "distances")
+            and isinstance(tol, float) and tol > 0.0):
+        dim = 2 if isinstance(space, PlaneR2Space) else 1
+        todo = list(dict.fromkeys(n for n in want if type(n) is int and n not in cache))
+        for i in range(0, len(todo), _LANE_BLOCK):
+            _lane_block(family, space, dim, start, tol, max_iter,
+                        todo[i:i + _LANE_BLOCK], cache)
 
     def solved(n: int) -> FixedPointResult:
         got = cache.get(n)
@@ -552,7 +724,8 @@ def uniform_limit_harness(
     limit_start = start_limit if start_limit is not None else start_fn(1)
     kind = space.kind
     inv, inv_tail = _neumann_with_tail(family.limit.alpha, inverse_tail_tol)
-    solved = _solve_members(family, space, start_fn, tol, max_iter, fp_cache)
+    solved = _solve_members(family, space, start_fn, tol, max_iter, fp_cache,
+                            (*indices, *range(cfg.start, cfg.horizon + 1)))
     x_star = picard_solve(family.limit, space, limit_start, tol, max_iter).point
     limit_map = family.limit.map
 
@@ -598,7 +771,8 @@ def pointwise_limit_harness(
     limit_start = start_limit if start_limit is not None else start_fn(1)
     kind = space.kind
     inv, inv_tail = _neumann_with_tail(family.bound_coefficient, inverse_tail_tol)
-    solved = _solve_members(family, space, start_fn, tol, max_iter, fp_cache)
+    solved = _solve_members(family, space, start_fn, tol, max_iter, fp_cache,
+                            (*indices, *range(cfg.start, cfg.horizon + 1)))
     x_star = picard_solve(family.limit, space, limit_start, tol, max_iter).point
     fx_star = family.limit.map(x_star)
 
@@ -660,7 +834,8 @@ def subdomain_limit_harness(
     kind = space.kind
     k_coeff = family.bound_coefficient
     inv, inv_tail = _neumann_with_tail(k_coeff, inverse_tail_tol)
-    solved = _solve_members(family, space, start_fn, tol, max_iter, fp_cache)
+    solved = _solve_members(family, space, start_fn, tol, max_iter, fp_cache,
+                            (*indices, *range(cfg.start, cfg.horizon + 1)))
     if x_inf is None:
         x_inf = picard_solve(family.limit, space, witness(1), tol, max_iter).point
     limit_map = family.limit.map
@@ -747,7 +922,7 @@ def fixed_point_cluster_check(
     """
     indices = tuple(indices)
     start_fn = start if callable(start) else (lambda n: start)
-    solved = _solve_members(family, space, start_fn, solver_tol, max_iter, fp_cache)
+    solved = _solve_members(family, space, start_fn, solver_tol, max_iter, fp_cache, indices)
     points = [solved(n).point for n in indices]
     quarter = points[-max(1, len(points) // 4):]
     anchor = quarter[-1]

@@ -77,9 +77,6 @@ class GridFunction:
         self._require_same_grid(other)
         return GridFunction(self.nodes, self.values + other.values)
 
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.nodes, values)
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 

@@ -241,22 +241,23 @@ def _run_example_2_8(knobs: dict):
 
 
 def _interval_ut2_family(member_shift: Callable[[int], float],
-                         member_rate: Callable[[int], float]):
+                         member_rate: Callable[[int], float],
+                         coefficient_bound=None) -> MapFamily:
+    # the member map is written once, array-safe with + - * / only, so the
+    # same expression serves one member on floats and many as numpy lanes
+    step = lambda n, x: member_rate(n) * x + member_shift(n)
     dom = IntervalDomain(0.0, 1.0)
     members = lambda n: ContractionMap(
-        lambda x, n=n: member_rate(n) * x + member_shift(n),
-        UT2Elem(member_rate(n), 0.0),
-        dom,
+        lambda x, n=n: step(n, x), UT2Elem(member_rate(n), 0.0), dom
     )
     limit = ContractionMap(lambda x: 0.5 * x, UT2Elem(0.5, 0.0), dom)
-    return members, limit
+    return MapFamily(members, limit, coefficient_bound, lane_map=step)
 
 
 def _run_thm_2_9(knobs: dict):
     tol, horizon, grid_pts = knobs["tol"], knobs["horizon"], knobs["grid_pts"]
     space = IntervalUT2Space(2.0)
-    members, limit = _interval_ut2_family(lambda n: 1.0 / (n + 2.0), lambda n: 0.5)
-    family = MapFamily(members, limit)
+    family = _interval_ut2_family(lambda n: 1.0 / (n + 2.0), lambda n: 0.5)
     premise_cfg = CSeqProbeConfig(
         tuple(UT2Elem(s, s) for s in (1.0, 0.1, 0.01)),
         horizon=min(horizon, 500),
@@ -277,10 +278,10 @@ def _run_thm_2_9(knobs: dict):
 def _run_thm_2_10(knobs: dict):
     tol, horizon = knobs["tol"], knobs["horizon"]
     space = IntervalUT2Space(2.0)
-    members, limit = _interval_ut2_family(
-        lambda n: 1.0 / (n + 2.0), lambda n: 0.5 - 1.0 / (n + 3.0)
+    family = _interval_ut2_family(
+        lambda n: 1.0 / (n + 2.0), lambda n: 0.5 - 1.0 / (n + 3.0),
+        coefficient_bound=UT2Elem(0.5, 0.0),
     )
-    family = MapFamily(members, limit, coefficient_bound=UT2Elem(0.5, 0.0))
     rng = np.random.default_rng(knobs["seed"])
     points = space.sample(rng, 8) + [0.0, 1.0]
     # the map gap at x = 0 is 1/(n+2), so the finest probe resolves just
@@ -301,26 +302,25 @@ def _run_thm_2_10(knobs: dict):
     return indices, report.dists, report.bounds, report.respected, verdict, tuple(notes)
 
 
-def _subinterval_family():
+def _subinterval_family() -> MapFamily:
     # member n lives on [1/n, 1] with fixed point exactly 1/n: halving in
     # binary commutes with rounding, so 0.5 * (1/n) + 1/(2n) lands on the
-    # stored 1/n bit for bit and the lower edge is never crossed
+    # stored 1/n bit for bit and the lower edge is never crossed; the map is
+    # written once, array-safe, for floats and numpy lanes alike
+    step = lambda n, x: 0.5 * x + 1.0 / (2.0 * n)
     members = lambda n: ContractionMap(
-        lambda x, n=n: 0.5 * x + 1.0 / (2.0 * n),
-        UT2Elem(0.5, 0.0),
-        IntervalDomain(1.0 / n, 1.0),
+        lambda x, n=n: step(n, x), UT2Elem(0.5, 0.0), IntervalDomain(1.0 / n, 1.0)
     )
     limit = ContractionMap(
         lambda x: 0.5 * x, UT2Elem(0.5, 0.0), IntervalDomain(0.0, 1.0)
     )
-    return members, limit
+    return MapFamily(members, limit, lane_map=step)
 
 
 def _run_thm_3_6(knobs: dict):
     tol, horizon = knobs["tol"], knobs["horizon"]
     space = IntervalUT2Space(2.0)
-    members, limit = _subinterval_family()
-    family = MapFamily(members, limit)
+    family = _subinterval_family()
     cfg = CSeqProbeConfig.default(UT2Elem, horizon=horizon)
     rng = np.random.default_rng(knobs["seed"])
     g_points = space.sample(rng, 4) + [0.0, 1.0]
@@ -355,8 +355,7 @@ def _run_thm_3_6(knobs: dict):
 def _run_thm_3_10(knobs: dict):
     tol = knobs["tol"]
     space = IntervalUT2Space(2.0)
-    settle_members, settle_limit = _subinterval_family()
-    settling = MapFamily(settle_members, settle_limit)
+    settling = _subinterval_family()
     indices = tuple(range(1, 401))
     fp_cache: dict = {}
     settled = fixed_point_cluster_check(
@@ -369,7 +368,7 @@ def _run_thm_3_10(knobs: dict):
         UT2Elem(0.5, 0.0),
         dom,
     )
-    swinging = MapFamily(swing_members, settle_limit)
+    swinging = MapFamily(swing_members, settling.limit)
     swung = fixed_point_cluster_check(
         swinging, space, tuple(range(1, 101)), start=0.0, tol=tol
     )
@@ -400,6 +399,20 @@ def _run_thm_3_10(knobs: dict):
 # scenario: coupled scalar systems
 
 
+def _system_family():
+    # the equations are array-safe with + - * / only, so members(ns) for an
+    # index array is the whole family's operator on numpy lanes
+    members = lambda n: CoupledSystem(
+        lambda x, y, n=n: -0.5 * x + 0.25 + 1.0 / n,
+        lambda x, y: -0.5 * y + 0.125,
+        lip=0.5,
+    )
+    limit = CoupledSystem(
+        lambda x, y: -0.5 * x + 0.25, lambda x, y: -0.5 * y + 0.125, lip=0.5
+    )
+    return members, limit
+
+
 def _run_thm_4_1(knobs: dict):
     tol, horizon = knobs["tol"], knobs["horizon"]
     seed = knobs["seed"]
@@ -423,17 +436,13 @@ def _run_thm_4_1(knobs: dict):
     root_b = coupled_solve(crossed, tol=tol, check_condition=False)
     cross_ok = abs(root_b.x - 8.0 / 3.0) < 1e-8 and abs(root_b.y - 8.0 / 3.0) < 1e-8
 
-    members = lambda n: CoupledSystem(
-        lambda x, y, n=n: -0.5 * x + 0.25 + 1.0 / n,
-        lambda x, y: -0.5 * y + 0.125,
-        lip=0.5,
-    )
-    limit = CoupledSystem(
-        lambda x, y: -0.5 * x + 0.25, lambda x, y: -0.5 * y + 0.125, lip=0.5
-    )
+    members, limit = _system_family()
     cfg = CSeqProbeConfig.default(R2Elem, horizon=horizon)
     indices = _display_indices(min(horizon, 1000))
-    report = coupled_sequence_harness(members, limit, indices, cfg, tol=tol)
+    report = coupled_sequence_harness(
+        members, limit, indices, cfg, tol=tol,
+        lane_map=lambda ns, p: members(ns).operator(p),
+    )
     verdict = aligned_ok and cross_ok and report.verdict
     notes = [
         f"aligned system root ({root_a.x!r}, {root_a.y!r}) in {root_a.iterations} steps",

@@ -148,6 +148,17 @@ class IntervalUT2Space:
         m = abs(x - y)
         return UT2Elem(m, self.scale_param * m)
 
+    def distances(self, xs: np.ndarray, ys: np.ndarray):
+        """distance for arrays of points, as (first, second, outside) columns.
+
+        Lane i of the two columns holds the coordinates distance(xs[i],
+        ys[i]) would return, bit for bit; outside[i] marks the lanes where
+        distance would raise PointOutsideCarrier instead.
+        """
+        m = np.abs(xs - ys)
+        inside = (0.0 <= xs) & (xs <= 1.0) & (0.0 <= ys) & (ys <= 1.0)
+        return m, self.scale_param * m, ~inside
+
 
 @dataclass(frozen=True)
 class PlaneR2Space:
@@ -187,6 +198,24 @@ class PlaneR2Space:
         if not (self.contains(p) and self.contains(q)):
             raise PointOutsideCarrier(f"point outside carrier box: {p!r}, {q!r}")
         return R2Elem(abs(p[0] - q[0]), abs(p[1] - q[1]))
+
+    def _contains_columns(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        if self.open_hi:
+            return ((self.lo[0] <= xs) & (xs < self.hi[0])
+                    & (self.lo[1] <= ys) & (ys < self.hi[1]))
+        return ((self.lo[0] <= xs) & (xs <= self.hi[0])
+                & (self.lo[1] <= ys) & (ys <= self.hi[1]))
+
+    def distances(self, ps: tuple[np.ndarray, np.ndarray], qs: tuple[np.ndarray, np.ndarray]):
+        """distance for points given as pairs of coordinate columns.
+
+        Returns (first, second, outside): lane i of the two columns holds
+        the coordinates distance((ps[0][i], ps[1][i]), (qs[0][i], qs[1][i]))
+        would return, bit for bit; outside[i] marks the lanes where distance
+        would raise PointOutsideCarrier instead.
+        """
+        inside = self._contains_columns(*ps) & self._contains_columns(*qs)
+        return np.abs(ps[0] - qs[0]), np.abs(ps[1] - qs[1]), ~inside
 
 
 def bielecki_norm(f: GridFunction, tau: float, offset: float = 0.0) -> float:

@@ -117,3 +117,23 @@ def test_payload_determinism(fmt, capsys):
     main(["run", "example_2_8", "--seed", "7", "--format", fmt])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_no_convergence_exits_one(capsys):
+    # a valid request whose root the solver cannot pin down to the asked
+    # tolerance is an honest failure, not an invalid request
+    assert main(["run", "thm_4_1", "--tol", "1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "verdict" not in captured.err
+
+
+def test_run_all_counts_no_convergence_as_failed(tmp_path, monkeypatch, capsys):
+    import conefix.cli as cli
+
+    monkeypatch.setattr(cli, "SCENARIOS",
+                        {name: SCENARIOS[name] for name in ("example_2_6", "thm_4_1")})
+    assert main(["run", "--all", "--tol", "1e-300", "--out", str(tmp_path)]) == 1
+    assert "thm_4_1: error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["example_2_6.json"]

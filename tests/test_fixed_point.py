@@ -1,10 +1,15 @@
 """Contraction solving, convergence-mode checkers, and limit harnesses."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conefix.algebra import R2Elem, UT2Elem, norm, zero
 from conefix.errors import (
+    ConefixError,
     IterateEscapedDomain,
+    PointOutsideCarrier,
     WitnessOutsideDomain,
 )
 from conefix.fixed_point import (
@@ -28,6 +33,7 @@ from conefix.fixed_point import (
     uniform_limit_harness,
     verify_contraction,
 )
+from conefix.fixed_point import _LANE_STALL, _solve_members
 from conefix.errors import NoConvergence
 from conefix.spaces import (
     BoxDomain,
@@ -564,3 +570,231 @@ def test_equicontinuous_pointwise_composition():
     assert report.hypotheses["equicontinuous_at_points"]
     assert report.hypotheses["approach_property"]
     assert report.conclusion_passed
+
+
+# ------------------------------------------------------------ lane solves
+
+
+def _shipped_lane_families():
+    """The scenario families that declare a lane_map, with the space, start
+    and tolerance their scenarios solve them at."""
+    from conefix.scenarios import _interval_ut2_family, _subinterval_family, _system_family
+
+    # the system family as coupled_sequence_harness builds it for thm_4_1
+    members, limit = _system_family()
+    systems = MapFamily(
+        lambda n: members(n).as_contraction(), limit.as_contraction(),
+        lane_map=lambda ns, p: members(ns).operator(p),
+    )
+    return {
+        "thm_2_9": (
+            _interval_ut2_family(lambda n: 1.0 / (n + 2.0), lambda n: 0.5),
+            IntervalUT2Space(2.0), 0.0, 1e-12,
+        ),
+        "thm_2_10": (
+            _interval_ut2_family(
+                lambda n: 1.0 / (n + 2.0), lambda n: 0.5 - 1.0 / (n + 3.0),
+                coefficient_bound=UT2Elem(0.5, 0.0),
+            ),
+            IntervalUT2Space(2.0), 0.0, 1e-12,
+        ),
+        "thm_3_6": (_subinterval_family(), IntervalUT2Space(2.0), 1.0, 1e-12),
+        "thm_4_1": (systems, PlaneR2Space(), (0.0, 0.0), 1e-14),
+    }
+
+
+def _same_result(got, ref) -> bool:
+    """Equal fields and equal types, down to the coordinates of a pair."""
+    if got != ref or type(got.point) is not type(ref.point):
+        return False
+    if isinstance(ref.point, tuple):
+        return all(type(a) is type(b) for a, b in zip(got.point, ref.point))
+    return True
+
+
+@pytest.mark.parametrize("name", ["thm_2_9", "thm_2_10", "thm_3_6", "thm_4_1"])
+def test_lanes_match_picard_on_shipped_families(name):
+    family, space, x0, tol = _shipped_lane_families()[name]
+    cache: dict = {}
+    _solve_members(family, space, lambda n: x0, tol, 100_000, cache, range(1, 10_001))
+    # every member was solved by the lanes, before any lazy scalar solve
+    assert sorted(cache) == list(range(1, 10_001))
+    for n in range(1, 10_001):
+        ref = picard_solve(family.member(n), space, x0, tol, 100_000)
+        assert _same_result(cache[n], ref), n
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    plane=st.booleans(),
+    bounded=st.booleans(),
+    rate=st.floats(0.01, 0.99),
+    shift=st.floats(-2.0, 2.0),
+    x0=st.floats(-1.5, 1.5),
+    y0=st.floats(-1.5, 1.5),
+    tol=st.floats(1e-13, 1e-2),
+)
+def test_lanes_match_picard_on_random_affine_families(plane, bounded, rate, shift, x0, y0, tol):
+    # member n is x -> r_n x + shift / n with rates growing toward rate; the
+    # draw covers converging lanes, domain and carrier escapes, and lanes
+    # that run out of iterations, which the lanes must all leave to picard
+    r = lambda n: rate * (1.0 - 1.0 / (n + 1.0))
+    if plane:
+        step = lambda n, p: (r(n) * p[0] + shift / n, r(n) * p[1] - shift / n)
+        kind, space, start = R2Elem, PlaneR2Space(), (x0, y0)
+        domain = BoxDomain((-1.0, -1.0), (1.0, 1.0)) if bounded else None
+    else:
+        step = lambda n, x: r(n) * x + shift / n
+        kind, space, start = UT2Elem, IntervalUT2Space(2.0), x0
+        domain = IntervalDomain(0.0, 1.0, open_lo=True) if bounded else None
+    family = MapFamily(
+        lambda n: ContractionMap(lambda x, n=n: step(n, x), kind.of(r(n), 0.0), domain),
+        ContractionMap(lambda x: x, kind.of(0.5, 0.0)),
+        lane_map=step,
+    )
+    cache: dict = {}
+    _solve_members(family, space, lambda n: start, tol, 400, cache, range(1, 25))
+    for n in range(1, 25):
+        try:
+            ref = picard_solve(family.member(n), space, start, tol, 400)
+        except ConefixError:
+            assert n not in cache
+        else:
+            assert _same_result(cache[n], ref), n
+
+
+@pytest.mark.parametrize("jump, tol, iterations", [
+    # dyadic steps 2^-i in norm: step 6 equals the threshold exactly and
+    # must not stop the lane
+    (0.0, 2.0 ** -6, 7),
+    # the threshold underflows to zero: only an exact zero step stops
+    (0.0, 5e-324, 55),
+    # the lane stops at 0.46875, whose image jumps out of the carrier, so
+    # picard_solve raises on the residual
+    (2.0, 0.1, None),
+])
+def test_lane_stop_rule_edges_match_picard(jump, tol, iterations):
+    step = lambda n, x: 0.5 * x + 0.25 + (x >= 0.46) * jump
+    family = MapFamily(
+        lambda n: ContractionMap(lambda x, n=n: step(n, x), UT2Elem(0.5, 0.0)),
+        _half_plus(0.0), lane_map=step,
+    )
+    space = IntervalUT2Space(1.0)
+    cache: dict = {}
+    _solve_members(family, space, lambda n: 0.0, tol, 100, cache, (1, 2))
+    if iterations is None:
+        with pytest.raises(PointOutsideCarrier):
+            picard_solve(family.member(1), space, 0.0, tol, 100)
+        assert cache == {}
+        return
+    ref = picard_solve(family.member(1), space, 0.0, tol, 100)
+    assert ref.iterations == iterations
+    assert _same_result(cache[1], ref)
+
+
+def test_lanes_leave_a_stalled_lane_to_picard():
+    # member 3 swaps x and 1 - x forever; the others contract slowly, at
+    # rate 0.99, over some 2500 iterations, so their steps keep shrinking
+    calls = []
+
+    def step(ns, xs):
+        calls.append(len(ns))
+        return np.where(ns == 3, 1.0 - xs, 0.99 * xs + 0.005)
+
+    def members(n):
+        if n == 3:
+            return ContractionMap(lambda x: 1.0 - x, UT2Elem(0.5, 0.0), UNIT_INTERVAL)
+        return ContractionMap(lambda x: 0.99 * x + 0.005, UT2Elem(0.99, 0.0), UNIT_INTERVAL)
+
+    family = MapFamily(members, _half_plus(0.0), lane_map=step)
+    space = IntervalUT2Space(1.0)
+    cache: dict = {}
+    _solve_members(family, space, lambda n: 0.25, 1e-12, 100_000, cache, range(1, 9))
+    # the stuck lane is dropped at the second stall check, not at max_iter
+    assert calls.index(7) == 2 * _LANE_STALL
+    assert sorted(cache) == [1, 2, 4, 5, 6, 7, 8]
+    for n in sorted(cache):
+        ref = picard_solve(family.member(n), space, 0.25, 1e-12, 100_000)
+        assert ref.iterations > 2 * _LANE_STALL
+        assert _same_result(cache[n], ref)
+    with pytest.raises(NoConvergence):
+        picard_solve(family.member(3), space, 0.25, 1e-12, 100_000)
+
+
+def _faulty_family(case: str, k: int, lanes: bool) -> MapFamily:
+    """Halving members except member k, which breaks picard_solve by
+    escaping its domain, leaving the carrier, never settling, or failing to
+    be built at all."""
+    domain = None if case == "carrier" else UNIT_INTERVAL
+
+    def bad(x):
+        return 1.0 - x if case == "max_iter" else x + 0.75
+
+    def members(n):
+        if n == k and case == "construction":
+            return ContractionMap(lambda x: x, UT2Elem(1.5, 0.0), domain)
+        if n == k:
+            return ContractionMap(bad, UT2Elem(0.5, 0.0), domain)
+        return ContractionMap(lambda x: 0.5 * x + 0.125, UT2Elem(0.5, 0.0), domain)
+
+    def lane_map(ns, xs):
+        good = 0.5 * xs + 0.125
+        return good if case == "construction" else np.where(ns == k, bad(xs), good)
+
+    return MapFamily(members, _half_plus(0.0, UNIT_INTERVAL),
+                     lane_map=lane_map if lanes else None)
+
+
+_HARNESS_CALLS = {
+    "uniform": lambda fam, space, cfg: uniform_limit_harness(
+        fam, space, cfg, (1, 2, 3, 10), start=0.25, max_iter=300),
+    "pointwise": lambda fam, space, cfg: pointwise_limit_harness(
+        fam, space, cfg, (1, 2, 3, 10), start=0.25, max_iter=300),
+    "subdomain": lambda fam, space, cfg: subdomain_limit_harness(
+        fam, space, cfg, (1, 2, 3, 10), start=0.25, witness=lambda n: 0.5,
+        x_inf=0.0, max_iter=300),
+    "cluster": lambda fam, space, cfg: fixed_point_cluster_check(
+        fam, space, range(1, cfg.horizon + 1), start=0.25, max_iter=300),
+}
+
+
+@pytest.mark.parametrize("harness", sorted(_HARNESS_CALLS))
+@pytest.mark.parametrize("case, raised", [
+    ("domain", IterateEscapedDomain),
+    ("carrier", PointOutsideCarrier),
+    ("max_iter", NoConvergence),
+    ("construction", ValueError),
+])
+@pytest.mark.parametrize("k", [3, 7])
+def test_lane_failures_raise_what_picard_raises(harness, case, raised, k):
+    space = IntervalUT2Space(1.0)
+    cfg = CSeqProbeConfig(probes=(UT2Elem(0.5, 0.5),), horizon=30)
+    caught = []
+    for lanes in (False, True):
+        with pytest.raises(raised) as info:
+            _HARNESS_CALLS[harness](_faulty_family(case, k, lanes), space, cfg)
+        caught.append((type(info.value), str(info.value)))
+    assert caught[0] == caught[1]
+
+
+def test_lane_family_makes_no_member_picard_solves(monkeypatch):
+    # a silent fall back to scalar solves would keep every payload and lose
+    # the speed, so count the solves: only the limit map is solved by picard
+    from conefix import fixed_point
+    from conefix.scenarios import _interval_ut2_family
+
+    calls = []
+    real = fixed_point.picard_solve
+
+    def counting(T, *args, **kwargs):
+        calls.append(T)
+        return real(T, *args, **kwargs)
+
+    monkeypatch.setattr(fixed_point, "picard_solve", counting)
+    family = _interval_ut2_family(lambda n: 1.0 / (n + 2.0), lambda n: 0.5)
+    cfg = CSeqProbeConfig.default(UT2Elem, horizon=10_000)
+    report = uniform_limit_harness(
+        family, IntervalUT2Space(2.0), cfg, (1, 10, 100, 1000), start=0.0, tol=1e-12
+    )
+    assert report.verdict
+    assert calls == [family.limit]

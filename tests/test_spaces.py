@@ -125,6 +125,45 @@ def test_plane_r2_distance_literals():
         clipped.distance((0.5, 0.5), (2.0, 0.5))
 
 
+_EDGE_COORDS = st.sampled_from(
+    [0.0, -0.0, 1.0, 5e-324, -5e-324, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52, 0.5, 2.0,
+     -1.0, math.inf, -math.inf, math.nan]
+) | st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(_EDGE_COORDS, _EDGE_COORDS, _EDGE_COORDS, _EDGE_COORDS),
+             min_size=1, max_size=12),
+    st.booleans(),
+)
+def test_batch_distances_match_distance_lane_by_lane(lanes, open_hi):
+    """distances gives, per lane, the coordinates distance returns, bit for
+    bit, and marks exactly the lanes where distance raises."""
+    cols = [np.array(c, dtype=np.float64) for c in zip(*lanes)]
+    cases = [
+        (IntervalUT2Space(3.0), cols[0], cols[1],
+         lambda i: (lanes[i][0], lanes[i][1])),
+        (PlaneR2Space((-1.0, 0.0), (1.0, 2.0), open_hi=open_hi),
+         (cols[0], cols[1]), (cols[2], cols[3]),
+         lambda i: ((lanes[i][0], lanes[i][1]), (lanes[i][2], lanes[i][3]))),
+        (PlaneR2Space(), (cols[0], cols[1]), (cols[2], cols[3]),
+         lambda i: ((lanes[i][0], lanes[i][1]), (lanes[i][2], lanes[i][3]))),
+    ]
+    for space, ps, qs, points in cases:
+        with np.errstate(invalid="ignore"):  # inf - inf, as in the scalar path
+            first, second, outside = space.distances(ps, qs)
+        for i in range(len(lanes)):
+            try:
+                d = space.distance(*points(i))
+            except PointOutsideCarrier:
+                assert outside[i]
+            else:
+                assert not outside[i]
+                assert (first[i].tobytes(), second[i].tobytes()) == (
+                    np.float64(d.first).tobytes(), np.float64(d.second).tobytes())
+
+
 def test_bielecki_pair_space_distance():
     space = BieleckiPairSpace(0.0, 1.0, 17, 1.0, 2.0, 0.0)
     y1 = GridFunction.constant(0.0, 1.0, 17, 1.0)
