@@ -8,15 +8,23 @@ arithmetic,
     norm((a, b))        = |a| + |b|
     unit                = (1, 0)
 
-so powers satisfy (a, b)^n = (a^n, n*a^(n-1)*b) and the spectral radius is
-|a|.  That closed form is used only as an independent oracle in the tests;
-the library computes spectral radii from the norm sequence of powers, which
-keeps the interface honest for algebras whose radius is not readable off a
-coordinate.
+so powers satisfy (a, b)^n = (a^n, n*a^(n-1)*b).  The contraction
+conditions depend only on the spectral radius of the coefficient and on
+(e - k)^-1 (Liu and Xu, Fixed Point Theory Appl. 2013:320), and both have
+closed forms, which the library computes directly: the spectral radius is
+|a|, and for |a| < 1
 
-R2Elem views the pair as a vector (u1, u2); UT2Elem views it as the 2x2
-upper triangular matrix [[alpha, beta], [0, alpha]].  They never mix: any
-binary operation on elements of different types raises AlgebraMismatchError.
+    (e - (a, b))^-1 = (1/(1-a), b/(1-a)^2),
+
+evaluated in exact rationals from the two floats and rounded upward, so it
+dominates the true inverse coordinate by coordinate (outward rounding in
+the sense of Rump, Acta Numerica 19, 2010).  The tests keep the power-norm
+estimate and the partial sums of the Neumann series as the independent
+oracle for both.
+
+R2Elem reads the pair as a plane vector; UT2Elem reads it as the 2x2
+upper triangular matrix [[a, b], [0, a]].  They never mix: any binary
+operation on elements of different types raises AlgebraMismatchError.
 
 The cone P consists of the elements with both coordinates >= 0.  Order
 comparisons are exact sign tests on float differences, with no epsilon.
@@ -27,11 +35,12 @@ property test downstream; callers that need tolerance must pre-round.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
 from typing import TypeVar
 
-from .errors import AlgebraMismatchError, NoConvergence, NotInvertibleHere
+from .errors import AlgebraMismatchError, NotInvertibleHere
 
 __all__ = [
     "R2Elem",
@@ -52,33 +61,22 @@ __all__ = [
 
 E = TypeVar("E", bound="_Pair")
 
-# Default power budget for spectral radius estimates used in validation paths.
-DEFAULT_RADIUS_POWERS = 128
-# Term cap for the series inversion when norm(k) >= 1 and only term decay
-# can tell us the partial sums have settled.
-NEUMANN_TERM_CAP = 10**6
 
-
+@dataclass(frozen=True, slots=True)
 class _Pair:
-    """Shared arithmetic for the two shipped algebras.
+    """Shared storage and arithmetic for the two shipped algebras.
 
-    Subclasses fix the coordinate names and nothing else.  Instances are
-    frozen, hashable, and compare by exact float equality.
+    Subclasses add nothing but their name, which is what keeps the kinds
+    apart.  Instances are frozen, hashable, and compare by exact float
+    equality, and only with elements of their own kind.
     """
 
-    __slots__ = ()
-
-    @property
-    def first(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def second(self) -> float:
-        raise NotImplementedError
+    first: float
+    second: float
 
     @classmethod
     def of(cls: type[E], a: float, b: float) -> E:
-        raise NotImplementedError
+        return cls(a, b)
 
     def _require_same_kind(self, other: "_Pair") -> None:
         if type(self) is not type(other):
@@ -107,44 +105,16 @@ class _Pair:
         return self.of(t * self.first, t * self.second)
 
 
-@dataclass(frozen=True, slots=True)
 class R2Elem(_Pair):
-    """Element (u1, u2) of the plane algebra."""
+    """Element (first, second) of the plane algebra."""
 
-    u1: float
-    u2: float
-
-    @property
-    def first(self) -> float:
-        return self.u1
-
-    @property
-    def second(self) -> float:
-        return self.u2
-
-    @classmethod
-    def of(cls, a: float, b: float) -> "R2Elem":
-        return cls(a, b)
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class UT2Elem(_Pair):
-    """Upper triangular matrix [[alpha, beta], [0, alpha]] stored as a pair."""
+    """Upper triangular matrix [[first, second], [0, first]] stored as a pair."""
 
-    alpha: float
-    beta: float
-
-    @property
-    def first(self) -> float:
-        return self.alpha
-
-    @property
-    def second(self) -> float:
-        return self.beta
-
-    @classmethod
-    def of(cls, a: float, b: float) -> "UT2Elem":
-        return cls(a, b)
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,133 +183,43 @@ def cone_compare(x: E, y: E) -> ConeOrderOutcome:
     )
 
 
-def _pair_radius(a: float, b: float, n_max: int) -> float:
-    """Spectral radius estimate from the norm sequence of powers.
+def spectral_radius(k: _Pair, n_max: int = 128) -> float:
+    """Spectral radius of k: |first coordinate|, exactly.
 
-    Powers are tracked with per-step renormalisation so the running log of
-    norm(k^n) never overflows or underflows regardless of scale.  Two
-    estimates are formed:
-
-    * the raw infimum of norm(k^n)^(1/n) over n <= n_max, which is always
-      an upper bound for the radius;
-    * a two-point fit of log norm(k^n) = n*log(rho) + log(1 + n*c), the
-      exact growth law for algebras whose powers grow linearly against the
-      pure geometric rate.  The fit collapses the slow logarithmic bias of
-      the raw infimum; for the shipped algebras it recovers the radius to
-      roundoff at modest n_max.
-
-    The smaller of the two is returned (the raw value caps the fit, so a
-    misfit on some future algebra can only make the answer conservative).
+    n_max, the number of powers a norm-sequence estimate would look at, is
+    kept for the interface and must be >= 1; the closed form needs none.
     """
-    abs_a, abs_b = abs(a), abs(b)
-    nk = abs_a + abs_b
-    if nk == 0.0:
-        return 0.0
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max == 1:
-        return nk
-    # normalised base and log-scaled power loop
-    ka, kb = a / nk, b / nk
-    pa, pb = ka, kb
-    log_nk = math.log(nk)
-    lam = 0.0
-    u = [log_nk]  # u[n-1] = log(norm(k^n)) / n
-    for n in range(2, n_max + 1):
-        pa, pb = pa * ka, pa * kb + pb * ka
-        m = abs(pa) + abs(pb)
-        if m == 0.0:
-            return 0.0  # an exact zero power: nilpotent element
-        lam += math.log(m)
-        pa, pb = pa / m, pb / m
-        u.append(log_nk + lam / n)
-    raw = math.exp(min(u))
-    n1 = n_max // 2
-    n2 = 2 * n1
-    du = u[n1 - 1] - u[n2 - 1]
-    if du <= 0.0:
-        # norm sequence already flat (b = 0 up to roundoff): no correction
-        return min(raw, math.exp(u[n2 - 1]))
-    # solve log(1+n1*c)/n1 - log(1+n2*c)/n2 = du for c >= 0; with n2 = 2*n1
-    # the equation is quadratic in c and the positive root is closed-form
-    big = 2.0 * n1 * du
-    if big > 350.0:
-        return raw  # the fit constant would overflow, keep the safe bound
-    delta = math.expm1(big)
-    c = (delta + math.sqrt(delta * delta + delta)) / n1
-    est = math.exp(u[n2 - 1] - math.log1p(n2 * c) / n2)
-    return min(raw, est)
+    return abs(k.first)
 
 
-@lru_cache(maxsize=4096)
-def _cached_radius(a: float, b: float, n_max: int) -> float:
-    return _pair_radius(a, b, n_max)
-
-
-def spectral_radius(k: _Pair, n_max: int = DEFAULT_RADIUS_POWERS) -> float:
-    """Estimate the spectral radius of k from at most n_max powers.
-
-    Always >= 0; exact 1.0 for the unit and exact 0.0 for nilpotents.
-    Results are cached per (element, n_max) because contraction validation
-    hits the same coefficients over and over.
-    """
-    return _cached_radius(k.first, k.second, n_max)
-
-
-def _neumann_with_tail(k: E, tail_tol: float) -> tuple[E, float]:
-    """Partial sum of sum(k^i) plus a bound on the dropped tail's norm.
-
-    Requires the spectral radius estimate of k to be < 1, else
-    NotInvertibleHere.  Two truncation rules:
-
-    * norm(k) < 1: stop once norm(k)^(i+1) / (1 - norm(k)) < tail_tol.
-      The geometric tail bound dominates the dropped mass, so the second
-      return value is a true bound.
-    * norm(k) >= 1 (radius still < 1): accumulate until the running term
-      norm falls below tail_tol, capped at NEUMANN_TERM_CAP terms.  The
-      tail is then bounded through the observed decay ratio of the last
-      terms; NoConvergence if the cap is hit first.
-    """
-    if tail_tol <= 0.0:
-        raise ValueError("tail_tol must be positive")
-    rho = spectral_radius(k)
-    if rho >= 1.0:
-        raise NotInvertibleHere(
-            f"spectral radius estimate {rho} is not below 1; the series diverges"
-        )
-    kind = type(k)
-    nk = norm(k)
-    s = unit(kind)
-    term = k
-    if nk < 1.0:
-        i = 0
-        tail = nk / (1.0 - nk)  # bound after the i = 0 term
-        while tail >= tail_tol:
-            s = s + term
-            term = term * k
-            i += 1
-            tail = nk ** (i + 1) / (1.0 - nk)
-        return s, tail
-    # decay rate for the tail bound: slightly above the radius estimate
-    # because term ratios approach it from above
-    ratio_guard = min(0.999, 1.05 * max(rho, 0.5))
-    for _ in range(NEUMANN_TERM_CAP):
-        t_norm = norm(term)
-        if t_norm < tail_tol:
-            return s, t_norm / (1.0 - ratio_guard)
-        s = s + term
-        term = term * k
-    raise NoConvergence(
-        f"series terms did not decay below {tail_tol} within {NEUMANN_TERM_CAP} terms"
-    )
+def _round_up(q: Fraction) -> float:
+    """The least float >= q."""
+    try:
+        x = float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -sys.float_info.max
+    return math.nextafter(x, math.inf) if x < q else x
 
 
 def neumann_inverse_e_minus(k: E, tail_tol: float = 1e-12) -> E:
-    """Inverse of (unit - k) as the truncated series sum(k^i).
+    """Inverse of (unit - k), the sum of the Neumann series sum(k^i).
 
-    Valid when the spectral radius of k is below 1.  The truncation point
-    is chosen so the dropped tail has norm below tail_tol; the result lies
-    in the cone whenever k does, because every term does.
+    Valid when the spectral radius of k is below 1, else NotInvertibleHere.
+    The closed form (1/(1-a), b/(1-a)^2) is evaluated exactly and each
+    coordinate rounded upward, so the result dominates the true inverse
+    coordinate by coordinate; it lies in the cone whenever k does.
+    tail_tol, the accuracy a truncated series would stop at, is kept for
+    the interface and must be positive; nothing is truncated.
     """
-    s, _ = _neumann_with_tail(k, tail_tol)
-    return s
+    if not tail_tol > 0.0:
+        raise ValueError("tail_tol must be positive")
+    rho = spectral_radius(k)
+    if not (rho < 1.0 and math.isfinite(k.second)):
+        raise NotInvertibleHere(
+            f"e - k has no inverse here: k = {k!r} needs spectral radius below 1 "
+            f"and finite coordinates"
+        )
+    u = 1 / (1 - Fraction(k.first))
+    return k.of(_round_up(u), _round_up(Fraction(k.second) * u * u))

@@ -24,8 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import R2Elem, cone_compare, norm, spectral_radius
-from .algebra import _neumann_with_tail
+from .algebra import R2Elem, neumann_inverse_e_minus, norm, spectral_radius
 from .errors import (
     ConditionViolated,
     DegenerateBox,
@@ -36,6 +35,7 @@ from .fixed_point import (
     ContractionMap,
     ConvergenceReport,
     MapFamily,
+    _bound_report,
     _padded_bound,
     picard_solve,
     pointwise_limit_harness,
@@ -457,7 +457,6 @@ def ode_sequence_harness(
     grid_pts: int = 257,
     tol: float = 1e-10,
     max_iter: int = 200,
-    inverse_tail_tol: float = 1e-14,
     solution_cache: dict | None = None,
     distance_log: dict | None = None,
 ) -> ConvergenceReport:
@@ -491,8 +490,7 @@ def ode_sequence_harness(
     mid = (grid_pts - 1) // 2
     w1 = np.exp(-cert.tau1 * np.abs(nodes - cert.center))
     w2 = np.exp(-cert.tau2 * np.abs(nodes - cert.center))
-    kind = R2Elem
-    inv, inv_tail = _neumann_with_tail(cert.alpha, inverse_tail_tol)
+    inv = neumann_inverse_e_minus(cert.alpha)
 
     limit_sol = ode_solve(limit, grid_pts, tol, max_iter, cert)
     u_y, u_z = limit_sol.y.values, limit_sol.z.values
@@ -523,21 +521,14 @@ def ode_sequence_harness(
 
     limit_sweep_y, limit_sweep_z = sweep(limit)
     solver_slack = R2Elem(2.0 * tol, 2.0 * tol)
-    dists, bounds, respected = [], [], []
+    dists, bounds = [], []
     for n in indices:
-        dist = distance_to_limit(n)
+        dists.append(distance_to_limit(n))
         member_sweep_y, member_sweep_z = sweep(members(n))
         displacement = R2Elem(
             float(np.max(np.abs(member_sweep_y - limit_sweep_y) * w1)),
             float(np.max(np.abs(member_sweep_z - limit_sweep_z) * w2)),
         )
-        bound = _padded_bound(inv, inv_tail, displacement, kind) + solver_slack
-        dists.append(dist)
-        bounds.append(bound)
-        respected.append(cone_compare(dist, bound).le)
+        bounds.append(_padded_bound(inv, displacement) + solver_slack)
     probe = is_c_sequence(distance_to_limit, cfg)
-    verdict = all(respected) and probe.passed
-    return ConvergenceReport(
-        "ode family solution bound",
-        indices, tuple(dists), tuple(bounds), tuple(respected), probe, verdict,
-    )
+    return _bound_report("ode family solution bound", indices, dists, bounds, probe)

@@ -17,11 +17,11 @@ class AlgebraMismatchError(ConefixError, TypeError):
 
 
 class NotInvertibleHere(ConefixError):
-    """Series inversion was requested outside its convergence region."""
+    """e - k was to be inverted where the spectral radius of k is not below 1."""
 
 
 class NoConvergence(ConefixError):
-    """An iterative computation hit its term or iteration cap before settling."""
+    """An iterative computation hit its iteration cap before settling."""
 
 
 class PointOutsideCarrier(ConefixError, ValueError):

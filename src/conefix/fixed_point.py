@@ -1,9 +1,9 @@
 """Contraction maps on cone metric spaces and convergence-mode checkers.
 
 The solver is plain Picard iteration with an a-posteriori stopping rule: if
-the coefficient's spectral radius estimate is r, iteration stops once the
-norm of the step distance falls below tol * (1 - r) / max(r, 1e-15), which
-converts a step size into a distance-to-fixed-point guarantee.
+the coefficient's spectral radius is r, iteration stops once the norm of
+the step distance falls below tol * (1 - r) / max(r, 1e-15), which converts
+a step size into a distance-to-fixed-point guarantee.
 
 The harnesses replay limit theorems for families of contractions at desk
 scale.  Each harness computes, per index n, the distance between a member
@@ -14,12 +14,12 @@ declares a lane_map has all the members a harness needs solved together as
 numpy lanes, each lane stopping on its own threshold, with fixed points,
 iteration counts and residuals bit for bit those of picard_solve.
 
-Bounds are outward rounded: series inverses are truncations, so the raw
-product (inverse * displacement) can undershoot the true bound by the
-dropped tail plus accumulated roundoff.  Every reported bound therefore
-adds a certified pad (tail bound plus a roundoff allowance) to both
-coordinates.  Without the pad, families that meet their bound with equality
-would flip bound_respected on one-ulp noise.
+Bounds are outward rounded: the inverse (e - k)^-1 is the closed form
+rounded upward, which dominates the exact inverse, but the product
+(inverse * displacement) is rounded to nearest.  Every reported bound
+therefore adds a roundoff pad to both coordinates.  Without the pad,
+families that meet their bound with equality would flip bound_respected on
+one-ulp noise.
 """
 
 from __future__ import annotations
@@ -30,8 +30,14 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import cone_compare, mul, norm, scale, spectral_radius
-from .algebra import _neumann_with_tail
+from .algebra import (
+    cone_compare,
+    mul,
+    neumann_inverse_e_minus,
+    norm,
+    scale,
+    spectral_radius,
+)
 from .errors import IterateEscapedDomain, NoConvergence, WitnessOutsideDomain
 from .spaces import (
     BoxDomain,
@@ -74,10 +80,10 @@ _EPS = 2.0 ** -52
 class ContractionMap:
     """A self map with a declared cone Lipschitz coefficient.
 
-    The coefficient's spectral radius estimate must be below 1 at
-    construction.  verified starts False and is flipped by
-    verify_contraction once sampling finds no violations; constructing a
-    map does not prove the declared coefficient, it only sanity checks it.
+    The coefficient's spectral radius must be below 1 at construction.
+    verified starts False and is flipped by verify_contraction once
+    sampling finds no violations; constructing a map does not prove the
+    declared coefficient, it only sanity checks it.
     """
 
     map: Callable
@@ -89,15 +95,11 @@ class ContractionMap:
         rho = spectral_radius(self.alpha)
         if not rho < 1.0:
             raise ValueError(
-                f"declared coefficient has spectral radius estimate {rho}, needs < 1"
+                f"declared coefficient has spectral radius {rho}, needs < 1"
             )
 
     def __call__(self, x):
         return self.map(x)
-
-    @property
-    def radius_estimate(self) -> float:
-        return spectral_radius(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -262,7 +264,7 @@ def picard_solve(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    r = T.radius_estimate
+    r = spectral_radius(T.alpha)
     threshold = tol * (1.0 - r) / max(r, 1e-15)
     domain = T.domain
     if domain is not None and not domain.contains(x0):
@@ -517,13 +519,19 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
-def _padded_bound(inv, inv_tail: float, displacement, kind):
+def _padded_bound(inv, displacement):
     """inv * displacement, outward rounded into a certified upper bound."""
     raw = mul(inv, displacement)
-    pad = inv_tail * norm(displacement) + 16.0 * _EPS * (1.0 + norm(inv)) * (
-        1.0 + norm(displacement)
-    )
-    return raw + kind.of(pad, pad)
+    pad = 16.0 * _EPS * (1.0 + norm(inv)) * (1.0 + norm(displacement))
+    return raw + raw.of(pad, pad)
+
+
+def _bound_report(label: str, indices, dists, bounds, probe) -> ConvergenceReport:
+    """Rows with their cone test; the verdict asks every bound to hold and
+    the distance sequence to pass its probe."""
+    respected = tuple(cone_compare(d, b).le for d, b in zip(dists, bounds))
+    return ConvergenceReport(label, indices, tuple(dists), tuple(bounds), respected,
+                             probe, all(respected) and probe.passed)
 
 
 # lanes per block of the lane solver: bounds the size of its temporaries
@@ -563,24 +571,21 @@ def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
     """picard_solve for the members in block, as numpy lanes.
 
     Each lane runs picard_solve's steps on float64 columns: its own stop
-    threshold, computed in Python as picard_solve computes it, then per
-    iteration the domain test, the carrier test and the stop test.  A lane
-    that would raise in picard_solve (a member that cannot be built, a
-    start of another form, an escape from the domain or the carrier, no
-    convergence within max_iter) is left out of the cache, as is the whole
-    block if lane_map fails, so that the lazy scalar solve raises exactly
-    what picard_solve raises.  So is a lane whose step stalls for
-    _LANE_STALL iterations, which picard_solve then settles or gives up on
-    at scalar cost.
+    threshold, picard_solve's formula in the same IEEE operations and so
+    the same bits, then per iteration the domain test, the carrier test and
+    the stop test.  A lane that would raise in picard_solve (a member that
+    cannot be built, a start of another form, an escape from the domain or
+    the carrier, no convergence within max_iter) is left out of the cache,
+    as is the whole block if lane_map fails, so that the lazy scalar solve
+    raises exactly what picard_solve raises.  So is a lane whose step
+    stalls for _LANE_STALL iterations, which picard_solve then settles or
+    gives up on at scalar cost.
     """
-    ns, starts, thresholds, axes = [], [], [], []
+    ns, starts, rates, axes = [], [], [], []
     for n in block:
         try:
             member = family.member(n)
-            # read the radius while this member's entry is still in the
-            # radius cache; a later read could miss and recompute it
-            r = member.radius_estimate
-            threshold = tol * (1.0 - r) / max(r, 1e-15)
+            rate = spectral_radius(member.alpha)
             x0 = _lane_start(start(n), dim)
             lane_axes = _domain_axes(member.domain, dim)
         except Exception:
@@ -589,7 +594,7 @@ def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
             continue
         ns.append(n)
         starts.append(x0)
-        thresholds.append(threshold)
+        rates.append(rate)
         axes.append(lane_axes)
     if not ns:
         return
@@ -616,7 +621,8 @@ def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
         with np.errstate(all="ignore"):
             lane = np.arange(len(ns))
             idx = all_idx = np.asarray(ns, dtype=np.int64)
-            thr = np.asarray(thresholds, dtype=np.float64)
+            r = np.asarray(rates, dtype=np.float64)
+            thr = tol * (1.0 - r) / np.maximum(r, 1e-15)
             bounds = np.asarray(axes, dtype=np.float64)  # lane x axis x 4
             x = [np.asarray(c, dtype=np.float64) for c in zip(*starts)]
             keep = inside(bounds, x)
@@ -706,7 +712,6 @@ def uniform_limit_harness(
     tol: float = 1e-12,
     max_iter: int = 100_000,
     fp_cache: dict | None = None,
-    inverse_tail_tol: float = 1e-14,
 ) -> ConvergenceReport:
     """Distance of member fixed points to the limit fixed point, with the
     bound driven by the limit map's displacement at each member's point.
@@ -715,35 +720,26 @@ def uniform_limit_harness(
 
         inverse(e - alpha) * d(T_n x_n, T x_n)
 
-    with alpha the limit coefficient, the inverse taken as an outward
-    rounded series sum.  start may be a callable n -> x0 or a single point
-    used everywhere; start_limit defaults to the same start.
+    with alpha the limit coefficient.  start may be a callable n -> x0 or a
+    single point used everywhere; start_limit defaults to the same start.
     """
     indices = tuple(indices)
     start_fn = start if callable(start) else (lambda n: start)
     limit_start = start_limit if start_limit is not None else start_fn(1)
-    kind = space.kind
-    inv, inv_tail = _neumann_with_tail(family.limit.alpha, inverse_tail_tol)
+    inv = neumann_inverse_e_minus(family.limit.alpha)
     solved = _solve_members(family, space, start_fn, tol, max_iter, fp_cache,
                             (*indices, *range(cfg.start, cfg.horizon + 1)))
     x_star = picard_solve(family.limit, space, limit_start, tol, max_iter).point
     limit_map = family.limit.map
 
-    dists, bounds, respected = [], [], []
+    dists, bounds = [], []
     for n in indices:
         x_n = solved(n).point
-        dist = space.distance(x_n, x_star)
+        dists.append(space.distance(x_n, x_star))
         displacement = space.distance(family.member(n).map(x_n), limit_map(x_n))
-        bound = _padded_bound(inv, inv_tail, displacement, kind)
-        dists.append(dist)
-        bounds.append(bound)
-        respected.append(cone_compare(dist, bound).le)
+        bounds.append(_padded_bound(inv, displacement))
     probe = is_c_sequence(lambda n: space.distance(solved(n).point, x_star), cfg)
-    verdict = all(respected) and probe.passed
-    return ConvergenceReport(
-        "uniform-limit fixed point bound",
-        indices, tuple(dists), tuple(bounds), tuple(respected), probe, verdict,
-    )
+    return _bound_report("uniform-limit fixed point bound", indices, dists, bounds, probe)
 
 
 def pointwise_limit_harness(
@@ -756,7 +752,6 @@ def pointwise_limit_harness(
     tol: float = 1e-12,
     max_iter: int = 100_000,
     fp_cache: dict | None = None,
-    inverse_tail_tol: float = 1e-14,
 ) -> ConvergenceReport:
     """Same distances as the uniform-limit harness, but the bound is driven
     by the members' displacement at the limit fixed point,
@@ -769,28 +764,19 @@ def pointwise_limit_harness(
     indices = tuple(indices)
     start_fn = start if callable(start) else (lambda n: start)
     limit_start = start_limit if start_limit is not None else start_fn(1)
-    kind = space.kind
-    inv, inv_tail = _neumann_with_tail(family.bound_coefficient, inverse_tail_tol)
+    inv = neumann_inverse_e_minus(family.bound_coefficient)
     solved = _solve_members(family, space, start_fn, tol, max_iter, fp_cache,
                             (*indices, *range(cfg.start, cfg.horizon + 1)))
     x_star = picard_solve(family.limit, space, limit_start, tol, max_iter).point
     fx_star = family.limit.map(x_star)
 
-    dists, bounds, respected = [], [], []
+    dists, bounds = [], []
     for n in indices:
-        x_n = solved(n).point
-        dist = space.distance(x_n, x_star)
+        dists.append(space.distance(solved(n).point, x_star))
         displacement = space.distance(family.member(n).map(x_star), fx_star)
-        bound = _padded_bound(inv, inv_tail, displacement, kind)
-        dists.append(dist)
-        bounds.append(bound)
-        respected.append(cone_compare(dist, bound).le)
+        bounds.append(_padded_bound(inv, displacement))
     probe = is_c_sequence(lambda n: space.distance(solved(n).point, x_star), cfg)
-    verdict = all(respected) and probe.passed
-    return ConvergenceReport(
-        "pointwise-limit fixed point bound",
-        indices, tuple(dists), tuple(bounds), tuple(respected), probe, verdict,
-    )
+    return _bound_report("pointwise-limit fixed point bound", indices, dists, bounds, probe)
 
 
 def subdomain_limit_harness(
@@ -806,7 +792,6 @@ def subdomain_limit_harness(
     tol: float = 1e-12,
     max_iter: int = 100_000,
     fp_cache: dict | None = None,
-    inverse_tail_tol: float = 1e-14,
 ) -> ConvergenceReport:
     """Fixed point convergence bounds for members living on moving
     sub-domains, measured against a limit fixed point x_inf.
@@ -831,20 +816,19 @@ def subdomain_limit_harness(
         raise ValueError("responder form needs a responder callable")
     indices = tuple(indices)
     start_fn = start if callable(start) else (lambda n: start)
-    kind = space.kind
     k_coeff = family.bound_coefficient
-    inv, inv_tail = _neumann_with_tail(k_coeff, inverse_tail_tol)
+    inv = neumann_inverse_e_minus(k_coeff)
     solved = _solve_members(family, space, start_fn, tol, max_iter, fp_cache,
                             (*indices, *range(cfg.start, cfg.horizon + 1)))
     if x_inf is None:
         x_inf = picard_solve(family.limit, space, witness(1), tol, max_iter).point
     limit_map = family.limit.map
 
-    dists, bounds, respected = [], [], []
+    dists, bounds = [], []
     for n in indices:
         member = family.member(n)
         x_n = solved(n).point
-        dist = space.distance(x_n, x_inf)
+        dists.append(space.distance(x_n, x_inf))
         if bound_form == "witness":
             y_n = witness(n)
             if member.domain is not None and not member.domain.contains(y_n):
@@ -863,16 +847,10 @@ def subdomain_limit_harness(
             displacement = space.distance(member.map(x_n), limit_map(y_n)) + mul(
                 k_coeff, space.distance(y_n, x_n)
             )
-        bound = _padded_bound(inv, inv_tail, displacement, kind)
-        dists.append(dist)
-        bounds.append(bound)
-        respected.append(cone_compare(dist, bound).le)
+        bounds.append(_padded_bound(inv, displacement))
     probe = is_c_sequence(lambda n: space.distance(solved(n).point, x_inf), cfg)
-    verdict = all(respected) and probe.passed
-    return ConvergenceReport(
-        f"sub-domain fixed point bound ({bound_form} form)",
-        indices, tuple(dists), tuple(bounds), tuple(respected), probe, verdict,
-    )
+    return _bound_report(f"sub-domain fixed point bound ({bound_form} form)",
+                         indices, dists, bounds, probe)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,15 @@
 """Pair arithmetic, cone order, spectral radius, and Neumann series."""
 
+import dataclasses
+import math
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import conefix.algebra
 from conefix.algebra import (
     R2Elem,
     UT2Elem,
@@ -19,11 +25,7 @@ from conefix.algebra import (
     unit,
     zero,
 )
-from conefix.errors import (
-    AlgebraMismatchError,
-    NoConvergence,
-    NotInvertibleHere,
-)
+from conefix.errors import AlgebraMismatchError, NotInvertibleHere
 
 KINDS = (R2Elem, UT2Elem)
 
@@ -84,6 +86,21 @@ def test_kind_mixing_rejected():
         mul(UT2Elem(1.0, 0.0), R2Elem(1.0, 0.0))
     with pytest.raises(AlgebraMismatchError):
         cone_compare(R2Elem(0.0, 0.0), UT2Elem(1.0, 1.0))
+
+
+def test_kinds_are_distinct_frozen_pairs():
+    for kind in KINDS:
+        x = kind(1.5, -2.0)
+        assert (x.first, x.second) == (1.5, -2.0)
+        assert kind.of(1.5, -2.0) == x and hash(kind.of(1.5, -2.0)) == hash(x)
+        assert not hasattr(x, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.first = 0.0
+    # equal coordinates do not make elements of different kinds equal
+    assert R2Elem(1.0, 2.0) != UT2Elem(1.0, 2.0)
+    assert len({R2Elem(1.0, 2.0), UT2Elem(1.0, 2.0)}) == 2
+    with pytest.raises(AlgebraMismatchError, match="cannot combine UT2Elem with R2Elem"):
+        UT2Elem(1.0, 0.0) - R2Elem(1.0, 0.0)
 
 
 def test_norm_submultiplicative():
@@ -151,11 +168,72 @@ def test_order_composition_both_directions():
             assert cone_compare(u, w2).way_below
 
 
+# ------------------------------------------------------- independent oracles
+
+
+def _power_norm_radius(a: float, b: float, n_max: int) -> tuple[float, float]:
+    """Spectral radius estimates of (a, b) from the norm sequence of powers.
+
+    Returns (raw, fitted).  raw is the infimum of norm(k^n)^(1/n) over
+    n <= n_max, an upper bound for the radius by Gelfand's formula.  fitted
+    is a two-point fit of log norm(k^n) = n*log(rho) + log(1 + n*c), the
+    growth law of these algebras, capped by raw.  Powers are renormalised
+    at every step, so the running log never overflows or underflows.
+    """
+    nk = abs(a) + abs(b)
+    if nk == 0.0:
+        return 0.0, 0.0
+    if n_max == 1:
+        return nk, nk
+    ka, kb = a / nk, b / nk
+    pa, pb = ka, kb
+    log_nk = math.log(nk)
+    lam = 0.0
+    u = [log_nk]  # u[n-1] = log(norm(k^n)) / n
+    for n in range(2, n_max + 1):
+        pa, pb = pa * ka, pa * kb + pb * ka
+        m = abs(pa) + abs(pb)
+        if m == 0.0:
+            return 0.0, 0.0  # an exact zero power: nilpotent element
+        lam += math.log(m)
+        pa, pb = pa / m, pb / m
+        u.append(log_nk + lam / n)
+    raw = math.exp(min(u))
+    n1 = n_max // 2
+    n2 = 2 * n1
+    du = u[n1 - 1] - u[n2 - 1]
+    if du <= 0.0:
+        return raw, min(raw, math.exp(u[n2 - 1]))
+    # with n2 = 2*n1 the fit equation is quadratic in c; take the positive root
+    big = 2.0 * n1 * du
+    if big > 350.0:
+        return raw, raw
+    delta = math.expm1(big)
+    c = (delta + math.sqrt(delta * delta + delta)) / n1
+    return raw, min(raw, math.exp(u[n2 - 1] - math.log1p(n2 * c) / n2))
+
+
+def _partial_sum(a, b, terms: int):
+    """sum(k^i for i < terms) for k = (a, b), in the number type of a and b:
+    floats give the series as a float loop would sum it, Fractions exactly."""
+    s1 = s2 = p2 = 0
+    p1 = 1
+    for _ in range(terms):
+        s1, s2 = s1 + p1, s2 + p2
+        p1, p2 = p1 * a, p1 * b + p2 * a
+    return s1, s2
+
+
+def _exact_inverse(k) -> tuple[Fraction, Fraction]:
+    a, b = Fraction(k.first), Fraction(k.second)
+    return 1 / (1 - a), b / (1 - a) ** 2
+
+
 def test_spectral_radius_literals():
-    assert abs(spectral_radius(R2Elem(0.5, 7.3), 64) - 0.5) < 1e-6
+    assert spectral_radius(R2Elem(0.5, 7.3), 64) == 0.5
+    assert spectral_radius(UT2Elem(-0.3, 100.0)) == 0.3
     assert spectral_radius(unit(R2Elem)) == 1.0
     assert spectral_radius(unit(UT2Elem)) == 1.0
-    assert abs(spectral_radius(UT2Elem(0.3, 100.0), 128) - 0.3) < 1e-4
     # nilpotent: the square is exactly zero
     assert spectral_radius(R2Elem(0.0, 3.0)) == 0.0
     assert spectral_radius(zero(UT2Elem)) == 0.0
@@ -169,26 +247,30 @@ def test_spectral_radius_tracks_first_coordinate():
         a = rng.uniform(-2.0, 2.0, 300)
         b = rng.uniform(-5.0, 5.0, 300)
         for i in range(300):
-            est = spectral_radius(kind.of(float(a[i]), float(b[i])), 128)
-            assert abs(est - abs(float(a[i]))) <= 1e-3
+            av, bv = float(a[i]), float(b[i])
+            rho = spectral_radius(kind.of(av, bv), 128)
+            assert rho == abs(av)
+            raw, fitted = _power_norm_radius(av, bv, 128)
+            assert abs(fitted - rho) <= 1e-3
+            # Gelfand: every norm(k^n)^(1/n) is at least the radius
+            assert raw >= rho * (1.0 - 1e-12)
+    assert _power_norm_radius(0.0, 3.0, 128) == (0.0, 0.0)
 
 
 def test_neumann_literals():
-    inv = neumann_inverse_e_minus(R2Elem(0.5, 1.0))
-    assert abs(inv.first - 2.0) < 1e-10
-    assert abs(inv.second - 4.0) < 1e-10
+    # exact values stay exact: rounding upward only moves an inexact value
+    assert neumann_inverse_e_minus(R2Elem(0.5, 1.0)) == R2Elem(2.0, 4.0)
     # e - (0.5, 1) is (0.5, -1); its product with (2, 4) is exactly the unit
     assert mul(R2Elem(0.5, -1.0), R2Elem(2.0, 4.0)) == R2Elem(1.0, 0.0)
     for kind in KINDS:
         assert neumann_inverse_e_minus(zero(kind)) == unit(kind)
-    inv = neumann_inverse_e_minus(UT2Elem(0.5, 0.0))
-    assert abs(inv.first - 2.0) < 1e-10
-    assert inv.second == 0.0
+    assert neumann_inverse_e_minus(UT2Elem(0.5, 0.0)) == UT2Elem(2.0, 0.0)
+    assert neumann_inverse_e_minus(UT2Elem(0.75, -3.0)) == UT2Elem(4.0, -48.0)
 
 
 def test_neumann_matches_closed_form():
-    """The series sums a geometric-with-derivative pair: for k = (a, b)
-    the inverse of e - k is (1/(1-a), b/(1-a)^2)."""
+    """The closed form against the series itself: with |a| <= 0.9 and
+    |b| <= 3 the terms past 600 are below 1e-15."""
     rng = np.random.default_rng(15)
     for kind in KINDS:
         a = rng.uniform(-0.9, 0.9, 300)
@@ -196,8 +278,39 @@ def test_neumann_matches_closed_form():
         for i in range(300):
             av, bv = float(a[i]), float(b[i])
             inv = neumann_inverse_e_minus(kind.of(av, bv))
-            assert abs(inv.first - 1.0 / (1.0 - av)) < 1e-9
-            assert abs(inv.second - bv / (1.0 - av) ** 2) < 1e-9
+            s1, s2 = _partial_sum(av, bv, 600)
+            assert abs(inv.first - s1) < 1e-9
+            assert abs(inv.second - s2) < 1e-9
+
+
+def test_neumann_dominates_exact_partial_sums_in_the_cone():
+    rng = np.random.default_rng(17)
+    for kind in KINDS:
+        for a, b in rng.uniform(0.0, [0.99, 3.0], size=(40, 2)):
+            k = kind.of(float(a), float(b))
+            inv = neumann_inverse_e_minus(k)
+            assert in_cone(inv)
+            for terms in (1, 2, 10, 60):
+                s1, s2 = _partial_sum(Fraction(k.first), Fraction(k.second), terms)
+                assert s1 <= Fraction(inv.first) and s2 <= Fraction(inv.second)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    a=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    b=st.floats(-1e6, 1e6),
+)
+def test_neumann_is_the_least_float_above_the_exact_inverse(kind, a, b):
+    inv = neumann_inverse_e_minus(kind.of(a, b))
+    for got, exact in zip((inv.first, inv.second), _exact_inverse(kind.of(a, b))):
+        assert Fraction(got) >= exact
+        assert Fraction(math.nextafter(got, -math.inf)) < exact
+
+
+def test_neumann_rounds_overflow_outward():
+    assert neumann_inverse_e_minus(R2Elem(0.5, 1e308)) == R2Elem(2.0, math.inf)
+    assert neumann_inverse_e_minus(R2Elem(0.5, -1e308)) == R2Elem(2.0, -sys.float_info.max)
 
 
 def test_neumann_residual_and_cone_membership():
@@ -222,17 +335,12 @@ def test_neumann_rejects_radius_at_or_above_one():
         neumann_inverse_e_minus(UT2Elem(1.2, 0.0))
     with pytest.raises(NotInvertibleHere):
         neumann_inverse_e_minus(R2Elem(-1.0, 0.0))
+    for bad in ((math.nan, 0.0), (0.5, math.nan), (0.5, math.inf)):
+        with pytest.raises(NotInvertibleHere):
+            neumann_inverse_e_minus(R2Elem(*bad))
 
 
 def test_neumann_tail_tol_validation():
-    with pytest.raises(ValueError):
-        neumann_inverse_e_minus(R2Elem(0.5, 0.0), 0.0)
-    with pytest.raises(ValueError):
-        neumann_inverse_e_minus(R2Elem(0.5, 0.0), -1e-9)
-
-
-def test_neumann_term_cap(monkeypatch):
-    # big-norm element whose terms cannot decay within a tiny cap
-    monkeypatch.setattr(conefix.algebra, "NEUMANN_TERM_CAP", 10)
-    with pytest.raises(NoConvergence):
-        neumann_inverse_e_minus(R2Elem(0.99, 5.0))
+    for bad in (0.0, -1e-9, math.nan):
+        with pytest.raises(ValueError):
+            neumann_inverse_e_minus(R2Elem(0.5, 0.0), bad)

@@ -1,5 +1,7 @@
 """Contraction solving, convergence-mode checkers, and limit harnesses."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -406,6 +408,78 @@ def test_subdomain_harness_defaults_and_validation():
             family, space, cfg, range(1, 4), start=1.0,
             witness=lambda n: 0.0, x_inf=0.0,
         )
+
+
+class _RaySpace:
+    """The real line measured along one cone direction:
+    d(x, y) = |x - y| * (d1, d2), exact for d(1, 0)."""
+
+    def __init__(self, kind, direction) -> None:
+        self.kind = kind
+        self.direction = direction
+
+    def distance(self, x, y):
+        t = abs(x - y)
+        return self.kind.of(t * self.direction[0], t * self.direction[1])
+
+
+def _ray_bound(harness: str, kind, k, direction):
+    """The bound a harness certifies for (e - k)^-1 * d with d = direction.
+
+    Members are the constant map 1 and the limit the constant map 0, all
+    with coefficient k, so every displacement the harnesses form (member
+    against limit at the member point, at the limit point, or at a witness
+    0 on the limit point) is d(1, 0) = direction exactly.
+    """
+    space = _RaySpace(kind, direction)
+    family = MapFamily(lambda n: ContractionMap(lambda x: 1.0, k),
+                       ContractionMap(lambda x: 0.0, k))
+    cfg = CSeqProbeConfig.default(kind, horizon=2, tail_required=1)
+    if harness == "uniform":
+        report = uniform_limit_harness(family, space, cfg, (1,), start=0.5)
+    elif harness == "pointwise":
+        report = pointwise_limit_harness(family, space, cfg, (1,), start=0.5)
+    else:
+        report = subdomain_limit_harness(family, space, cfg, (1,), start=0.5,
+                                         witness=lambda n: 0.0, x_inf=0.0)
+    return report.bounds[0]
+
+
+def _exact_inverse_times(k, d) -> tuple[Fraction, Fraction]:
+    a, b = Fraction(k.first), Fraction(k.second)
+    i1, i2 = 1 / (1 - a), b / (1 - a) ** 2
+    d1, d2 = Fraction(d[0]), Fraction(d[1])
+    return i1 * d1, i1 * d2 + i2 * d1
+
+
+def _dominates(bound, exact) -> bool:
+    return Fraction(bound.first) >= exact[0] and Fraction(bound.second) >= exact[1]
+
+
+@pytest.mark.parametrize("harness", ["uniform", "pointwise", "subdomain"])
+@pytest.mark.parametrize("kind", [R2Elem, UT2Elem])
+def test_harness_bounds_dominate_the_exact_inverse_near_radius_one(harness, kind):
+    # a series truncated where its terms looked small dropped a tail larger
+    # than the pad it claimed; near radius one the bound then undershot
+    for a, b in ((0.9995, 0.001), (0.999, 0.01)):
+        k = kind(a, b)
+        for direction in ((1.0, 0.0), (1.0, 1.0), (0.0, 1.0)):
+            bound = _ray_bound(harness, kind, k, direction)
+            assert _dominates(bound, _exact_inverse_times(k, direction)), (a, b, direction)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    harness=st.sampled_from(["uniform", "pointwise", "subdomain"]),
+    kind=st.sampled_from([R2Elem, UT2Elem]),
+    a=st.floats(0.0, 1.0, exclude_max=True),
+    b=st.floats(0.0, 1e6),
+    direction=st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3)),
+)
+def test_harness_bounds_dominate_the_exact_inverse(harness, kind, a, b, direction):
+    k = kind(a, b)
+    bound = _ray_bound(harness, kind, k, direction)
+    assert _dominates(bound, _exact_inverse_times(k, direction))
 
 
 def test_cluster_check_settling_family():

@@ -5,6 +5,10 @@ under tests/golden byte for byte.  A performance or refactoring change that
 moves one bit of a payload is a behaviour change; a golden file may be
 regenerated only by a change that states which columns moved and why.
 
+The committed files are also audited on their own: every row's bound
+must dominate the exact distance, computed in rationals by the benchmark's
+checks (perfbench/checks.py), the one copy of that oracle.
+
 Regenerate with:  PYTHONPATH=src python tests/test_golden.py
 """
 
@@ -24,6 +28,18 @@ def test_payloads_match_golden(name):
     csv_golden = (GOLDEN_DIR / f"{name}.csv").read_bytes()
     assert run.to_json().encode() == json_golden
     assert run.to_csv().encode() == csv_golden
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_golden_payloads_pass_the_exact_audit(name, fmt):
+    # imported here so that regenerating the goldens needs only src/ on the path
+    from perfbench.checks import check_payload
+    from perfbench.workloads import Operation
+
+    text = (GOLDEN_DIR / f"{name}.{fmt}").read_text()
+    op = Operation(name, name, fmt, SCENARIOS[name].defaults)
+    assert check_payload(op, 0, text) == []
 
 
 def _write_goldens() -> None:
