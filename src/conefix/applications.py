@@ -305,10 +305,13 @@ def _check_sampled_lipschitz(label: str, fn, xs, us, lip: float, width: float) -
 
 
 def ode_certify(problem: OdeProblem, sample_pts: int = 33) -> OdeCertificate:
-    """Derive the certified solve interval and contraction coefficient.
+    """Derive the solve interval and contraction coefficient.
 
     |f| and |g| are sampled on an endpoint-including mesh of the box and
-    inflated by five percent; h1 = min(x_radius, y_radius / max_f) and
+    inflated by five percent.  max_f and max_g are therefore sampled
+    maxima, not enclosures: a slope that peaks between mesh points by more
+    than five percent gives an interval the tube test in ode_solve may
+    then refuse (LeftInvariantSet).  h1 = min(x_radius, y_radius / max_f) and
     h2 likewise for g, with a vanishing right side meaning no constraint
     (identically zero slope keeps any tube).  The declared one-sided rates
     are sampled on the same mesh (ConditionViolated on failure).  The
@@ -355,8 +358,58 @@ class OdeSolution:
     converged: bool
 
 
-def _tube_slack(radius: float) -> float:
+def _tube_slack(radius):
     return 1e-9 * (1.0 + radius)
+
+
+@dataclass(frozen=True)
+class _OdeGrid:
+    """What every sweep under one certificate shares: the nodes, their
+    spacing, the center node the initial condition sits on, the two weight
+    profiles and the stop threshold."""
+
+    nodes: np.ndarray
+    spacing: float
+    mid: int
+    w1: np.ndarray
+    w2: np.ndarray
+    threshold: float
+
+    def integral(self, values):
+        """Running trapezoid integral from the center node, row by row."""
+        return cumulative_trapezoid_from(values, self.spacing, self.mid)
+
+
+def _ode_grid(cert: OdeCertificate, grid_pts: int, tol: float) -> _OdeGrid:
+    if grid_pts < 3 or grid_pts % 2 == 0:
+        raise ValueError(f"grid_pts must be odd and at least 3, got {grid_pts}")
+    nodes = np.linspace(cert.lo, cert.hi, grid_pts)
+    rate = spectral_radius(cert.alpha)
+    return _OdeGrid(
+        nodes,
+        (cert.hi - cert.lo) / (grid_pts - 1),
+        (grid_pts - 1) // 2,
+        np.exp(-cert.tau1 * np.abs(nodes - cert.center)),
+        np.exp(-cert.tau2 * np.abs(nodes - cert.center)),
+        tol * (1.0 - rate) / max(rate, 1e-15),
+    )
+
+
+def _weighted_sup(a, b, w, out=None):
+    """max |a - b| * w over the grid axis (w None: unweighted), one value
+    per row for lanes; out, if given, is scratch space for a - b."""
+    gap = np.subtract(a, b, out=out)
+    np.abs(gap, out=gap)
+    if w is not None:
+        gap *= w
+    return gap.max(axis=-1)
+
+
+def _ode_solution(nodes, y, z, deltas: list) -> OdeSolution:
+    norms = [norm(d) for d in deltas]
+    ratios = tuple(b / a for a, b in zip(norms, norms[1:]) if a > 0.0)
+    return OdeSolution(GridFunction(nodes, y), GridFunction(nodes, z),
+                       len(deltas), tuple(deltas), ratios, True)
 
 
 def ode_solve(
@@ -375,48 +428,132 @@ def ode_solve(
     distance certifies tol accuracy at the contraction rate, and raises
     NoConvergence at max_iter.
     """
-    if grid_pts < 3 or grid_pts % 2 == 0:
-        raise ValueError(f"grid_pts must be odd and at least 3, got {grid_pts}")
     cert = certificate if certificate is not None else ode_certify(problem)
-    nodes = np.linspace(cert.lo, cert.hi, grid_pts)
-    spacing = (cert.hi - cert.lo) / (grid_pts - 1)
-    mid = (grid_pts - 1) // 2
-    w1 = np.exp(-cert.tau1 * np.abs(nodes - cert.center))
-    w2 = np.exp(-cert.tau2 * np.abs(nodes - cert.center))
-    rate = spectral_radius(cert.alpha)
-    threshold = tol * (1.0 - rate) / max(rate, 1e-15)
+    grid = _ode_grid(cert, grid_pts, tol)
+    nodes = grid.nodes
     y = np.full(grid_pts, float(problem.y_init))
     z = np.full(grid_pts, float(problem.z_init))
     deltas: list[R2Elem] = []
-    ratios: list[float] = []
     for it in range(1, max_iter + 1):
-        y_next = problem.y_init + cumulative_trapezoid_from(problem.f(nodes, y), spacing, mid)
-        z_next = problem.z_init + cumulative_trapezoid_from(problem.g(nodes, z), spacing, mid)
-        y_exc = float(np.max(np.abs(y_next - problem.y_init))) - problem.y_radius
-        z_exc = float(np.max(np.abs(z_next - problem.z_init))) - problem.z_radius
+        y_next = problem.y_init + grid.integral(problem.f(nodes, y))
+        z_next = problem.z_init + grid.integral(problem.g(nodes, z))
+        y_exc = float(_weighted_sup(y_next, problem.y_init, None)) - problem.y_radius
+        z_exc = float(_weighted_sup(z_next, problem.z_init, None)) - problem.z_radius
         if y_exc > _tube_slack(problem.y_radius) or z_exc > _tube_slack(problem.z_radius):
             raise LeftInvariantSet(
                 f"iterate {it} left the certified tube "
                 f"(y excess {max(y_exc, 0.0):.3e}, z excess {max(z_exc, 0.0):.3e})"
             )
         delta = R2Elem(
-            float(np.max(np.abs(y_next - y) * w1)),
-            float(np.max(np.abs(z_next - z) * w2)),
+            float(_weighted_sup(y_next, y, grid.w1)),
+            float(_weighted_sup(z_next, z, grid.w2)),
         )
         deltas.append(delta)
-        if len(deltas) >= 2 and norm(deltas[-2]) > 0.0:
-            ratios.append(norm(delta) / norm(deltas[-2]))
         y, z = y_next, z_next
-        if norm(delta) < threshold or norm(delta) == 0.0:
-            return OdeSolution(
-                GridFunction(nodes, y),
-                GridFunction(nodes, z),
-                it,
-                tuple(deltas),
-                tuple(ratios),
-                True,
-            )
+        if norm(delta) < grid.threshold or norm(delta) == 0.0:
+            return _ode_solution(nodes, y, z, deltas)
     raise NoConvergence(f"no settled solution within {max_iter} sweeps (tol {tol})")
+
+
+# float64 entries per (lanes x grid) block of the lane solver, so 128 lanes
+# at grid 257 and 16 at grid 2049: larger blocks push the sweep temporaries
+# out of the processor caches and lose more than the numpy calls they save
+_ODE_BLOCK = 1 << 15
+
+
+def _ode_lane_block(members, lane_slopes, grid: _OdeGrid, max_iter: int, block,
+                    u_y, u_z, dists: dict, cache: dict | None) -> None:
+    """ode_solve for the members in block, as numpy lanes.
+
+    Each lane is one row of (lanes x grid) float64 arrays and runs
+    ode_solve's sweep in the same IEEE operations, so to the same bits:
+    slopes from lane_slopes, the row-wise trapezoid integral, the tube test
+    against the lane's own initial values and radii, the weighted step and
+    the shared stop threshold.  A finished lane puts its weighted distance
+    to the limit solution (u_y, u_z) into dists and, when cache is given,
+    its OdeSolution into cache.  A lane that ode_solve would raise on (a
+    member that cannot be built, an escape from the tube, no convergence
+    within max_iter) is left out, and so is a member whose initial values
+    and radii are not all floats.  The whole block is left out if
+    lane_slopes raises or returns anything but two float64 arrays of the
+    lanes' shape.  The lazy ode_solve then raises exactly what it raises.
+    """
+    ns, params = [], []
+    for n in block:
+        try:
+            p = members(n)
+        except Exception:
+            continue
+        vals = (p.y_init, p.z_init, p.y_radius, p.z_radius)
+        if all(type(v) is float for v in vals):
+            ns.append(n)
+            params.append(vals)
+    if not ns:
+        return
+    nodes = grid.nodes
+    try:
+        with np.errstate(all="ignore"):
+            cols = np.asarray(params, dtype=np.float64)
+            y0, z0 = cols[:, 0:1], cols[:, 1:2]
+            ry, rz = cols[:, 2], cols[:, 3]
+            lane = np.arange(len(ns))
+            idx = np.asarray(ns, dtype=np.int64)[:, None]
+            y = np.repeat(y0, nodes.size, axis=1)
+            z = np.repeat(z0, nodes.size, axis=1)
+            steps = []  # per sweep: (d1, d2) of every lane, NaN once it left
+            done_lane, done_iter, done_d1, done_d2, done_y, done_z = [], [], [], [], [], []
+            for it in range(1, max_iter + 1):
+                if not lane.size:
+                    break
+                fy, gz = lane_slopes(idx, nodes, y, z)
+                if not all(isinstance(v, np.ndarray) and v.dtype == np.float64
+                           and v.shape == y.shape for v in (fy, gz)):
+                    raise TypeError("lane_slopes must return two float64 arrays "
+                                    "of shape (lanes, grid_pts)")
+                # y0 + integral as in ode_solve, in place: IEEE addition commutes
+                y_next = grid.integral(fy)
+                y_next += y0
+                z_next = grid.integral(gz)
+                z_next += z0
+                buf = np.empty_like(y)
+                y_exc = _weighted_sup(y_next, y0, None, buf) - ry
+                z_exc = _weighted_sup(z_next, z0, None, buf) - rz
+                inside = ~((y_exc > _tube_slack(ry)) | (z_exc > _tube_slack(rz)))
+                d1 = _weighted_sup(y_next, y, grid.w1, buf)
+                d2 = _weighted_sup(z_next, z, grid.w2, buf)
+                if cache is not None:
+                    full = np.full((2, len(ns)), np.nan)
+                    full[0, lane], full[1, lane] = d1, d2
+                    steps.append(full)
+                step = np.abs(d1) + np.abs(d2)
+                done = inside & ((step < grid.threshold) | (step == 0.0))
+                if done.any():
+                    done_lane.append(lane[done])
+                    done_iter.append(np.full(int(done.sum()), it))
+                    done_d1.append(_weighted_sup(y_next[done], u_y, grid.w1))
+                    done_d2.append(_weighted_sup(z_next[done], u_z, grid.w2))
+                    if cache is not None:
+                        done_y.append(y_next[done])
+                        done_z.append(z_next[done])
+                keep = inside & ~done
+                lane, idx, y0, z0, ry, rz = (a[keep] for a in (lane, idx, y0, z0, ry, rz))
+                y, z = y_next[keep], z_next[keep]
+    except Exception:
+        return
+    if not done_lane:
+        return
+    lanes = np.concatenate(done_lane).tolist()
+    iters = np.concatenate(done_iter).tolist()
+    gaps = zip(np.concatenate(done_d1).tolist(), np.concatenate(done_d2).tolist())
+    for i, (a, b) in zip(lanes, gaps):
+        dists[ns[i]] = R2Elem(a, b)
+    if cache is None:
+        return
+    hist = np.stack(steps)  # sweep x 2 x lane
+    for i, k, y_row, z_row in zip(lanes, iters, np.concatenate(done_y),
+                                  np.concatenate(done_z)):
+        deltas = [R2Elem(a, b) for a, b in hist[:k, :, i].tolist()]
+        cache[ns[i]] = _ode_solution(nodes, y_row, z_row, deltas)
 
 
 def _family_certificate(
@@ -459,6 +596,7 @@ def ode_sequence_harness(
     max_iter: int = 200,
     solution_cache: dict | None = None,
     distance_log: dict | None = None,
+    lane_slopes: Callable | None = None,
 ) -> ConvergenceReport:
     """Solutions of a problem family against the limit problem's solution.
 
@@ -476,47 +614,63 @@ def ode_sequence_harness(
     covers the two solver stops, each certified within tol of its exact
     fixed point in every weighted component.
 
-    When a distance_log dict is supplied, every index the probe or the rows
-    touch is recorded there as n -> distance element, so callers can study
-    the full decay profile without re-solving anything.
+    lane_slopes(ns, x, y, z) -> (f values, g values), when given, is the
+    members' slope pair on numpy lanes: ns an int64 column of member
+    indices, x the grid nodes, y and z float64 arrays of shape
+    (lanes, grid_pts), one row per member.  Every member the rows and the
+    probe fetch is then solved up front in blocks of lanes, with the same
+    values, iterations and histories as ode_solve, bit for bit.  Write the
+    slopes once with + - * / only so that one expression serves both forms
+    (the ode_sequence scenario does).  A member the lanes cannot settle is
+    left to ode_solve, which raises as before.
+
+    Only distances are kept per index.  A caller-supplied solution_cache
+    dict also receives each member's OdeSolution, and a solution already
+    in it is used instead of solving again.  When a distance_log dict is
+    supplied, every index the probe or the rows touch is recorded there as
+    n -> distance element, so callers can study the full decay profile
+    without re-solving anything.
     """
     indices = tuple(indices)
     first = members(1)
     if first.center != limit.center:
         raise ValueError("family members and limit must share the expansion center")
     cert = _family_certificate(ode_certify(first), ode_certify(limit), limit.center)
-    nodes = np.linspace(cert.lo, cert.hi, grid_pts)
-    spacing = (cert.hi - cert.lo) / (grid_pts - 1)
-    mid = (grid_pts - 1) // 2
-    w1 = np.exp(-cert.tau1 * np.abs(nodes - cert.center))
-    w2 = np.exp(-cert.tau2 * np.abs(nodes - cert.center))
+    grid = _ode_grid(cert, grid_pts, tol)
     inv = neumann_inverse_e_minus(cert.alpha)
 
     limit_sol = ode_solve(limit, grid_pts, tol, max_iter, cert)
     u_y, u_z = limit_sol.y.values, limit_sol.z.values
 
-    cache = solution_cache if solution_cache is not None else {}
-
-    def solved(n: int) -> OdeSolution:
-        got = cache.get(n)
-        if got is None:
-            got = ode_solve(members(n), grid_pts, tol, max_iter, cert)
-            cache[n] = got
-        return got
+    memo: dict = {}  # n -> distance to the limit solution
+    if lane_slopes is not None:
+        known = solution_cache if solution_cache is not None else {}
+        want = (*indices, *range(cfg.start, cfg.horizon + 1))
+        todo = [n for n in dict.fromkeys(want) if type(n) is int and n not in known]
+        lanes = max(1, _ODE_BLOCK // (grid_pts - 1))
+        for i in range(0, len(todo), lanes):
+            _ode_lane_block(members, lane_slopes, grid, max_iter, todo[i:i + lanes],
+                            u_y, u_z, memo, solution_cache)
 
     def distance_to_limit(n: int) -> R2Elem:
-        sol = solved(n)
-        d = R2Elem(
-            float(np.max(np.abs(sol.y.values - u_y) * w1)),
-            float(np.max(np.abs(sol.z.values - u_z) * w2)),
-        )
+        d = memo.get(n)
+        if d is None:
+            sol = solution_cache.get(n) if solution_cache is not None else None
+            if sol is None:
+                sol = ode_solve(members(n), grid_pts, tol, max_iter, cert)
+                if solution_cache is not None:
+                    solution_cache[n] = sol
+            d = memo[n] = R2Elem(
+                float(_weighted_sup(sol.y.values, u_y, grid.w1)),
+                float(_weighted_sup(sol.z.values, u_z, grid.w2)),
+            )
         if distance_log is not None:
             distance_log[n] = d
         return d
 
     def sweep(problem: OdeProblem):
-        sy = problem.y_init + cumulative_trapezoid_from(problem.f(nodes, u_y), spacing, mid)
-        sz = problem.z_init + cumulative_trapezoid_from(problem.g(nodes, u_z), spacing, mid)
+        sy = problem.y_init + grid.integral(problem.f(grid.nodes, u_y))
+        sz = problem.z_init + grid.integral(problem.g(grid.nodes, u_z))
         return sy, sz
 
     limit_sweep_y, limit_sweep_z = sweep(limit)
@@ -526,8 +680,8 @@ def ode_sequence_harness(
         dists.append(distance_to_limit(n))
         member_sweep_y, member_sweep_z = sweep(members(n))
         displacement = R2Elem(
-            float(np.max(np.abs(member_sweep_y - limit_sweep_y) * w1)),
-            float(np.max(np.abs(member_sweep_z - limit_sweep_z) * w2)),
+            float(_weighted_sup(member_sweep_y, limit_sweep_y, grid.w1)),
+            float(_weighted_sup(member_sweep_z, limit_sweep_z, grid.w2)),
         )
         bounds.append(_padded_bound(inv, displacement) + solver_slack)
     probe = is_c_sequence(distance_to_limit, cfg)

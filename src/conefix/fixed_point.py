@@ -80,10 +80,11 @@ _EPS = 2.0 ** -52
 class ContractionMap:
     """A self map with a declared cone Lipschitz coefficient.
 
-    The coefficient's spectral radius must be below 1 at construction.
-    verified starts False and is flipped by verify_contraction once
-    sampling finds no violations; constructing a map does not prove the
-    declared coefficient, it only sanity checks it.
+    The coefficient's spectral radius must be below 1 and both of its
+    coordinates finite at construction.  verified starts False and is
+    flipped by verify_contraction once sampling finds no violations;
+    constructing a map does not prove the declared coefficient, it only
+    sanity checks it.
     """
 
     map: Callable
@@ -97,6 +98,8 @@ class ContractionMap:
             raise ValueError(
                 f"declared coefficient has spectral radius {rho}, needs < 1"
             )
+        if not (math.isfinite(self.alpha.first) and math.isfinite(self.alpha.second)):
+            raise ValueError(f"declared coefficient must be finite, got {self.alpha!r}")
 
     def __call__(self, x):
         return self.map(x)

@@ -100,14 +100,17 @@ def cumulative_trapezoid_from(
 
     Entry i approximates the integral of the sampled function from the
     anchor node to node i; entries left of the anchor come out negative
-    automatically because the prefix difference flips sign.
+    automatically because the prefix difference flips sign.  A 2-D array
+    is integrated row by row, each row in the same IEEE operations as a
+    1-D call on it, so the results agree bit for bit.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size < 2:
+    if values.ndim not in (1, 2) or values.shape[-1] < 2:
         raise EmptyGrid("need at least two samples to integrate")
-    if not 0 <= anchor_index < values.size:
+    if not 0 <= anchor_index < values.shape[-1]:
         raise ValueError("anchor_index outside the grid")
     prefix = np.empty_like(values)
-    prefix[0] = 0.0
-    np.cumsum((values[:-1] + values[1:]) * (0.5 * spacing), out=prefix[1:])
-    return prefix - prefix[anchor_index]
+    prefix[..., 0] = 0.0
+    np.cumsum((values[..., :-1] + values[..., 1:]) * (0.5 * spacing), axis=-1,
+              out=prefix[..., 1:])
+    return prefix - prefix[..., anchor_index, None]

@@ -60,6 +60,7 @@ __all__ = [
     "ScenarioRun",
     "Scenario",
     "SCENARIOS",
+    "KNOB_CAPS",
     "run_scenario",
 ]
 
@@ -458,6 +459,12 @@ def _run_thm_4_1(knobs: dict):
 # scenarios: initial value problem pairs
 
 
+_SAMPLED_SUP_NOTE = (
+    "the solve interval rests on sup|f| and sup|g| sampled on a mesh of the box "
+    "and inflated by 5%: a heuristic, not an enclosure"
+)
+
+
 def _linear_ivp() -> OdeProblem:
     return OdeProblem(
         f=lambda x, y: -y,
@@ -501,25 +508,37 @@ def _run_ode_linear(knobs: dict):
         f"tau={cert.tau1!r}, contraction first coordinate {cert.alpha.first!r}",
         f"settled in {sol.iterations} sweeps; sweep gaps shrink at factor <= {rate}",
         f"gap to slope-field antiderivatives: y {err_y:.3e}, z {err_z:.3e}",
+        f"sup|f|={cert.max_f!r}, sup|g|={cert.max_g!r}; " + _SAMPLED_SUP_NOTE,
     ]
     return indices, dists, bounds, respected, verdict, tuple(notes)
 
 
-def _run_ode_sequence(knobs: dict):
-    tol, horizon, grid_pts = knobs["tol"], knobs["horizon"], knobs["grid_pts"]
+def _damped_ivp_family():
+    """(members, limit, lane_slopes) of ode_sequence: y' = -(1 + 1/n) y
+    against the linear pair, the second equation shared."""
     limit = _linear_ivp()
+    # the member slope is written once, array-safe with + - * / only, so the
+    # same expression serves one member and an int64 column of them as lanes
+    slope = lambda n, x, y: -(1.0 + 1.0 / n) * y
     members = lambda n: OdeProblem(
-        f=lambda x, y, n=n: -(1.0 + 1.0 / n) * y,
+        f=lambda x, y, n=n: slope(n, x, y),
         g=limit.g,
         center=0.0, y_init=1.0, z_init=1.0,
         x_radius=0.5, y_radius=1.0, z_radius=1.0,
         lip_f=1.0 + 1.0 / n, lip_g=2.0,
     )
+    return members, limit, lambda ns, x, y, z: (slope(ns, x, y), limit.g(x, z))
+
+
+def _run_ode_sequence(knobs: dict):
+    tol, horizon, grid_pts = knobs["tol"], knobs["horizon"], knobs["grid_pts"]
+    members, limit, lane_slopes = _damped_ivp_family()
     cfg = CSeqProbeConfig.default(R2Elem, horizon=horizon)
     indices = _display_indices(min(horizon, 1000))
     log: dict[int, R2Elem] = {}
     report = ode_sequence_harness(
-        members, limit, indices, cfg, grid_pts=grid_pts, tol=tol, distance_log=log
+        members, limit, indices, cfg, grid_pts=grid_pts, tol=tol, distance_log=log,
+        lane_slopes=lane_slopes,
     )
     lo_n, hi_n = 10, min(horizon, 1000)
     monotone = all(
@@ -535,6 +554,7 @@ def _run_ode_sequence(knobs: dict):
         f"distances nonincreasing on [{lo_n}, {hi_n}]: {monotone}",
         f"distance at n={hi_n}: ({final.first!r}, {final.second!r})",
         f"second equation identical across the family, gap exactly zero: {z_pinned}",
+        _SAMPLED_SUP_NOTE,
     ]
     return indices, report.dists, report.bounds, report.respected, verdict, tuple(notes)
 
@@ -604,6 +624,12 @@ SCENARIOS: dict[str, Scenario] = {
 }
 
 
+# upper limits on the size knobs, checked before anything is allocated: the
+# probe judge keeps 16 bytes per index and the family harnesses one result
+# per index, and sweeps and sup checks hold arrays or point lists of grid_pts
+KNOB_CAPS = {"horizon": 1_000_000, "grid_pts": 100_001}
+
+
 def run_scenario(name: str, config: ScenarioConfig | None = None) -> ScenarioRun:
     """Resolve knobs against the scenario's defaults and run it."""
     if name not in SCENARIOS:
@@ -618,8 +644,11 @@ def run_scenario(name: str, config: ScenarioConfig | None = None) -> ScenarioRun
         elif key in scenario.defaults:
             knobs[key] = scenario.defaults[key]
     for key, value in knobs.items():
-        if key in ("horizon", "grid_pts") and value is not None and value < 1:
-            raise ValueError(f"{key} must be positive, got {value}")
+        if key in KNOB_CAPS and value is not None:
+            if value < 1:
+                raise ValueError(f"{key} must be positive, got {value}")
+            if value > KNOB_CAPS[key]:
+                raise ValueError(f"{key} must be at most {KNOB_CAPS[key]}, got {value}")
         if key == "tol" and value is not None and not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"tol must be positive and finite, got {value}")
     indices, dists, bounds, respected, verdict, notes = scenario.runner(knobs)

@@ -22,6 +22,7 @@ from conefix.errors import (
     LeftInvariantSet,
     NoConvergence,
 )
+from conefix.scenarios import ScenarioConfig, _damped_ivp_family, run_scenario
 from conefix.spaces import CSeqProbeConfig
 
 TWO_PROBES = (R2Elem(1.0, 1.0), R2Elem(0.05, 0.05))
@@ -321,3 +322,145 @@ def test_ode_sequence_harness_generator_indices():
     )
     assert report.indices == (1, 3)
     assert all(d == zero(R2Elem) for d in report.dists)
+
+
+# ------------------------------------------------- ODE families as numpy lanes
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _counting_ode_solve(monkeypatch) -> list:
+    import conefix.applications as applications
+
+    calls = []
+    original = applications.ode_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(applications, "ode_solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("grid_pts", [257, 2049])
+def test_ode_lanes_match_ode_solve_for_every_member(grid_pts, monkeypatch):
+    members, limit, lane_slopes = _damped_ivp_family()
+    cfg = CSeqProbeConfig.default(R2Elem, horizon=1000)
+    indices = (1, 2, 10, 1000)
+    scalar_cache: dict = {}
+    scalar = ode_sequence_harness(members, limit, indices, cfg, grid_pts=grid_pts,
+                                  solution_cache=scalar_cache)
+    calls = _counting_ode_solve(monkeypatch)
+    lane_cache: dict = {}
+    lanes = ode_sequence_harness(members, limit, indices, cfg, grid_pts=grid_pts,
+                                 solution_cache=lane_cache, lane_slopes=lane_slopes)
+    assert calls == [limit]  # every member came from the lanes
+    assert lanes.to_jsonable() == scalar.to_jsonable()
+    assert sorted(lane_cache) == sorted(scalar_cache) == list(range(1, 1001))
+    for n in range(1, 1001):
+        got, want = lane_cache[n], scalar_cache[n]
+        for a, b in ((got.y, want.y), (got.z, want.z)):
+            assert _bits(a.nodes) == _bits(b.nodes)
+            assert _bits(a.values) == _bits(b.values), n
+        assert got.iterations == want.iterations, n
+        assert got.converged and want.converged
+        assert type(got.delta_history[0]) is R2Elem
+        assert ([_bits((d.first, d.second)) for d in got.delta_history]
+                == [_bits((d.first, d.second)) for d in want.delta_history]), n
+        assert _bits(got.ratio_history) == _bits(want.ratio_history), n
+
+
+def _raised(fn):
+    with pytest.raises(Exception) as exc:
+        fn()
+    return type(exc.value), str(exc.value)
+
+
+def _leaky_member_family(k: int):
+    # member k keeps the family's slopes but a tube too narrow for them
+    members, limit, lane_slopes = _damped_ivp_family()
+    narrowed = lambda n: (dataclasses.replace(members(n), y_radius=0.05)
+                          if n == k else members(n))
+    return narrowed, limit, lane_slopes
+
+
+def _restless_member_family(k: int):
+    # the limit and every member but k have zero slopes and settle in one
+    # sweep; member k needs more, so max_iter=1 stops it
+    flat = dataclasses.replace(_linear_ivp(), f=lambda x, y: 0.0 * y,
+                               g=lambda x, z: 0.0 * z)
+    members = lambda n: dataclasses.replace(flat, f=lambda x, y, n=n: -1.0 * (n == k) * y)
+    lane_slopes = lambda ns, x, y, z: (-1.0 * (ns == k) * y, 0.0 * z)
+    return members, flat, lane_slopes
+
+
+@pytest.mark.parametrize("k", [3, 7])
+@pytest.mark.parametrize("make, max_iter, error", [
+    (_leaky_member_family, 200, LeftInvariantSet),
+    (_restless_member_family, 1, NoConvergence),
+])
+def test_ode_lanes_leave_failing_members_to_ode_solve(k, make, max_iter, error):
+    members, limit, lane_slopes = make(k)
+    cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=30)
+    run = lambda **lanes: ode_sequence_harness(
+        members, limit, (1, 2, 5, 10), cfg, grid_pts=65, max_iter=max_iter, **lanes)
+    want = _raised(run)
+    assert want[0] is error
+    assert _raised(lambda: run(lane_slopes=lane_slopes)) == want
+
+
+def test_ode_lanes_stop_rule_edges(monkeypatch):
+    # the family's rate is 1/2, so the stop threshold is tol itself: a step
+    # equal to tol must not stop, and a tol whose threshold underflows to 0
+    # stops only on an exactly zero step
+    members, limit, lane_slopes = _restless_member_family(2)
+    cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=30)
+    first: dict = {}
+    ode_sequence_harness(members, limit, (2,), cfg, grid_pts=65, tol=1.0,
+                         solution_cache=first)
+    step = first[2].delta_history[0]
+    assert step.second == 0.0
+    for tol in (step.first, 5e-324):
+        want: dict = {}
+        ode_sequence_harness(members, limit, (2,), cfg, grid_pts=65, tol=tol,
+                             solution_cache=want)
+        calls = _counting_ode_solve(monkeypatch)
+        got: dict = {}
+        ode_sequence_harness(members, limit, (2,), cfg, grid_pts=65, tol=tol,
+                             solution_cache=got, lane_slopes=lane_slopes)
+        monkeypatch.undo()
+        assert calls == [limit]
+        assert want[2].iterations == (2 if tol == step.first else 16)
+        assert {n: s.iterations for n, s in got.items()} == {
+            n: s.iterations for n, s in want.items()}
+
+
+@pytest.mark.parametrize("broken", [
+    lambda ns, x, y, z: 1 / 0,
+    lambda ns, x, y, z: (y[:, :-1], z),
+    lambda ns, x, y, z: (y.astype(np.float32), z),
+    lambda ns, x, y, z: (-(1.0 + 1.0 / ns) * y,),
+])
+def test_ode_lanes_drop_a_block_whose_slopes_fail(broken, monkeypatch):
+    members, limit, _ = _damped_ivp_family()
+    cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=60)
+    want_log: dict = {}
+    want = ode_sequence_harness(members, limit, (1, 5, 60), cfg, grid_pts=65,
+                                distance_log=want_log)
+    calls = _counting_ode_solve(monkeypatch)
+    got_log: dict = {}
+    got = ode_sequence_harness(members, limit, (1, 5, 60), cfg, grid_pts=65,
+                               distance_log=got_log, lane_slopes=broken)
+    assert got.to_jsonable() == want.to_jsonable()
+    assert got_log == want_log
+    assert len(calls) == 1 + 60  # the limit, then every member through ode_solve
+
+
+def test_ode_sequence_scenario_solves_only_the_limit_through_ode_solve(monkeypatch):
+    calls = _counting_ode_solve(monkeypatch)
+    run = run_scenario("ode_sequence", ScenarioConfig(horizon=1000))
+    assert run.verdict
+    assert len(calls) == 1

@@ -1,11 +1,12 @@
 """End-to-end checks of the command line front end."""
 
+import dataclasses
 import json
 
 import pytest
 
 from conefix.cli import main
-from conefix.scenarios import SCENARIOS
+from conefix.scenarios import KNOB_CAPS, SCENARIOS
 
 ALL_NAMES = (
     "example_2_6", "example_2_8", "thm_2_9", "thm_2_10", "thm_3_6",
@@ -86,6 +87,30 @@ def test_unknown_scenario_exits_two(capsys):
 def test_bad_knob_exits_two(capsys):
     assert main(["run", "ode_linear", "--grid-pts", "256"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_single_point_grid_exits_two(capsys):
+    # the harness used to divide by grid_pts - 1 before the grid was checked
+    assert main(["run", "ode_sequence", "--grid-pts", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid_pts must be odd and at least 3, got 1\n"
+
+
+@pytest.mark.parametrize("name", ["example_2_6", "ode_sequence"])
+@pytest.mark.parametrize("flag, key", [("--horizon", "horizon"), ("--grid-pts", "grid_pts")])
+@pytest.mark.parametrize("value", ["1000000000000", "cap+1"])
+def test_huge_size_knobs_exit_two_before_running(name, flag, key, value, monkeypatch, capsys):
+    value = str(KNOB_CAPS[key] + 1) if value == "cap+1" else value
+
+    def refuse(knobs):
+        raise AssertionError(f"scenario started with {knobs}")
+
+    monkeypatch.setitem(SCENARIOS, name, dataclasses.replace(SCENARIOS[name], runner=refuse))
+    assert main(["run", name, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key} must be at most {KNOB_CAPS[key]}, got {value}\n"
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan"])

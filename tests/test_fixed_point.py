@@ -138,6 +138,17 @@ def test_contraction_map_coefficient_validation():
     ContractionMap(lambda x: x, UT2Elem(0.0, 5.0))
 
 
+@pytest.mark.parametrize("kind", [R2Elem, UT2Elem])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_contraction_map_rejects_non_finite_coefficients(kind, bad):
+    # the radius reads only the first coordinate, so a non-finite second one
+    # used to slip through until a harness inverted e - k
+    with pytest.raises(ValueError):
+        ContractionMap(lambda x: x, kind(0.5, bad))
+    with pytest.raises(ValueError):
+        ContractionMap(lambda x: x, kind(bad, 0.5))
+
+
 def test_verify_contraction_accepts_halving():
     space = IntervalUT2Space(1.0)
     t = _half_plus(0.25)
