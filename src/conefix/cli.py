@@ -3,7 +3,9 @@
 Payloads (JSON or CSV) go to stdout or the --out target; human commentary
 and the verdict line go to stderr, so piped output stays clean.  Exit code
 0 means every requested verdict passed, 1 means at least one failed, and 2
-means the request itself was invalid (unknown scenario, bad knob values).
+means the request itself was invalid (unknown scenario, bad knob values, a
+knob the scenario does not take).  --all hands each scenario only the
+knobs it takes.
 A valid request whose computation does not converge (NoConvergence) is a
 failure, exit code 1, with the error on stderr and no payload.
 """
@@ -66,9 +68,9 @@ def _run_all(args: argparse.Namespace, config: ScenarioConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     invalid = False
     all_pass = True
-    for name in SCENARIOS:
+    for name, scenario in SCENARIOS.items():
         try:
-            run = run_scenario(name, config)
+            run = run_scenario(name, config.declared_by(scenario))
         except NoConvergence as exc:
             print(f"{name}: error: {exc}", file=sys.stderr)
             all_pass = False

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -166,7 +168,9 @@ class MapFamily:
     bit for bit, which holds when both are written once with + - * / and
     abs only, on floats (IEEE exact in numpy and in Python alike; int64
     products of indices could wrap where Python ints grow).  With it the
-    harnesses solve all the members they need together as numpy lanes.
+    harnesses solve all the members they need together as numpy lanes, and
+    the convergence checkers and harness probes hand the probe judge whole
+    columns of distances instead of one entry per index.
     """
 
     def __init__(
@@ -332,13 +336,28 @@ def check_pointwise_convergence(
     points,
     cfg: CSeqProbeConfig,
 ) -> PointwiseReport:
-    """Probe d(T_n x, T x) separately at each supplied point."""
+    """Probe d(T_n x, T x) separately at each supplied point.
+
+    A family with a lane_map has every index at a point evaluated at once,
+    as numpy lanes against the scalar limit image.
+    """
     reports = []
     limit_map = family.limit.map
+    lanes = _lane_members(family, space, cfg) is not None
+    dim = _space_dim(space)
     for x in points:
         fx = limit_map(x)
+        columns = None
+        if lanes:
+            def fn(ns, x=x, fx=fx):
+                at = _pack(_constant(x, dim, ns.shape), dim)
+                images = _lane_columns(family.lane_map(ns, at), dim, ns.shape)
+                limits = _constant(fx, dim, ns.shape)
+                return space.distances(_pack(images, dim), _pack(limits, dim))
+
+            columns = (space.kind, fn)
         report = is_c_sequence(
-            lambda n: space.distance(family.member(n).map(x), fx), cfg
+            lambda n: space.distance(family.member(n).map(x), fx), cfg, columns
         )
         reports.append(report)
     return PointwiseReport(tuple(points), tuple(reports), all(r.passed for r in reports))
@@ -364,6 +383,11 @@ class UniformReport:
         }
 
 
+# index x grid values per block of the columnar uniform check: bounds the
+# size of its temporaries
+_SUP_BLOCK = 4096
+
+
 def check_uniform_convergence(
     family: MapFamily,
     space,
@@ -377,7 +401,8 @@ def check_uniform_convergence(
     the componentwise cone order of the shipped algebras.  Per index n the
     sample is the dense grid plus any adversarial points the family
     supplies for that n, so a family can be convicted by witnesses that
-    travel with n.
+    travel with n.  A family with a lane_map and no adversarial points has
+    its sups computed as numpy lanes over the index x grid product.
     """
     if domain is None:
         domain = family.limit.domain if family.limit.domain is not None else space.carrier
@@ -400,7 +425,34 @@ def check_uniform_convergence(
             [space.distance(member_map(x), limit_map(x)) for x in pts], kind
         )
 
-    report = is_c_sequence(sup_at, cfg)
+    columns = None
+    if family.adversarial is None and _lane_members(family, space, cfg) is not None:
+        dim = _space_dim(space)
+
+        def fn(ns):
+            # index x grid products in blocks of at most _SUP_BLOCK values,
+            # each reduced to its componentwise max along the grid axis
+            size = len(base_points)
+            grid = _point_columns(base_points, dim, size)
+            limits = _point_columns(map(limit_map, base_points), dim, size)
+            rows = max(1, _SUP_BLOCK // size)
+            first, second = np.empty(ns.shape), np.empty(ns.shape)
+            bad = np.empty(ns.shape, dtype=bool)
+            for i in range(0, ns.size, rows):
+                block = ns[i:i + rows]
+                lane_ns = np.repeat(block, size)
+                at = tuple(np.tile(c, block.size) for c in grid)
+                images = family.lane_map(lane_ns, _pack(at, dim))
+                images = _lane_columns(images, dim, lane_ns.shape)
+                lim = tuple(np.tile(c, block.size) for c in limits)
+                d1, d2, out = space.distances(_pack(images, dim), _pack(lim, dim))
+                first[i:i + rows] = d1.reshape(block.size, size).max(axis=1)
+                second[i:i + rows] = d2.reshape(block.size, size).max(axis=1)
+                bad[i:i + rows] = out.reshape(block.size, size).any(axis=1)
+            return first, second, bad
+
+        columns = (kind, fn)
+    report = is_c_sequence(sup_at, cfg, columns)
     return UniformReport(report, len(base_points), report.passed)
 
 
@@ -561,6 +613,17 @@ def _domain_axes(domain, dim: int):
     return None
 
 
+def _inside_axes(bounds, cols) -> np.ndarray:
+    """Per lane, whether the point in cols lies in the lane's domain, with
+    bounds a lane x axis x 4 array of _domain_axes rows."""
+    ok = np.ones(cols[0].shape, dtype=bool)
+    for a, c in enumerate(cols):
+        lo, hi, open_lo, open_hi = bounds[:, a].T
+        ok &= np.where(open_lo != 0.0, c > lo, c >= lo)
+        ok &= np.where(open_hi != 0.0, c < hi, c <= hi)
+    return ok
+
+
 def _lane_start(x0, dim: int):
     """The start as a tuple of dim floats, or None if it is not of that form."""
     if dim == 1:
@@ -568,6 +631,73 @@ def _lane_start(x0, dim: int):
     if type(x0) is tuple and len(x0) == 2 and all(type(c) is float for c in x0):
         return x0
     return None
+
+
+def _space_dim(space) -> int:
+    return 2 if isinstance(space, PlaneR2Space) else 1
+
+
+def _has_lanes(family, space) -> bool:
+    """Whether family's members can be evaluated as numpy lanes on space."""
+    return getattr(family, "lane_map", None) is not None and hasattr(space, "distances")
+
+
+def _pack(cols, dim: int):
+    """Points in the form lane functions take: one column, or a pair."""
+    return cols[0] if dim == 1 else tuple(cols)
+
+
+def _lane_columns(points, dim: int, shape) -> tuple:
+    """A lane function's points as a tuple of dim columns; TypeError unless
+    each is a float64 array of the given shape, one entry per lane."""
+    cols = (points,) if dim == 1 else tuple(points)
+    if len(cols) != dim or any(
+        type(c) is not np.ndarray or c.dtype != np.float64 or c.shape != shape for c in cols
+    ):
+        raise TypeError("lane functions must return float64 columns, one entry per lane")
+    return cols
+
+
+def _coordinates(points, dim: int):
+    """The coordinates of scalar points one by one; TypeError unless each
+    point is a float, or a tuple of two floats on the plane, the forms the
+    lanes hold."""
+    for p in points:
+        if dim == 1:
+            p = (p,)
+        elif not (type(p) is tuple and len(p) == 2):
+            raise TypeError("plane points must be pairs")
+        for c in p:
+            if type(c) is not float:
+                raise TypeError("lane points must be floats")
+            yield c
+
+
+def _point_columns(points, dim: int, count: int) -> tuple:
+    """count scalar points, from any iterable, as dim float64 columns,
+    without an intermediate list."""
+    flat = np.fromiter(_coordinates(points, dim), dtype=np.float64, count=dim * count)
+    return tuple(flat.reshape(count, dim).T)
+
+
+def _constant(x, dim: int, shape) -> tuple:
+    """The point x in every lane, as dim float64 columns."""
+    return tuple(np.full(shape, c[0]) for c in _point_columns((x,), dim, 1))
+
+
+def _lane_members(family, space, cfg: CSeqProbeConfig):
+    """The members cfg.start .. cfg.horizon, built through the memo, when a
+    checker may read the family as numpy lanes on space.
+
+    None without lanes, and also when a member fails to build: the checker
+    then fetches entry by entry, which raises that failure at its index.
+    """
+    if not _has_lanes(family, space):
+        return None
+    try:
+        return [family.member(n) for n in range(cfg.start, cfg.horizon + 1)]
+    except Exception:
+        return None
 
 
 def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
@@ -602,23 +732,8 @@ def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
     if not ns:
         return
 
-    def pack(cols):
-        return cols[0] if dim == 1 else tuple(cols)
-
     def step(idx, cols):
-        out = family.lane_map(idx, pack(cols))
-        out = (out,) if dim == 1 else tuple(out)
-        if any(c.dtype != np.float64 or c.shape != idx.shape for c in out):
-            raise TypeError("lane_map must return float64 columns, one entry per lane")
-        return out
-
-    def inside(bounds, cols):
-        ok = np.ones(cols[0].shape, dtype=bool)
-        for a, c in enumerate(cols):
-            lo, hi, open_lo, open_hi = bounds[:, a].T
-            ok &= np.where(open_lo != 0.0, c > lo, c >= lo)
-            ok &= np.where(open_hi != 0.0, c < hi, c <= hi)
-        return ok
+        return _lane_columns(family.lane_map(idx, _pack(cols, dim)), dim, idx.shape)
 
     try:
         with np.errstate(all="ignore"):
@@ -628,7 +743,7 @@ def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
             thr = tol * (1.0 - r) / np.maximum(r, 1e-15)
             bounds = np.asarray(axes, dtype=np.float64)  # lane x axis x 4
             x = [np.asarray(c, dtype=np.float64) for c in zip(*starts)]
-            keep = inside(bounds, x)
+            keep = _inside_axes(bounds, x)
             lane, idx, thr, bounds = lane[keep], idx[keep], thr[keep], bounds[keep]
             x = [c[keep] for c in x]
             stall_ref = np.full(lane.size, np.inf)  # step at the last stall check
@@ -638,9 +753,9 @@ def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
                 if not lane.size:
                     break
                 x_next = step(idx, x)
-                d1, d2, outside = space.distances(pack(x_next), pack(x))
+                d1, d2, outside = space.distances(_pack(x_next, dim), _pack(x, dim))
                 delta = np.abs(d1) + np.abs(d2)
-                ok = inside(bounds, x_next) & ~outside
+                ok = _inside_axes(bounds, x_next) & ~outside
                 done = ok & ((delta < thr) | (delta == 0.0))
                 done_lane.append(lane[done])
                 done_iter.append(np.full(int(done.sum()), it))
@@ -657,7 +772,8 @@ def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
                 return
             lane = np.concatenate(done_lane)
             x = [np.concatenate(c) for c in done_x]
-            r1, r2, outside = space.distances(pack(step(all_idx[lane], x)), pack(x))
+            images = step(all_idx[lane], x)
+            r1, r2, outside = space.distances(_pack(images, dim), _pack(x, dim))
     except Exception:
         return
     kind = space.kind
@@ -679,7 +795,8 @@ def _solve_members(
     cache: dict | None,
     want=(),
 ):
-    """A memoised n -> picard_solve(family.member(n), space, start(n), ...).
+    """A memoised n -> picard_solve(family.member(n), space, start(n), ...),
+    returned with its cache of results.
 
     want names the indices the caller will fetch.  When the family has a
     lane_map and the space a batch distances, they are solved up front as
@@ -687,9 +804,8 @@ def _solve_members(
     the lanes leave out is solved lazily by picard_solve itself.
     """
     cache = cache if cache is not None else {}
-    if (family.lane_map is not None and hasattr(space, "distances")
-            and isinstance(tol, float) and tol > 0.0):
-        dim = 2 if isinstance(space, PlaneR2Space) else 1
+    if _has_lanes(family, space) and isinstance(tol, float) and tol > 0.0:
+        dim = _space_dim(space)
         todo = list(dict.fromkeys(n for n in want if type(n) is int and n not in cache))
         for i in range(0, len(todo), _LANE_BLOCK):
             _lane_block(family, space, dim, start, tol, max_iter,
@@ -702,7 +818,27 @@ def _solve_members(
             cache[n] = got
         return got
 
-    return solved
+    return solved, cache
+
+
+def _fixed_point_probe(family, space, cfg: CSeqProbeConfig, solved, cache: dict, target):
+    """is_c_sequence of n -> d(solved(n).point, target).
+
+    With lanes the entries are read as columns from the cache of solved
+    members; an index missing from it sends the judge to the scalar fetch,
+    which solves that member and raises what picard_solve raises.
+    """
+    columns = None
+    if _has_lanes(family, space):
+        dim = _space_dim(space)
+
+        def fn(ns):
+            points = _point_columns((cache[n].point for n in map(int, ns)), dim, ns.size)
+            targets = _constant(target, dim, ns.shape)
+            return space.distances(_pack(points, dim), _pack(targets, dim))
+
+        columns = (space.kind, fn)
+    return is_c_sequence(lambda n: space.distance(solved(n).point, target), cfg, columns)
 
 
 def uniform_limit_harness(
@@ -730,8 +866,8 @@ def uniform_limit_harness(
     start_fn = start if callable(start) else (lambda n: start)
     limit_start = start_limit if start_limit is not None else start_fn(1)
     inv = neumann_inverse_e_minus(family.limit.alpha)
-    solved = _solve_members(family, space, start_fn, tol, max_iter, fp_cache,
-                            (*indices, *range(cfg.start, cfg.horizon + 1)))
+    solved, cache = _solve_members(family, space, start_fn, tol, max_iter, fp_cache,
+                                   (*indices, *range(cfg.start, cfg.horizon + 1)))
     x_star = picard_solve(family.limit, space, limit_start, tol, max_iter).point
     limit_map = family.limit.map
 
@@ -741,7 +877,7 @@ def uniform_limit_harness(
         dists.append(space.distance(x_n, x_star))
         displacement = space.distance(family.member(n).map(x_n), limit_map(x_n))
         bounds.append(_padded_bound(inv, displacement))
-    probe = is_c_sequence(lambda n: space.distance(solved(n).point, x_star), cfg)
+    probe = _fixed_point_probe(family, space, cfg, solved, cache, x_star)
     return _bound_report("uniform-limit fixed point bound", indices, dists, bounds, probe)
 
 
@@ -768,8 +904,8 @@ def pointwise_limit_harness(
     start_fn = start if callable(start) else (lambda n: start)
     limit_start = start_limit if start_limit is not None else start_fn(1)
     inv = neumann_inverse_e_minus(family.bound_coefficient)
-    solved = _solve_members(family, space, start_fn, tol, max_iter, fp_cache,
-                            (*indices, *range(cfg.start, cfg.horizon + 1)))
+    solved, cache = _solve_members(family, space, start_fn, tol, max_iter, fp_cache,
+                                   (*indices, *range(cfg.start, cfg.horizon + 1)))
     x_star = picard_solve(family.limit, space, limit_start, tol, max_iter).point
     fx_star = family.limit.map(x_star)
 
@@ -778,7 +914,7 @@ def pointwise_limit_harness(
         dists.append(space.distance(solved(n).point, x_star))
         displacement = space.distance(family.member(n).map(x_star), fx_star)
         bounds.append(_padded_bound(inv, displacement))
-    probe = is_c_sequence(lambda n: space.distance(solved(n).point, x_star), cfg)
+    probe = _fixed_point_probe(family, space, cfg, solved, cache, x_star)
     return _bound_report("pointwise-limit fixed point bound", indices, dists, bounds, probe)
 
 
@@ -821,8 +957,8 @@ def subdomain_limit_harness(
     start_fn = start if callable(start) else (lambda n: start)
     k_coeff = family.bound_coefficient
     inv = neumann_inverse_e_minus(k_coeff)
-    solved = _solve_members(family, space, start_fn, tol, max_iter, fp_cache,
-                            (*indices, *range(cfg.start, cfg.horizon + 1)))
+    solved, cache = _solve_members(family, space, start_fn, tol, max_iter, fp_cache,
+                                   (*indices, *range(cfg.start, cfg.horizon + 1)))
     if x_inf is None:
         x_inf = picard_solve(family.limit, space, witness(1), tol, max_iter).point
     limit_map = family.limit.map
@@ -851,7 +987,7 @@ def subdomain_limit_harness(
                 k_coeff, space.distance(y_n, x_n)
             )
         bounds.append(_padded_bound(inv, displacement))
-    probe = is_c_sequence(lambda n: space.distance(solved(n).point, x_inf), cfg)
+    probe = _fixed_point_probe(family, space, cfg, solved, cache, x_inf)
     return _bound_report(f"sub-domain fixed point bound ({bound_form} form)",
                          indices, dists, bounds, probe)
 
@@ -903,7 +1039,8 @@ def fixed_point_cluster_check(
     """
     indices = tuple(indices)
     start_fn = start if callable(start) else (lambda n: start)
-    solved = _solve_members(family, space, start_fn, solver_tol, max_iter, fp_cache, indices)
+    solved, _ = _solve_members(family, space, start_fn, solver_tol, max_iter, fp_cache,
+                               indices)
     points = [solved(n).point for n in indices]
     quarter = points[-max(1, len(points) // 4):]
     anchor = quarter[-1]
@@ -959,6 +1096,7 @@ def property_g_check(
     witness: Callable[[object], Callable[[int], object]],
     cfg: CSeqProbeConfig,
     points,
+    lane_witness: Callable[[object], Callable] | None = None,
 ) -> ApproxPropertyReport:
     """Approach-from-inside property: every limit-domain point admits a
     sequence through the member domains whose positions and images both
@@ -966,8 +1104,26 @@ def property_g_check(
 
     witness(x) returns the sequence n -> x_n for the point x; each x_n must
     lie in the member domain for its index (WitnessOutsideDomain if not).
+
+    lane_witness, when given, is the witness on numpy lanes: lane_witness(x)
+    maps an int64 index column ns to the points witness(x)(n), n in ns, bit
+    for bit, in the form lane_map takes.  With it and a lane_map both probes
+    at a point are evaluated as lanes, against member-domain columns built
+    once per call.
     """
     limit_map = family.limit.map
+    dim = _space_dim(space)
+    bounds = None
+    members = _lane_members(family, space, cfg) if lane_witness is not None else None
+    if members is not None:
+        # streamed into one array, with no list of per-member tuples left
+        # to fragment the heap
+        axes = chain.from_iterable(chain.from_iterable(
+            _domain_axes(m.domain, dim) for m in members))
+        try:
+            bounds = np.fromiter(axes, np.float64, 4 * dim * len(members)).reshape(-1, dim, 4)
+        except TypeError:  # a member domain of another form: no lanes
+            pass
     reports = []
     for x in points:
         seq = witness(x)
@@ -982,9 +1138,26 @@ def property_g_check(
             return y
 
         fx = limit_map(x)
-        dist_rep = is_c_sequence(lambda n: space.distance(checked_seq(n), x), cfg)
+        dist_columns = image_columns = None
+        if bounds is not None:
+            def lanes(ns, image, x=x, fx=fx):
+                ys = _lane_columns(lane_witness(x)(ns), dim, ns.shape)
+                at, target = ys, x
+                if image:
+                    at = _lane_columns(family.lane_map(ns, _pack(ys, dim)), dim, ns.shape)
+                    target = fx
+                targets = _constant(target, dim, ns.shape)
+                d1, d2, out = space.distances(_pack(at, dim), _pack(targets, dim))
+                return d1, d2, out | ~_inside_axes(bounds, ys)
+
+            dist_columns = (space.kind, partial(lanes, image=False))
+            image_columns = (space.kind, partial(lanes, image=True))
+        dist_rep = is_c_sequence(
+            lambda n: space.distance(checked_seq(n), x), cfg, dist_columns
+        )
         image_rep = is_c_sequence(
-            lambda n: space.distance(family.member(n).map(checked_seq(n)), fx), cfg
+            lambda n: space.distance(family.member(n).map(checked_seq(n)), fx), cfg,
+            image_columns,
         )
         reports.append((dist_rep, image_rep))
     passed = all(a.passed and b.passed for a, b in reports)

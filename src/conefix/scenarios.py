@@ -13,6 +13,7 @@ clock or ambient state; all randomness flows from the seed knob.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -73,6 +74,12 @@ class ScenarioConfig:
     horizon: int | None = None
     grid_pts: int | None = None
     seed: int = 0
+
+    def declared_by(self, scenario: Scenario) -> ScenarioConfig:
+        """This config without the knobs scenario does not declare."""
+        return dataclasses.replace(self, **{
+            key: None for key in ("tol", "horizon", "grid_pts") if key not in scenario.defaults
+        })
 
 
 @dataclass(frozen=True)
@@ -329,6 +336,7 @@ def _run_thm_3_6(knobs: dict):
         family, space,
         lambda x: (lambda n, x=x: max(x, 1.0 / n)),
         cfg, g_points,
+        lane_witness=lambda x: (lambda ns, x=x: np.maximum(x, 1.0 / ns)),
     )
     indices = _display_indices(min(horizon, 1000))
     edge = lambda n: 1.0 / n
@@ -631,7 +639,12 @@ KNOB_CAPS = {"horizon": 1_000_000, "grid_pts": 100_001}
 
 
 def run_scenario(name: str, config: ScenarioConfig | None = None) -> ScenarioRun:
-    """Resolve knobs against the scenario's defaults and run it."""
+    """Resolve knobs against the scenario's defaults and run it.
+
+    A knob value is checked first; a valid value for a knob the scenario
+    does not declare (in its defaults) is then refused as well, since the
+    payload would echo a setting that had no effect.
+    """
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; choices: {', '.join(SCENARIOS)}")
     scenario = SCENARIOS[name]
@@ -651,6 +664,12 @@ def run_scenario(name: str, config: ScenarioConfig | None = None) -> ScenarioRun
                 raise ValueError(f"{key} must be at most {KNOB_CAPS[key]}, got {value}")
         if key == "tol" and value is not None and not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"tol must be positive and finite, got {value}")
+    for key in knobs:
+        if key != "seed" and key not in scenario.defaults:
+            raise ValueError(
+                f"{name} has no {key} knob; its knobs are "
+                f"{', '.join((*scenario.defaults, 'seed'))}"
+            )
     indices, dists, bounds, respected, verdict, notes = scenario.runner(knobs)
     return ScenarioRun(
         name, scenario.anchor, dict(sorted(knobs.items())),

@@ -392,8 +392,12 @@ class CSeqProbeConfig:
     def __post_init__(self) -> None:
         if not self.probes:
             raise ValueError("need at least one probe")
-        if not (self.horizon >= self.tail_required >= 1):
-            raise ValueError("need horizon >= tail_required >= 1")
+        if not self.tail_required >= 1:
+            raise ValueError(f"tail_required must be >= 1, got {self.tail_required}")
+        if not self.horizon >= self.tail_required:
+            raise ValueError(
+                f"horizon must be >= tail_required ({self.tail_required}), got {self.horizon}"
+            )
         if self.start < 0:
             raise ValueError("start must be >= 0")
         for c in self.probes:
@@ -442,7 +446,30 @@ class CSeqProbeReport:
         }
 
 
-def is_c_sequence(seq, cfg: CSeqProbeConfig) -> CSeqProbeReport:
+def _column_entries(columns, cfg: CSeqProbeConfig):
+    """The (first, second) entry columns of a columnar source, or None when
+    the judge must fetch entry by entry instead."""
+    if columns is None:
+        return None
+    kind, fn = columns
+    if any(type(c) is not kind for c in cfg.probes):
+        return None
+    ns = np.arange(cfg.start, cfg.horizon + 1, dtype=np.int64)
+    try:
+        with np.errstate(divide="raise", over="ignore", under="ignore", invalid="ignore"):
+            a, b, bad = fn(ns)
+        if not all(type(c) is np.ndarray and c.shape == ns.shape for c in (a, b, bad)):
+            return None
+        if a.dtype != np.float64 or b.dtype != np.float64:
+            return None
+        if bad.any() or not ((a >= 0.0) & (b >= 0.0)).all():
+            return None
+    except Exception:
+        return None
+    return a, b
+
+
+def is_c_sequence(seq, cfg: CSeqProbeConfig, columns=None) -> CSeqProbeReport:
     """Probe whether a cone sequence gets eventually small, empirically.
 
     seq is either a callable on integer indices or an indexable sequence;
@@ -462,20 +489,36 @@ def is_c_sequence(seq, cfg: CSeqProbeConfig) -> CSeqProbeReport:
     exactly when a < c, infinities included, so this is the way_below test
     of cone_compare.  Entries of another kind than a probe raise
     AlgebraMismatchError, as cone_compare does.
+
+    columns, when given, is a columnar source (kind, fn) of the same
+    sequence: fn(ns), with ns the int64 column cfg.start .. cfg.horizon,
+    returns (first, second, bad) as space.distances does, lane i holding
+    the coordinates of seq(ns[i]) bit for bit and bad[i] marking a lane
+    whose fetch from seq would raise.  fn runs with numpy division by zero
+    raising.  The columns stand in for the fetched entries only when every
+    probe is of kind, first and second are float64 arrays of the shape of
+    ns, no lane is bad and every entry lies in the cone (which also
+    rejects NaN).  In every other case, and on any exception from fn, the
+    entries are fetched from seq one by one as above, so the first bad
+    index raises exactly what it raises without columns.
     """
-    fetch = seq if callable(seq) else seq.__getitem__
-    firsts = array("d")
-    seconds = array("d")
+    got = _column_entries(columns, cfg)
     kinds: dict[type, object] = {}  # an entry per kind, in order of first appearance
-    for n in range(cfg.start, cfg.horizon + 1):
-        v = fetch(n)
-        if not in_cone(v):
-            raise MemberOutsideCone(f"entry at index {n} left the cone: {v!r}")
-        kinds[type(v)] = v
-        firsts.append(v.first)
-        seconds.append(v.second)
-    a = np.frombuffer(firsts, dtype=np.float64)
-    b = np.frombuffer(seconds, dtype=np.float64)
+    if got is not None:
+        a, b = got
+    else:
+        fetch = seq if callable(seq) else seq.__getitem__
+        firsts = array("d")
+        seconds = array("d")
+        for n in range(cfg.start, cfg.horizon + 1):
+            v = fetch(n)
+            if not in_cone(v):
+                raise MemberOutsideCone(f"entry at index {n} left the cone: {v!r}")
+            kinds[type(v)] = v
+            firsts.append(v.first)
+            seconds.append(v.second)
+        a = np.frombuffer(firsts, dtype=np.float64)
+        b = np.frombuffer(seconds, dtype=np.float64)
     outcomes = []
     for c in cfg.probes:
         for v in kinds.values():

@@ -162,3 +162,35 @@ def test_run_all_counts_no_convergence_as_failed(tmp_path, monkeypatch, capsys):
     assert main(["run", "--all", "--tol", "1e-300", "--out", str(tmp_path)]) == 1
     assert "thm_4_1: error:" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["example_2_6.json"]
+
+
+def test_horizon_below_the_probe_tail_names_the_least_horizon(capsys):
+    assert main(["run", "ode_sequence", "--horizon", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: horizon must be >= tail_required (16), got 2\n"
+
+
+def test_knob_the_scenario_does_not_take_exits_two(capsys):
+    # ode_linear has no horizon; accepting it would echo a setting that had
+    # no effect in the payload's config
+    assert main(["run", "ode_linear", "--horizon", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: ode_linear has no horizon knob; its knobs are tol, grid_pts, seed\n"
+    )
+
+
+def test_run_all_passes_each_scenario_only_its_knobs(tmp_path, monkeypatch, capsys):
+    import conefix.cli as cli
+
+    monkeypatch.setattr(cli, "SCENARIOS",
+                        {name: SCENARIOS[name] for name in ("thm_3_10", "ode_linear")})
+    assert main(["run", "--all", "--horizon", "7", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    configs = {p.name: json.loads(p.read_text())["config"] for p in tmp_path.iterdir()}
+    assert configs == {
+        "thm_3_10.json": {"seed": 0, "tol": 1e-3},
+        "ode_linear.json": {"grid_pts": 257, "seed": 0, "tol": 1e-11},
+    }

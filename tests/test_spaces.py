@@ -267,8 +267,10 @@ def test_cumulative_trapezoid_anchoring():
 def test_probe_config_validation():
     with pytest.raises(ValueError):
         CSeqProbeConfig(probes=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^horizon must be >= tail_required \(16\), got 4$"):
         CSeqProbeConfig(probes=default_probes(R2Elem), horizon=4, tail_required=16)
+    with pytest.raises(ValueError, match=r"^tail_required must be >= 1, got 0$"):
+        CSeqProbeConfig(probes=default_probes(R2Elem), horizon=4, tail_required=0)
     with pytest.raises(ValueError):
         CSeqProbeConfig(probes=default_probes(R2Elem), start=-1)
     with pytest.raises(ValueError):
@@ -486,3 +488,108 @@ def test_judge_rejects_other_kind_against_probes():
     mixed = lambda n: UT2Elem(0.0, 0.0) if n == 17 else R2Elem(0.0, 0.0)
     with pytest.raises(AlgebraMismatchError, match="cannot combine UT2Elem with R2Elem"):
         is_c_sequence(mixed, cfg)
+
+
+# ------------------------------------------------ columnar sources of entries
+
+
+def _columns_of(fetch, kind, flaw, lane):
+    """A columnar source of the entries fetch gives, spoilt as flaw says at
+    the given lane (the flaws that need a lane leave an empty range alone)."""
+
+    def fn(ns):
+        vals = [fetch(n) for n in ns.tolist()]
+        a = np.array([v.first for v in vals], dtype=np.float64)
+        b = np.array([v.second for v in vals], dtype=np.float64)
+        bad = np.zeros(ns.shape, dtype=bool)
+        if flaw == "raises":
+            raise ZeroDivisionError("columnar source failed")
+        if flaw == "divide":
+            a = a + np.float64(1.0) / np.zeros(ns.shape)
+        if ns.size and flaw == "bad":
+            bad[lane] = True
+        if ns.size and flaw == "nan":
+            a[lane] = math.nan
+        if ns.size and flaw == "negative":
+            b[lane] = -1e-300
+        if flaw == "float32":
+            a = a.astype(np.float32)
+        if flaw == "short":
+            b = b[:-1]
+        if flaw == "one":
+            b = b[:1]
+        if flaw == "2d":
+            a = a.reshape(1, -1)
+        if flaw == "list":
+            a = a.tolist()
+        return a, b, bad
+
+    return kind, fn
+
+
+_FLAWS = ("none", "bad", "nan", "negative", "float32", "short", "one", "2d", "list",
+          "raises", "divide", "kind")
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_judge_cases(), st.sampled_from(_FLAWS), st.data())
+def test_columnar_judge_matches_scalar_reference(case, flaw, data):
+    seq, cfg = case
+    kind = type(cfg.probes[0])
+    fetch = seq if callable(seq) else seq.__getitem__
+    entries = [fetch(n) for n in range(cfg.horizon + 1)]
+    # sometimes one entry the scalar fetch must reject: out of the cone or NaN
+    poison = data.draw(st.sampled_from((None, -1.0, math.nan)))
+    if poison is not None:
+        entries[data.draw(st.integers(0, cfg.horizon))] = kind.of(0.0, poison)
+    if flaw == "kind":
+        # entries of the other algebra, described faithfully by the source:
+        # the judge must still refuse to compare them with the probes
+        kind = UT2Elem if kind is R2Elem else R2Elem
+        entries = [kind.of(v.first, v.second) for v in entries]
+    lane = data.draw(st.integers(0, max(0, cfg.horizon - cfg.start)))
+    fetched = []
+
+    def scalar(n):
+        # a lane the source flags bad is one whose scalar fetch raises
+        if flaw == "bad" and n == cfg.start + lane:
+            raise PointOutsideCarrier(f"point outside carrier at {n}")
+        return entries[n]
+
+    def logged(n):
+        fetched.append(n)
+        return scalar(n)
+
+    columns = _columns_of(entries.__getitem__, kind, flaw, lane)
+    want = _outcome(lambda: _reference_judge(scalar, cfg))
+    assert _outcome(lambda: is_c_sequence(logged, cfg, columns)) == want
+    if flaw == "none" and isinstance(want, CSeqProbeReport):
+        assert fetched == []  # faithful columns are judged without a fetch
+
+
+def test_columnar_judge_replays_the_first_error():
+    # a bad lane at index 9 while the scalar fetch fails at index 4: the
+    # replay raises what the scalar fetch raises first, after fetching 1..4
+    cfg = CSeqProbeConfig.default(R2Elem, horizon=50)
+    fetched = []
+
+    def seq(n):
+        fetched.append(n)
+        if n == 4:
+            raise PointOutsideCarrier("point outside carrier box at 4")
+        return zero(R2Elem)
+
+    def fn(ns):
+        zeros = np.zeros(ns.shape)
+        return zeros, zeros, ns == 9
+
+    with pytest.raises(PointOutsideCarrier, match="at 4"):
+        is_c_sequence(seq, cfg, (R2Elem, fn))
+    assert fetched == [1, 2, 3, 4]
