@@ -52,11 +52,11 @@ from .errors import (
     WitnessOutsideDomain,
 )
 from .fixed_point import (
+    BoundTable,
     ContractionCheckReport,
     ContractionMap,
     ConvergenceReport,
     FixedPointResult,
-    FunctionFamily,
     MapFamily,
     PlainMap,
     check_equicontinuity,

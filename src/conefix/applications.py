@@ -675,14 +675,14 @@ def ode_sequence_harness(
 
     limit_sweep_y, limit_sweep_z = sweep(limit)
     solver_slack = R2Elem(2.0 * tol, 2.0 * tol)
-    dists, bounds = [], []
+    rows = []
     for n in indices:
-        dists.append(distance_to_limit(n))
+        dist = distance_to_limit(n)
         member_sweep_y, member_sweep_z = sweep(members(n))
         displacement = R2Elem(
             float(_weighted_sup(member_sweep_y, limit_sweep_y, grid.w1)),
             float(_weighted_sup(member_sweep_z, limit_sweep_z, grid.w2)),
         )
-        bounds.append(_padded_bound(inv, displacement) + solver_slack)
+        rows.append((dist, _padded_bound(inv, displacement) + solver_slack))
     probe = is_c_sequence(distance_to_limit, cfg)
-    return _bound_report("ode family solution bound", indices, dists, bounds, probe)
+    return _bound_report("ode family solution bound", indices, rows, probe)

@@ -53,10 +53,10 @@ from .spaces import (
 __all__ = [
     "ContractionMap",
     "PlainMap",
-    "FunctionFamily",
     "MapFamily",
     "FixedPointResult",
     "ContractionCheckReport",
+    "BoundTable",
     "ConvergenceReport",
     "verify_contraction",
     "picard_solve",
@@ -112,8 +112,9 @@ class PlainMap:
     """A bare self map with an optional domain, no coefficient attached.
 
     The convergence-mode checkers only need something to apply, so families
-    of non-contractions (the whole point of some counterexamples) wrap
-    their callables in this instead of ContractionMap.
+    of non-contractions (the whole point of some counterexamples) are
+    MapFamilys of PlainMaps.  Having no coefficient, a PlainMap cannot reach
+    a solver or a fixed point harness.
     """
 
     map: Callable
@@ -123,38 +124,13 @@ class PlainMap:
         return self.map(x)
 
 
-class FunctionFamily:
-    """An indexed family of plain maps with a limit, for mode checking.
-
-    Same member/limit/adversarial surface as MapFamily, minus anything
-    about coefficients; usable with the pointwise, uniform, and
-    equicontinuity checkers but not with the fixed point harnesses.
-    """
-
-    def __init__(
-        self,
-        members: Callable[[int], PlainMap],
-        limit: PlainMap,
-        adversarial: Callable[[int], list] | None = None,
-    ) -> None:
-        self._members = members
-        self.limit = limit
-        self.adversarial = adversarial
-        self._cache: dict[int, PlainMap] = {}
-
-    def member(self, n: int) -> PlainMap:
-        got = self._cache.get(n)
-        if got is None:
-            got = self._members(n)
-            self._cache[n] = got
-        return got
-
-
 class MapFamily:
     """An indexed family of contraction maps with a limit map.
 
     members is a callable n -> ContractionMap for n >= 1; lookups are
-    memoised because harnesses and probes revisit the same indices.
+    memoised because harnesses and probes revisit the same indices.  For
+    the pointwise, uniform and equicontinuity checkers, members and limit
+    may be PlainMaps instead; the fixed point harnesses need coefficients.
     coefficient_bound, when given, must dominate every member coefficient
     in the cone order (used by the pointwise-limit bound).  adversarial,
     when given, maps n to extra domain points the uniform checker must
@@ -363,12 +339,6 @@ def check_pointwise_convergence(
     return PointwiseReport(tuple(points), tuple(reports), all(r.passed for r in reports))
 
 
-def _componentwise_sup(values, kind):
-    a = max(v.first for v in values)
-    b = max(v.second for v in values)
-    return kind.of(a, b)
-
-
 @dataclass(frozen=True)
 class UniformReport:
     report: CSeqProbeReport
@@ -386,6 +356,22 @@ class UniformReport:
 # index x grid values per block of the columnar uniform check: bounds the
 # size of its temporaries
 _SUP_BLOCK = 4096
+
+
+def _uniform_sup(family, space, domain, points, n: int):
+    """The componentwise max of d(T_n x, T x) over points and the family's
+    adversarial points for n, each of which must lie in domain."""
+    member_map, limit_map = family.member(n).map, family.limit.map
+    if family.adversarial is not None:
+        extra = family.adversarial(n)
+        for p in extra:
+            if not domain.contains(p):
+                raise WitnessOutsideDomain(
+                    f"adversarial point {p!r} at index {n} is outside the domain"
+                )
+        points = points + list(extra)
+    values = [space.distance(member_map(x), limit_map(x)) for x in points]
+    return space.kind.of(max(v.first for v in values), max(v.second for v in values))
 
 
 def check_uniform_convergence(
@@ -408,23 +394,6 @@ def check_uniform_convergence(
         domain = family.limit.domain if family.limit.domain is not None else space.carrier
     base_points = dense_sample(domain, grid_count)
     limit_map = family.limit.map
-    kind = space.kind
-
-    def sup_at(n: int):
-        member_map = family.member(n).map
-        pts = base_points
-        if family.adversarial is not None:
-            extra = family.adversarial(n)
-            for p in extra:
-                if not domain.contains(p):
-                    raise WitnessOutsideDomain(
-                        f"adversarial point {p!r} at index {n} is outside the domain"
-                    )
-            pts = base_points + list(extra)
-        return _componentwise_sup(
-            [space.distance(member_map(x), limit_map(x)) for x in pts], kind
-        )
-
     columns = None
     if family.adversarial is None and _lane_members(family, space, cfg) is not None:
         dim = _space_dim(space)
@@ -451,8 +420,9 @@ def check_uniform_convergence(
                 bad[i:i + rows] = out.reshape(block.size, size).any(axis=1)
             return first, second, bad
 
-        columns = (kind, fn)
-    report = is_c_sequence(sup_at, cfg, columns)
+        columns = (space.kind, fn)
+    report = is_c_sequence(partial(_uniform_sup, family, space, domain, base_points),
+                           cfg, columns)
     return UniformReport(report, len(base_points), report.passed)
 
 
@@ -529,41 +499,32 @@ def check_equicontinuity(
 
 
 @dataclass(frozen=True)
-class ConvergenceReport:
-    """Distances, certified bounds, and probe verdicts for a map family.
+class BoundTable:
+    """The certificate of a limit theorem: per index n, a distance, a cone
+    bound for it, and whether the bound held.
 
-    Rows are indexed by n; dist and bound are cone elements stored as
-    coordinate pairs.  verdict is True when every row respected its bound
-    and the distance sequence passed the probe.
+    dist and bound are cone elements stored as coordinate pairs.  This is
+    the one row shape behind the harness reports and the scenario payloads.
     """
 
-    label: str
     indices: tuple[int, ...]
     dists: tuple
     bounds: tuple
     respected: tuple[bool, ...]
-    probe: CSeqProbeReport
-    verdict: bool
 
     def rows(self):
-        for n, d, b, ok in zip(self.indices, self.dists, self.bounds, self.respected):
-            yield n, d, b, ok
+        return zip(self.indices, self.dists, self.bounds, self.respected)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "label": self.label,
-            "rows": [
-                {
-                    "n": n,
-                    "dist": [d.first, d.second],
-                    "bound": [b.first, b.second],
-                    "bound_respected": ok,
-                }
-                for n, d, b, ok in self.rows()
-            ],
-            "c_sequence": self.probe.to_jsonable(),
-            "verdict": self.verdict,
-        }
+    def json_rows(self) -> list[dict]:
+        return [
+            {
+                "n": n,
+                "dist": [d.first, d.second],
+                "bound": [b.first, b.second],
+                "bound_respected": ok,
+            }
+            for n, d, b, ok in self.rows()
+        ]
 
     def to_csv(self) -> str:
         lines = ["n,dist_c1,dist_c2,bound_c1,bound_c2,bound_respected"]
@@ -574,6 +535,27 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
+class ConvergenceReport(BoundTable):
+    """Distances, certified bounds, and probe verdicts for a map family.
+
+    verdict is True when every row respected its bound and the distance
+    sequence passed the probe.
+    """
+
+    label: str
+    probe: CSeqProbeReport
+    verdict: bool
+
+    def to_jsonable(self) -> dict:
+        return {
+            "label": self.label,
+            "rows": self.json_rows(),
+            "c_sequence": self.probe.to_jsonable(),
+            "verdict": self.verdict,
+        }
+
+
 def _padded_bound(inv, displacement):
     """inv * displacement, outward rounded into a certified upper bound."""
     raw = mul(inv, displacement)
@@ -581,12 +563,21 @@ def _padded_bound(inv, displacement):
     return raw + raw.of(pad, pad)
 
 
-def _bound_report(label: str, indices, dists, bounds, probe) -> ConvergenceReport:
-    """Rows with their cone test; the verdict asks every bound to hold and
-    the distance sequence to pass its probe."""
-    respected = tuple(cone_compare(d, b).le for d, b in zip(dists, bounds))
-    return ConvergenceReport(label, indices, tuple(dists), tuple(bounds), respected,
-                             probe, all(respected) and probe.passed)
+def _bound_report(label: str, indices, rows, probe) -> ConvergenceReport:
+    """The report of (dist, bound) rows at indices, with their cone test;
+    the verdict asks every bound to hold and the distance sequence to pass
+    its probe."""
+    dists = tuple(d for d, _ in rows)
+    bounds = tuple(b for _, b in rows)
+    respected = tuple(cone_compare(d, b).le for d, b in rows)
+    return ConvergenceReport(tuple(indices), dists, bounds, respected,
+                             label, probe, all(respected) and probe.passed)
+
+
+def _require_inside(domain, y, what: str) -> None:
+    """WitnessOutsideDomain "what: y" unless domain (None: no limit) holds y."""
+    if domain is not None and not domain.contains(y):
+        raise WitnessOutsideDomain(f"{what}: {y!r}")
 
 
 # lanes per block of the lane solver: bounds the size of its temporaries
@@ -821,24 +812,43 @@ def _solve_members(
     return solved, cache
 
 
-def _fixed_point_probe(family, space, cfg: CSeqProbeConfig, solved, cache: dict, target):
-    """is_c_sequence of n -> d(solved(n).point, target).
+def _start_fn(start):
+    """start as a callable n -> x0: itself, or the single point everywhere."""
+    return start if callable(start) else (lambda n: start)
 
-    With lanes the entries are read as columns from the cache of solved
-    members; an index missing from it sends the judge to the scalar fetch,
-    which solves that member and raises what picard_solve raises.
+
+def _family_report(label: str, family, space, cfg: CSeqProbeConfig, indices, start_fn,
+                   tol, max_iter, fp_cache, target, bound) -> ConvergenceReport:
+    """The skeleton of the fixed point harnesses.
+
+    Solves the members the rows and the probe need, then the limit point
+    x_star = target(); per index n the row is (d(x_n, x_star),
+    bound(n, x_n, x_star)) with x_n the member fixed point; last comes the
+    probe of n -> d(x_n, x_star).  With lanes the probe reads its entries
+    as columns from the cache of solved members; an index missing from it
+    sends the judge to the scalar fetch, which solves that member and
+    raises what picard_solve raises.
     """
+    indices = tuple(indices)
+    solved, cache = _solve_members(family, space, start_fn, tol, max_iter, fp_cache,
+                                   (*indices, *range(cfg.start, cfg.horizon + 1)))
+    x_star = target()
+    rows = []
+    for n in indices:
+        x_n = solved(n).point
+        rows.append((space.distance(x_n, x_star), bound(n, x_n, x_star)))
     columns = None
     if _has_lanes(family, space):
         dim = _space_dim(space)
 
         def fn(ns):
             points = _point_columns((cache[n].point for n in map(int, ns)), dim, ns.size)
-            targets = _constant(target, dim, ns.shape)
+            targets = _constant(x_star, dim, ns.shape)
             return space.distances(_pack(points, dim), _pack(targets, dim))
 
         columns = (space.kind, fn)
-    return is_c_sequence(lambda n: space.distance(solved(n).point, target), cfg, columns)
+    probe = is_c_sequence(lambda n: space.distance(solved(n).point, x_star), cfg, columns)
+    return _bound_report(label, indices, rows, probe)
 
 
 def uniform_limit_harness(
@@ -862,23 +872,19 @@ def uniform_limit_harness(
     with alpha the limit coefficient.  start may be a callable n -> x0 or a
     single point used everywhere; start_limit defaults to the same start.
     """
-    indices = tuple(indices)
-    start_fn = start if callable(start) else (lambda n: start)
+    start_fn = _start_fn(start)
     limit_start = start_limit if start_limit is not None else start_fn(1)
-    inv = neumann_inverse_e_minus(family.limit.alpha)
-    solved, cache = _solve_members(family, space, start_fn, tol, max_iter, fp_cache,
-                                   (*indices, *range(cfg.start, cfg.horizon + 1)))
-    x_star = picard_solve(family.limit, space, limit_start, tol, max_iter).point
-    limit_map = family.limit.map
+    limit = family.limit
+    inv = neumann_inverse_e_minus(limit.alpha)
 
-    dists, bounds = [], []
-    for n in indices:
-        x_n = solved(n).point
-        dists.append(space.distance(x_n, x_star))
-        displacement = space.distance(family.member(n).map(x_n), limit_map(x_n))
-        bounds.append(_padded_bound(inv, displacement))
-    probe = _fixed_point_probe(family, space, cfg, solved, cache, x_star)
-    return _bound_report("uniform-limit fixed point bound", indices, dists, bounds, probe)
+    def bound(n, x_n, x_star):
+        return _padded_bound(inv, space.distance(family.member(n).map(x_n), limit.map(x_n)))
+
+    return _family_report(
+        "uniform-limit fixed point bound", family, space, cfg, indices, start_fn,
+        tol, max_iter, fp_cache,
+        lambda: picard_solve(limit, space, limit_start, tol, max_iter).point, bound,
+    )
 
 
 def pointwise_limit_harness(
@@ -900,22 +906,20 @@ def pointwise_limit_harness(
     where M dominates every member coefficient (family.coefficient_bound,
     falling back to the limit coefficient for families with a shared one).
     """
-    indices = tuple(indices)
-    start_fn = start if callable(start) else (lambda n: start)
+    start_fn = _start_fn(start)
     limit_start = start_limit if start_limit is not None else start_fn(1)
     inv = neumann_inverse_e_minus(family.bound_coefficient)
-    solved, cache = _solve_members(family, space, start_fn, tol, max_iter, fp_cache,
-                                   (*indices, *range(cfg.start, cfg.horizon + 1)))
-    x_star = picard_solve(family.limit, space, limit_start, tol, max_iter).point
-    fx_star = family.limit.map(x_star)
+    limit = family.limit
 
-    dists, bounds = [], []
-    for n in indices:
-        dists.append(space.distance(solved(n).point, x_star))
-        displacement = space.distance(family.member(n).map(x_star), fx_star)
-        bounds.append(_padded_bound(inv, displacement))
-    probe = _fixed_point_probe(family, space, cfg, solved, cache, x_star)
-    return _bound_report("pointwise-limit fixed point bound", indices, dists, bounds, probe)
+    def bound(n, x_n, x_star):
+        return _padded_bound(
+            inv, space.distance(family.member(n).map(x_star), limit.map(x_star)))
+
+    return _family_report(
+        "pointwise-limit fixed point bound", family, space, cfg, indices, start_fn,
+        tol, max_iter, fp_cache,
+        lambda: picard_solve(limit, space, limit_start, tol, max_iter).point, bound,
+    )
 
 
 def subdomain_limit_harness(
@@ -953,43 +957,35 @@ def subdomain_limit_harness(
         raise ValueError("bound_form must be 'witness' or 'responder'")
     if bound_form == "responder" and responder is None:
         raise ValueError("responder form needs a responder callable")
-    indices = tuple(indices)
-    start_fn = start if callable(start) else (lambda n: start)
-    k_coeff = family.bound_coefficient
-    inv = neumann_inverse_e_minus(k_coeff)
-    solved, cache = _solve_members(family, space, start_fn, tol, max_iter, fp_cache,
-                                   (*indices, *range(cfg.start, cfg.horizon + 1)))
-    if x_inf is None:
-        x_inf = picard_solve(family.limit, space, witness(1), tol, max_iter).point
-    limit_map = family.limit.map
+    k = family.bound_coefficient
+    inv = neumann_inverse_e_minus(k)
+    limit = family.limit
 
-    dists, bounds = [], []
-    for n in indices:
+    def bound(n, x_n, x_star):
         member = family.member(n)
-        x_n = solved(n).point
-        dists.append(space.distance(x_n, x_inf))
         if bound_form == "witness":
             y_n = witness(n)
-            if member.domain is not None and not member.domain.contains(y_n):
-                raise WitnessOutsideDomain(
-                    f"witness at index {n} is outside the member domain: {y_n!r}"
-                )
-            displacement = mul(k_coeff, space.distance(y_n, x_inf)) + space.distance(
-                member.map(y_n), limit_map(x_inf)
-            )
+            _require_inside(member.domain, y_n,
+                            f"witness at index {n} is outside the member domain")
+            displacement = mul(k, space.distance(y_n, x_star)) + space.distance(
+                member.map(y_n), limit.map(x_star))
         else:
             y_n = responder(n)
-            if family.limit.domain is not None and not family.limit.domain.contains(y_n):
-                raise WitnessOutsideDomain(
-                    f"responder point at index {n} is outside the limit domain: {y_n!r}"
-                )
-            displacement = space.distance(member.map(x_n), limit_map(y_n)) + mul(
-                k_coeff, space.distance(y_n, x_n)
-            )
-        bounds.append(_padded_bound(inv, displacement))
-    probe = _fixed_point_probe(family, space, cfg, solved, cache, x_inf)
-    return _bound_report(f"sub-domain fixed point bound ({bound_form} form)",
-                         indices, dists, bounds, probe)
+            _require_inside(limit.domain, y_n,
+                            f"responder point at index {n} is outside the limit domain")
+            displacement = space.distance(member.map(x_n), limit.map(y_n)) + mul(
+                k, space.distance(y_n, x_n))
+        return _padded_bound(inv, displacement)
+
+    def target():
+        if x_inf is not None:
+            return x_inf
+        return picard_solve(limit, space, witness(1), tol, max_iter).point
+
+    return _family_report(
+        f"sub-domain fixed point bound ({bound_form} form)", family, space, cfg,
+        indices, _start_fn(start), tol, max_iter, fp_cache, target, bound,
+    )
 
 
 @dataclass(frozen=True)
@@ -1038,8 +1034,7 @@ def fixed_point_cluster_check(
     is at most 10 * tol.
     """
     indices = tuple(indices)
-    start_fn = start if callable(start) else (lambda n: start)
-    solved, _ = _solve_members(family, space, start_fn, solver_tol, max_iter, fp_cache,
+    solved, _ = _solve_members(family, space, _start_fn(start), solver_tol, max_iter, fp_cache,
                                indices)
     points = [solved(n).point for n in indices]
     quarter = points[-max(1, len(points) // 4):]
@@ -1130,11 +1125,8 @@ def property_g_check(
 
         def checked_seq(n: int, seq=seq):
             y = seq(n)
-            dom = family.member(n).domain
-            if dom is not None and not dom.contains(y):
-                raise WitnessOutsideDomain(
-                    f"witness at index {n} is outside the member domain: {y!r}"
-                )
+            _require_inside(family.member(n).domain, y,
+                            f"witness at index {n} is outside the member domain")
             return y
 
         fx = limit_map(x)
@@ -1178,22 +1170,16 @@ def property_h_check(
 
     def checked_challenge(n: int):
         x = challenge(n)
-        dom = family.member(n).domain
-        if dom is not None and not dom.contains(x):
-            raise WitnessOutsideDomain(
-                f"challenge at index {n} is outside the member domain: {x!r}"
-            )
+        _require_inside(family.member(n).domain, x,
+                        f"challenge at index {n} is outside the member domain")
         return x
 
     answer = responder(checked_challenge)
 
     def checked_answer(n: int):
         y = answer(n)
-        dom = family.limit.domain
-        if dom is not None and not dom.contains(y):
-            raise WitnessOutsideDomain(
-                f"responder point at index {n} is outside the limit domain: {y!r}"
-            )
+        _require_inside(family.limit.domain, y,
+                        f"responder point at index {n} is outside the limit domain")
         return y
 
     limit_map = family.limit.map

@@ -32,9 +32,7 @@ class GridFunction:
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float).copy()
         values = np.asarray(self.values, dtype=float).copy()
-        if nodes.ndim != 1 or nodes.size == 0:
-            raise EmptyGrid("grid needs at least two nodes")
-        if nodes.size < 2:
+        if nodes.ndim != 1 or nodes.size < 2:
             raise EmptyGrid("grid needs at least two nodes")
         if values.shape != nodes.shape:
             raise ValueError("values shape must match nodes shape")

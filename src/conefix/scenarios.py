@@ -33,10 +33,11 @@ from .applications import (
     ode_solve,
 )
 from .fixed_point import (
+    BoundTable,
     ContractionMap,
-    FunctionFamily,
     MapFamily,
     PlainMap,
+    _uniform_sup,
     check_pointwise_convergence,
     check_uniform_convergence,
     dense_sample,
@@ -87,50 +88,32 @@ class ScenarioRun:
     """One finished scenario: row table, verdict, and human notes.
 
     The notes are commentary for a terminal; only name, anchor, config,
-    rows, and verdict enter the serialized payloads.
+    table rows, and verdict enter the serialized payloads.
     """
 
     name: str
     anchor: str
     config: dict
-    indices: tuple[int, ...]
-    dists: tuple
-    bounds: tuple
-    respected: tuple[bool, ...]
+    table: BoundTable
     verdict: bool
     notes: tuple[str, ...]
-
-    def rows(self):
-        for n, d, b, ok in zip(self.indices, self.dists, self.bounds, self.respected):
-            yield n, d, b, ok
 
     def to_json_doc(self) -> dict:
         return {
             "scenario": self.name,
             "anchor": self.anchor,
             "config": self.config,
-            "rows": [
-                {
-                    "n": n,
-                    "dist": [d.first, d.second],
-                    "bound": [b.first, b.second],
-                    "bound_respected": ok,
-                }
-                for n, d, b, ok in self.rows()
-            ],
+            "rows": self.table.json_rows(),
             "verdict": self.verdict,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_doc(), sort_keys=True, indent=2) + "\n"
 
+    # defined here rather than inherited: the benchmark's per-layer trace
+    # (perfbench/layers.py) patches to_json and to_csv in this class body
     def to_csv(self) -> str:
-        lines = ["n,dist_c1,dist_c2,bound_c1,bound_c2,bound_respected"]
-        for n, d, b, ok in self.rows():
-            lines.append(
-                f"{n},{d.first!r},{d.second!r},{b.first!r},{b.second!r},{str(ok).lower()}"
-            )
-        return "\n".join(lines) + "\n"
+        return self.table.to_csv()
 
 
 @dataclass(frozen=True)
@@ -188,9 +171,9 @@ def _run_example_2_6(knobs: dict):
     small = cfg.probes[-1]
     indices = _display_indices(horizon)
     dists = tuple(display_space.distance(1.0 / n, 0.0) for n in indices)
-    bounds = tuple(small for _ in indices)
     respected = tuple(cone_compare(d, small).way_below for d in dists)
-    return indices, dists, bounds, respected, verdict, tuple(notes)
+    table = BoundTable(indices, dists, tuple(small for _ in indices), respected)
+    return table, verdict, notes
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +185,7 @@ def _run_example_2_8(knobs: dict):
     box = BoxDomain((0.0, 0.0), (1.0, 1.0), open_hi=True)
     space = PlaneR2Space((0.0, 0.0), (1.0, 1.0), open_hi=True,
                          sample_box=((0.05, 0.05), (0.95, 0.95)))
-    family = FunctionFamily(
+    family = MapFamily(
         lambda n: PlainMap(lambda p, n=n: (p[0] ** (n * n), p[1] ** n), box),
         PlainMap(lambda p: (0.0, 0.0), box),
         adversarial=lambda n: [(5.0 ** (-1.0 / (n * n)), 3.0 ** (-1.0 / n))],
@@ -226,22 +209,11 @@ def _run_example_2_8(knobs: dict):
         f"witness image distance stays at ({1/5!r}, {1/3!r})",
     ]
     base_points = dense_sample(box, grid_pts)
-    limit_map = family.limit.map
-
-    def sup_at(n: int) -> R2Elem:
-        pts = base_points + family.adversarial(n)
-        worst_a = worst_b = 0.0
-        for p in pts:
-            d = space.distance(family.member(n).map(p), limit_map(p))
-            worst_a = max(worst_a, d.first)
-            worst_b = max(worst_b, d.second)
-        return R2Elem(worst_a, worst_b)
-
     indices = _display_indices(uni_horizon)
-    dists = tuple(sup_at(n) for n in indices)
-    bounds = tuple(pinned for _ in indices)
+    dists = tuple(_uniform_sup(family, space, box, base_points, n) for n in indices)
     respected = tuple(cone_compare(d, pinned).way_below for d in dists)
-    return indices, dists, bounds, respected, verdict, tuple(notes)
+    table = BoundTable(indices, dists, tuple(pinned for _ in indices), respected)
+    return table, verdict, notes
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +252,7 @@ def _run_thm_2_9(knobs: dict):
         f"bound rows respected: {sum(report.respected)}/{len(report.respected)}",
         f"fixed point distances pass probes: {report.probe.passed}",
     ]
-    return indices, report.dists, report.bounds, report.respected, verdict, tuple(notes)
+    return report, verdict, notes
 
 
 def _run_thm_2_10(knobs: dict):
@@ -307,7 +279,7 @@ def _run_thm_2_10(knobs: dict):
         f"bound rows respected: {sum(report.respected)}/{len(report.respected)}",
         f"fixed point distances pass probes: {report.probe.passed}",
     ]
-    return indices, report.dists, report.bounds, report.respected, verdict, tuple(notes)
+    return report, verdict, notes
 
 
 def _subinterval_family() -> MapFamily:
@@ -358,7 +330,7 @@ def _run_thm_3_6(knobs: dict):
         f"responder-form rows respected: {sum(echoed.respected)}/{len(echoed.respected)}",
         f"fixed point distances pass probes: {report.probe.passed}",
     ]
-    return indices, report.dists, report.bounds, report.respected, verdict, tuple(notes)
+    return report, verdict, notes
 
 
 def _run_thm_3_10(knobs: dict):
@@ -399,9 +371,9 @@ def _run_thm_3_10(knobs: dict):
         else fp_cache[display[-1]].point
     )
     dists = tuple(space.distance(fp_cache[n].point, reference) for n in display)
-    bounds = tuple(ball for _ in display)
     respected = tuple(cone_compare(d, ball).le for d in dists)
-    return display, dists, bounds, respected, verdict, tuple(notes)
+    table = BoundTable(display, dists, tuple(ball for _ in display), respected)
+    return table, verdict, notes
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +432,7 @@ def _run_thm_4_1(knobs: dict):
         f"system family: rows respected {sum(report.respected)}/{len(report.respected)}, "
         f"root distances pass probes: {report.probe.passed}",
     ]
-    return indices, report.dists, report.bounds, report.respected, verdict, tuple(notes)
+    return report, verdict, notes
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +477,12 @@ def _run_ode_linear(knobs: dict):
     first = sol.delta_history[0]
     pad = 1e-13 * (1.0 + norm(first))
     indices = tuple(range(1, sol.iterations + 1))
-    dists = sol.delta_history
+    dists = tuple(sol.delta_history)
     bounds = tuple(
         scale(rate ** (k - 1), first) + R2Elem(pad, pad) for k in indices
     )
     respected = tuple(cone_compare(d, b).le for d, b in zip(dists, bounds))
+    table = BoundTable(indices, dists, bounds, respected)
     verdict = cert_ok and sol.converged and accurate and all(respected)
     notes = [
         f"certificate: h={cert.h!r} (h1={cert.h1!r}, h2={cert.h2!r}), "
@@ -518,7 +491,7 @@ def _run_ode_linear(knobs: dict):
         f"gap to slope-field antiderivatives: y {err_y:.3e}, z {err_z:.3e}",
         f"sup|f|={cert.max_f!r}, sup|g|={cert.max_g!r}; " + _SAMPLED_SUP_NOTE,
     ]
-    return indices, dists, bounds, respected, verdict, tuple(notes)
+    return table, verdict, notes
 
 
 def _damped_ivp_family():
@@ -564,7 +537,7 @@ def _run_ode_sequence(knobs: dict):
         f"second equation identical across the family, gap exactly zero: {z_pinned}",
         _SAMPLED_SUP_NOTE,
     ]
-    return indices, report.dists, report.bounds, report.respected, verdict, tuple(notes)
+    return report, verdict, notes
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +643,6 @@ def run_scenario(name: str, config: ScenarioConfig | None = None) -> ScenarioRun
                 f"{name} has no {key} knob; its knobs are "
                 f"{', '.join((*scenario.defaults, 'seed'))}"
             )
-    indices, dists, bounds, respected, verdict, notes = scenario.runner(knobs)
-    return ScenarioRun(
-        name, scenario.anchor, dict(sorted(knobs.items())),
-        tuple(indices), tuple(dists), tuple(bounds), tuple(respected),
-        bool(verdict), tuple(notes),
-    )
+    table, verdict, notes = scenario.runner(knobs)
+    return ScenarioRun(name, scenario.anchor, dict(sorted(knobs.items())), table,
+                       bool(verdict), tuple(notes))

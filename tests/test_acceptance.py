@@ -36,7 +36,6 @@ from conefix.applications import (
 )
 from conefix.fixed_point import (
     ContractionMap,
-    FunctionFamily,
     MapFamily,
     PlainMap,
     check_pointwise_convergence,
@@ -168,7 +167,7 @@ def test_criterion_04_probe_thresholds_replay():
                 )
                 assert out.verdict and out.n_found == expected, (k, alpha_s, beta_s)
     dom = IntervalDomain(0.0, 1.0)
-    family = FunctionFamily(
+    family = MapFamily(
         lambda n: PlainMap(lambda x, n=n: x / n, dom),
         PlainMap(lambda x: 0.0, dom),
     )
@@ -190,7 +189,7 @@ def test_criterion_05_pointwise_without_uniform():
     space = PlaneR2Space(
         (0.0, 0.0), (1.0, 1.0), open_hi=True, sample_box=((0.05, 0.05), (0.95, 0.95))
     )
-    family = FunctionFamily(
+    family = MapFamily(
         lambda n: PlainMap(lambda p, n=n: (p[0] ** (n * n), p[1] ** n), box),
         PlainMap(lambda p: (0.0, 0.0), box),
         adversarial=lambda n: [(5.0 ** (-1.0 / (n * n)), 3.0 ** (-1.0 / n))],

@@ -16,7 +16,6 @@ from conefix.errors import (
 )
 from conefix.fixed_point import (
     ContractionMap,
-    FunctionFamily,
     MapFamily,
     PlainMap,
     check_equicontinuity,
@@ -71,7 +70,7 @@ def _subinterval_family() -> MapFamily:
     return MapFamily(members, limit)
 
 
-def _power_box_family() -> FunctionFamily:
+def _power_box_family() -> MapFamily:
     """Coordinatewise powers on the open unit box, shrinking to the zero map
     pointwise but not uniformly."""
     box = BoxDomain((0.0, 0.0), (1.0, 1.0), open_hi=True)
@@ -79,7 +78,7 @@ def _power_box_family() -> FunctionFamily:
         lambda p, n=n: (p[0] ** (n * n), p[1] ** n), box
     )
     limit = PlainMap(lambda p: (0.0, 0.0), box)
-    return FunctionFamily(
+    return MapFamily(
         members, limit,
         adversarial=lambda n: [(5.0 ** (-1.0 / (n * n)), 3.0 ** (-1.0 / n))],
     )
@@ -210,7 +209,7 @@ def test_pointwise_convergence_on_power_family():
 def test_pointwise_convergence_trivial_and_failing():
     space = IntervalUT2Space(1.0)
     cfg = CSeqProbeConfig.default(UT2Elem, horizon=100)
-    frozen = FunctionFamily(
+    frozen = MapFamily(
         lambda n: PlainMap(lambda x: 0.5 * x, UNIT_INTERVAL),
         PlainMap(lambda x: 0.5 * x, UNIT_INTERVAL),
     )
@@ -219,7 +218,7 @@ def test_pointwise_convergence_trivial_and_failing():
     for rep in report.reports:
         assert all(o.n_found == 0 for o in rep.outcomes)
 
-    stuck = FunctionFamily(
+    stuck = MapFamily(
         lambda n: PlainMap(lambda x: x, UNIT_INTERVAL),
         PlainMap(lambda x: 0.0, UNIT_INTERVAL),
     )
@@ -229,7 +228,7 @@ def test_pointwise_convergence_trivial_and_failing():
 
 def test_uniform_convergence_pass_and_implication():
     space = IntervalUT2Space(1.0)
-    family = FunctionFamily(
+    family = MapFamily(
         lambda n: PlainMap(lambda x, n=n: x / n, UNIT_INTERVAL),
         PlainMap(lambda x: 0.0, UNIT_INTERVAL),
     )
@@ -253,7 +252,7 @@ def test_uniform_convergence_fails_on_power_family():
 
 def test_uniform_convergence_rejects_stray_witness():
     box = BoxDomain((0.0, 0.0), (1.0, 1.0), open_hi=True)
-    family = FunctionFamily(
+    family = MapFamily(
         lambda n: PlainMap(lambda p: (0.0, 0.0), box),
         PlainMap(lambda p: (0.0, 0.0), box),
         adversarial=lambda n: [(1.5, 0.5)],
@@ -266,7 +265,7 @@ def test_uniform_convergence_rejects_stray_witness():
 def test_equicontinuity_finds_unit_scale_for_mild_families():
     space = IntervalUT2Space(1.0)
     c1 = UT2Elem(0.1, 0.1)
-    shrinking = FunctionFamily(
+    shrinking = MapFamily(
         lambda n: PlainMap(lambda x, n=n: x / n, UNIT_INTERVAL),
         PlainMap(lambda x: 0.0, UNIT_INTERVAL),
     )
@@ -277,7 +276,7 @@ def test_equicontinuity_finds_unit_scale_for_mild_families():
 
 def test_equicontinuity_exhausts_on_steep_powers():
     dom = IntervalDomain(0.0, 1.0, open_hi=True)
-    family = FunctionFamily(
+    family = MapFamily(
         lambda n: PlainMap(lambda x, n=n: x ** n, dom),
         PlainMap(lambda x: 0.0, dom),
     )
@@ -567,7 +566,7 @@ def test_property_g_edge_witness_on_subdomains():
 
 def test_property_g_convicts_far_witness():
     space = IntervalUT2Space(1.0)
-    frozen = FunctionFamily(
+    frozen = MapFamily(
         lambda n: PlainMap(lambda x: x, UNIT_INTERVAL),
         PlainMap(lambda x: x, UNIT_INTERVAL),
     )
@@ -644,7 +643,7 @@ def test_g_limit_uniqueness():
 
 def test_equicontinuous_pointwise_composition():
     space = IntervalUT2Space(1.0)
-    family = FunctionFamily(
+    family = MapFamily(
         lambda n: PlainMap(lambda x, n=n: x / n, UNIT_INTERVAL),
         PlainMap(lambda x: 0.0, UNIT_INTERVAL),
     )
