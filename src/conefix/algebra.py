@@ -183,14 +183,8 @@ def cone_compare(x: E, y: E) -> ConeOrderOutcome:
     )
 
 
-def spectral_radius(k: _Pair, n_max: int = 128) -> float:
-    """Spectral radius of k: |first coordinate|, exactly.
-
-    n_max, the number of powers a norm-sequence estimate would look at, is
-    kept for the interface and must be >= 1; the closed form needs none.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+def spectral_radius(k: _Pair) -> float:
+    """Spectral radius of k: |first coordinate|, exactly."""
     return abs(k.first)
 
 
@@ -203,18 +197,14 @@ def _round_up(q: Fraction) -> float:
     return math.nextafter(x, math.inf) if x < q else x
 
 
-def neumann_inverse_e_minus(k: E, tail_tol: float = 1e-12) -> E:
+def neumann_inverse_e_minus(k: E) -> E:
     """Inverse of (unit - k), the sum of the Neumann series sum(k^i).
 
     Valid when the spectral radius of k is below 1, else NotInvertibleHere.
     The closed form (1/(1-a), b/(1-a)^2) is evaluated exactly and each
     coordinate rounded upward, so the result dominates the true inverse
     coordinate by coordinate; it lies in the cone whenever k does.
-    tail_tol, the accuracy a truncated series would stop at, is kept for
-    the interface and must be positive; nothing is truncated.
     """
-    if not tail_tol > 0.0:
-        raise ValueError("tail_tol must be positive")
     rho = spectral_radius(k)
     if not (rho < 1.0 and math.isfinite(k.second)):
         raise NotInvertibleHere(

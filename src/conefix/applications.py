@@ -37,6 +37,7 @@ from .fixed_point import (
     MapFamily,
     _bound_report,
     _padded_bound,
+    _stop_threshold,
     picard_solve,
     pointwise_limit_harness,
 )
@@ -80,8 +81,8 @@ class CoupledSystem:
         x, y = p
         return (x + self.f(x, y), y + self.g(x, y))
 
-    def as_contraction(self, domain=None) -> ContractionMap:
-        return ContractionMap(self.operator, R2Elem(self.lip, 0.0), domain)
+    def as_contraction(self) -> ContractionMap:
+        return ContractionMap(self.operator, R2Elem(self.lip, 0.0))
 
 
 @dataclass(frozen=True)
@@ -103,13 +104,13 @@ def verify_condition(
     box: BoxDomain | None = None,
     samples: int = 2000,
     seed: int = 0,
-    slack: float = 1e-12,
 ) -> CouplingCheckReport:
     """Sample the declared dissipation condition over a box.
 
     Each sample perturbs one coordinate while holding the other, matching
     the condition as stated; cross dependence between the equations is
-    invisible to this check by construction.
+    invisible to this check by construction.  Each right side carries an
+    absolute allowance of 1e-12 for roundoff at equality.
     """
     box = box if box is not None else _DEFAULT_BOX
     rng = np.random.default_rng(seed)
@@ -119,9 +120,9 @@ def verify_condition(
     for i in range(samples):
         (x1, y1), (x2, y2), (x3, y3) = pts[3 * i], pts[3 * i + 1], pts[3 * i + 2]
         lhs_f = abs(system.f(x1, y1) - system.f(x2, y1) + (x1 - x2))
-        rhs_f = system.lip * abs(x1 - x2) + slack
+        rhs_f = system.lip * abs(x1 - x2) + 1e-12
         lhs_g = abs(system.g(x3, y1) - system.g(x3, y2) + (y1 - y2))
-        rhs_g = system.lip * abs(y1 - y2) + slack
+        rhs_g = system.lip * abs(y1 - y2) + 1e-12
         excess = max(lhs_f - rhs_f, lhs_g - rhs_g)
         if excess > 0.0:
             violations += 1
@@ -140,14 +141,13 @@ class CoupledRoot:
 
 def coupled_solve(
     system: CoupledSystem,
-    start: tuple[float, float] = (0.0, 0.0),
     tol: float = 1e-10,
     max_iter: int = 100_000,
     check_condition: bool = True,
     box: BoxDomain | None = None,
     seed: int = 0,
 ) -> CoupledRoot:
-    """Solve F = G = 0 by iterating the induced self map.
+    """Solve F = G = 0 by iterating the induced self map from the origin.
 
     With check_condition the declared dissipation condition is sampled
     first and a failure raises ConditionViolated.  Disabling the check
@@ -164,7 +164,7 @@ def coupled_solve(
                 f"{report.samples} samples (worst excess {report.worst_excess:.3e})"
             )
     space = PlaneR2Space()
-    result = picard_solve(system.as_contraction(), space, tuple(start), tol, max_iter)
+    result = picard_solve(system.as_contraction(), space, (0.0, 0.0), tol, max_iter)
     x, y = result.point
     residual = R2Elem(abs(system.f(x, y)), abs(system.g(x, y)))
     allowed = tol * (1.0 + system.lip) / (1.0 - system.lip)
@@ -181,31 +181,28 @@ def coupled_sequence_harness(
     limit: CoupledSystem,
     indices,
     cfg: CSeqProbeConfig,
-    start: tuple[float, float] = (0.0, 0.0),
-    coefficient_bound: R2Elem | None = None,
     tol: float = 1e-12,
     fp_cache: dict | None = None,
     lane_map: Callable | None = None,
 ) -> ConvergenceReport:
-    """Roots of a system family against the limit system's root, with the
-    varying-coefficient fixed point bound driven by the members'
-    displacement at the limit root.
+    """Roots of a system family against the limit system's root, every
+    system solved from the origin, with the varying-coefficient fixed point
+    bound driven by the members' displacement at the limit root.  The
+    coefficient bound is the larger of the first member's and the limit's
+    lip.
 
     lane_map, when given, is the members' operator on numpy lanes (see
     MapFamily); for systems whose equations are array-safe it is
     lambda ns, p: members(ns).operator(p).
     """
-    space = PlaneR2Space()
-    if coefficient_bound is None:
-        coefficient_bound = R2Elem(max(members(1).lip, limit.lip), 0.0)
     family = MapFamily(
         lambda n: members(n).as_contraction(),
         limit.as_contraction(),
-        coefficient_bound=coefficient_bound,
+        coefficient_bound=R2Elem(max(members(1).lip, limit.lip), 0.0),
         lane_map=lane_map,
     )
     return pointwise_limit_harness(
-        family, space, cfg, indices, start, tol=tol, fp_cache=fp_cache
+        family, PlaneR2Space(), cfg, indices, (0.0, 0.0), tol=tol, fp_cache=fp_cache
     )
 
 
@@ -286,6 +283,8 @@ class OdeCertificate:
 
 
 _INFLATION = 1.05
+# per-axis points of the mesh ode_certify samples the box on
+_SAMPLE_PTS = 33
 
 
 def _check_sampled_lipschitz(label: str, fn, xs, us, lip: float, width: float) -> None:
@@ -304,19 +303,20 @@ def _check_sampled_lipschitz(label: str, fn, xs, us, lip: float, width: float) -
         )
 
 
-def ode_certify(problem: OdeProblem, sample_pts: int = 33) -> OdeCertificate:
+def ode_certify(problem: OdeProblem) -> OdeCertificate:
     """Derive the solve interval and contraction coefficient.
 
-    |f| and |g| are sampled on an endpoint-including mesh of the box and
-    inflated by five percent.  max_f and max_g are therefore sampled
-    maxima, not enclosures: a slope that peaks between mesh points by more
-    than five percent gives an interval the tube test in ode_solve may
-    then refuse (LeftInvariantSet).  h1 = min(x_radius, y_radius / max_f) and
-    h2 likewise for g, with a vanishing right side meaning no constraint
-    (identically zero slope keeps any tube).  The declared one-sided rates
-    are sampled on the same mesh (ConditionViolated on failure).  The
-    weight rates are tau1 = tau2 = 2 * max(lip_f, lip_g, 1/2), making the
-    coefficient's first coordinate lip/tau <= 1/2.
+    |f| and |g| are sampled on an endpoint-including mesh of the box, with
+    _SAMPLE_PTS points per axis, and inflated by five percent.  max_f and
+    max_g are therefore sampled maxima, not enclosures: a slope that peaks
+    between mesh points by more than five percent gives an interval the
+    tube test in ode_solve may then refuse (LeftInvariantSet).
+    h1 = min(x_radius, y_radius / max_f) and h2 likewise for g, with a
+    vanishing right side meaning no constraint (identically zero slope
+    keeps any tube).  The declared one-sided rates are sampled on the same
+    mesh (ConditionViolated on failure).  The weight rates are
+    tau1 = tau2 = 2 * max(lip_f, lip_g, 1/2), making the coefficient's
+    first coordinate lip/tau <= 1/2.
     """
     if problem.x_radius <= 0.0 or problem.y_radius <= 0.0 or problem.z_radius <= 0.0:
         raise DegenerateBox(
@@ -324,11 +324,11 @@ def ode_certify(problem: OdeProblem, sample_pts: int = 33) -> OdeCertificate:
             f"({problem.x_radius}, {problem.y_radius}, {problem.z_radius})"
         )
     xs = np.linspace(problem.center - problem.x_radius,
-                     problem.center + problem.x_radius, sample_pts)
+                     problem.center + problem.x_radius, _SAMPLE_PTS)
     ys = np.linspace(problem.y_init - problem.y_radius,
-                     problem.y_init + problem.y_radius, sample_pts)
+                     problem.y_init + problem.y_radius, _SAMPLE_PTS)
     zs = np.linspace(problem.z_init - problem.z_radius,
-                     problem.z_init + problem.z_radius, sample_pts)
+                     problem.z_init + problem.z_radius, _SAMPLE_PTS)
     _check_sampled_lipschitz("f", problem.f, xs, ys, problem.lip_f, 2.0 * problem.y_radius)
     _check_sampled_lipschitz("g", problem.g, xs, zs, problem.lip_g, 2.0 * problem.z_radius)
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
@@ -344,7 +344,7 @@ def ode_certify(problem: OdeProblem, sample_pts: int = 33) -> OdeCertificate:
     alpha = R2Elem(max(problem.lip_f / tau, problem.lip_g / tau), 0.0)
     return OdeCertificate(
         h, h1, h2, max_f, max_g, sampled_f, sampled_g, tau, tau, alpha,
-        problem.center - h, problem.center + h, problem.center, sample_pts,
+        problem.center - h, problem.center + h, problem.center, _SAMPLE_PTS,
     )
 
 
@@ -384,14 +384,13 @@ def _ode_grid(cert: OdeCertificate, grid_pts: int, tol: float) -> _OdeGrid:
     if grid_pts < 3 or grid_pts % 2 == 0:
         raise ValueError(f"grid_pts must be odd and at least 3, got {grid_pts}")
     nodes = np.linspace(cert.lo, cert.hi, grid_pts)
-    rate = spectral_radius(cert.alpha)
     return _OdeGrid(
         nodes,
         (cert.hi - cert.lo) / (grid_pts - 1),
         (grid_pts - 1) // 2,
         np.exp(-cert.tau1 * np.abs(nodes - cert.center)),
         np.exp(-cert.tau2 * np.abs(nodes - cert.center)),
-        tol * (1.0 - rate) / max(rate, 1e-15),
+        float(_stop_threshold(tol, spectral_radius(cert.alpha))),
     )
 
 

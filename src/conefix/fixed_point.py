@@ -25,7 +25,7 @@ one-ulp noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from typing import Callable
@@ -83,16 +83,14 @@ class ContractionMap:
     """A self map with a declared cone Lipschitz coefficient.
 
     The coefficient's spectral radius must be below 1 and both of its
-    coordinates finite at construction.  verified starts False and is
-    flipped by verify_contraction once sampling finds no violations;
-    constructing a map does not prove the declared coefficient, it only
-    sanity checks it.
+    coordinates finite at construction.  Constructing a map does not prove
+    the declared coefficient, it only sanity checks it; verify_contraction
+    samples it.
     """
 
     map: Callable
     alpha: object
     domain: object | None = None
-    verified: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         rho = spectral_radius(self.alpha)
@@ -102,9 +100,6 @@ class ContractionMap:
             )
         if not (math.isfinite(self.alpha.first) and math.isfinite(self.alpha.second)):
             raise ValueError(f"declared coefficient must be finite, got {self.alpha!r}")
-
-    def __call__(self, x):
-        return self.map(x)
 
 
 @dataclass(frozen=True)
@@ -119,9 +114,6 @@ class PlainMap:
 
     map: Callable
     domain: object | None = None
-
-    def __call__(self, x):
-        return self.map(x)
 
 
 class MapFamily:
@@ -208,8 +200,7 @@ def verify_contraction(
     slack is an absolute allowance added to both coordinates of the right
     side before the exact cone test; it absorbs the one-ulp noise that maps
     with additive constants produce at equality, per the pre-rounding rule
-    for order comparisons.  Pass slack=0 for a literal test.  On success
-    (zero violations) the map is marked verified.
+    for order comparisons.  Pass slack=0 for a literal test.
     """
     rng = np.random.default_rng(seed)
     domain = T.domain if T.domain is not None else space
@@ -228,8 +219,13 @@ def verify_contraction(
             if excess > worst:
                 worst = excess
                 example = (x, y)
-    T.verified = violations == 0
     return ContractionCheckReport(samples, violations, worst, example)
+
+
+def _stop_threshold(tol, r):
+    """The step norm below which Picard iteration at rate r is within tol
+    of its fixed point; r may be a float or a numpy array of rates."""
+    return tol * (1.0 - r) / np.maximum(r, 1e-15)
 
 
 def picard_solve(
@@ -247,8 +243,7 @@ def picard_solve(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    r = spectral_radius(T.alpha)
-    threshold = tol * (1.0 - r) / max(r, 1e-15)
+    threshold = float(_stop_threshold(tol, spectral_radius(T.alpha)))
     domain = T.domain
     if domain is not None and not domain.contains(x0):
         raise IterateEscapedDomain(f"start point {x0!r} is outside the declared domain")
@@ -298,13 +293,6 @@ class PointwiseReport:
     reports: tuple[CSeqProbeReport, ...]
     passed: bool
 
-    def to_jsonable(self) -> dict:
-        return {
-            "passed": self.passed,
-            "points": [list(p) if isinstance(p, tuple) else p for p in self.points],
-            "reports": [r.to_jsonable() for r in self.reports],
-        }
-
 
 def check_pointwise_convergence(
     family: MapFamily,
@@ -344,13 +332,6 @@ class UniformReport:
     report: CSeqProbeReport
     grid_size: int
     passed: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "passed": self.passed,
-            "grid_size": self.grid_size,
-            "report": self.report.to_jsonable(),
-        }
 
 
 # index x grid values per block of the columnar uniform check: bounds the
@@ -441,43 +422,47 @@ class EquicontinuityReport:
         return self.found_scale is not None
 
 
+# the member indices and the number of sampled points y per scale that the
+# equicontinuity search tests
+_EQUI_INDICES = (1, 2, 4, 8, 16, 32, 64)
+_EQUI_WITNESSES = 32
+
+
 def check_equicontinuity(
     family: MapFamily,
     space,
     x,
     c1,
     schedule: tuple[float, ...] = tuple(0.5 ** i for i in range(13)),
-    index_samples: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64),
-    witness_count: int = 32,
-    seed: int = 0,
 ) -> EquicontinuityReport:
     """Search for a ball size c2 = s * c1 that the whole family respects.
 
-    For each scale s in the schedule, sample points y with d(x, y) strictly
-    below s * c1 and require d(T_n x, T_n y) strictly below c1 at every
-    sampled index n.  The first scale where all witnesses pass is reported;
+    For each scale s in the schedule, sample _EQUI_WITNESSES points y with
+    d(x, y) strictly below s * c1 (seeded, so the search is reproducible)
+    and require d(T_n x, T_n y) strictly below c1 at every index n in
+    _EQUI_INDICES.  The first scale where all witnesses pass is reported;
     exhausting the schedule reports found_scale None.  A report, not a
     verdict: failure means the search failed at this resolution.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     domain = family.limit.domain if family.limit.domain is not None else space.carrier
     checked = 0
     for s in schedule:
         c2 = scale(s, c1)
         witnesses = []
         attempts = 0
-        while len(witnesses) < witness_count and attempts < 200 * witness_count:
-            batch = domain.sample(rng, witness_count)
+        while len(witnesses) < _EQUI_WITNESSES and attempts < 200 * _EQUI_WITNESSES:
+            batch = domain.sample(rng, _EQUI_WITNESSES)
             attempts += len(batch)
             for y in batch:
                 if cone_compare(space.distance(x, y), c2).way_below:
                     witnesses.append(y)
-                    if len(witnesses) == witness_count:
+                    if len(witnesses) == _EQUI_WITNESSES:
                         break
         if not witnesses:
             continue  # ball too small to hit by sampling; try the next scale
         ok = True
-        for n in index_samples:
+        for n in _EQUI_INDICES:
             m = family.member(n).map
             tx = m(x)
             for y in witnesses:
@@ -731,7 +716,7 @@ def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
             lane = np.arange(len(ns))
             idx = all_idx = np.asarray(ns, dtype=np.int64)
             r = np.asarray(rates, dtype=np.float64)
-            thr = tol * (1.0 - r) / np.maximum(r, 1e-15)
+            thr = _stop_threshold(tol, r)
             bounds = np.asarray(axes, dtype=np.float64)  # lane x axis x 4
             x = [np.asarray(c, dtype=np.float64) for c in zip(*starts)]
             keep = _inside_axes(bounds, x)
@@ -857,7 +842,6 @@ def uniform_limit_harness(
     cfg: CSeqProbeConfig,
     indices,
     start,
-    start_limit=None,
     tol: float = 1e-12,
     max_iter: int = 100_000,
     fp_cache: dict | None = None,
@@ -870,10 +854,10 @@ def uniform_limit_harness(
         inverse(e - alpha) * d(T_n x_n, T x_n)
 
     with alpha the limit coefficient.  start may be a callable n -> x0 or a
-    single point used everywhere; start_limit defaults to the same start.
+    single point used everywhere; the limit map is solved from start(1).
     """
     start_fn = _start_fn(start)
-    limit_start = start_limit if start_limit is not None else start_fn(1)
+    limit_start = start_fn(1)
     limit = family.limit
     inv = neumann_inverse_e_minus(limit.alpha)
 
@@ -893,7 +877,6 @@ def pointwise_limit_harness(
     cfg: CSeqProbeConfig,
     indices,
     start,
-    start_limit=None,
     tol: float = 1e-12,
     max_iter: int = 100_000,
     fp_cache: dict | None = None,
@@ -907,7 +890,7 @@ def pointwise_limit_harness(
     falling back to the limit coefficient for families with a shared one).
     """
     start_fn = _start_fn(start)
-    limit_start = start_limit if start_limit is not None else start_fn(1)
+    limit_start = start_fn(1)
     inv = neumann_inverse_e_minus(family.bound_coefficient)
     limit = family.limit
 
@@ -999,16 +982,11 @@ class ClusterCheckReport:
     residual_ok: bool
     conclusion: str
 
-    def to_jsonable(self) -> dict:
-        res = self.fixed_point_residual
-        return {
-            "converged": self.converged,
-            "cluster_point": self.cluster_point,
-            "cluster_radius": self.cluster_radius,
-            "residual": None if res is None else [res.first, res.second],
-            "residual_ok": self.residual_ok,
-            "conclusion": self.conclusion,
-        }
+
+# the tolerance the cluster check solves members to, and the most limit map
+# applications it polishes a cluster point with
+_CLUSTER_SOLVER_TOL = 1e-12
+_POLISH_CAP = 5000
 
 
 def fixed_point_cluster_check(
@@ -1017,25 +995,24 @@ def fixed_point_cluster_check(
     indices,
     start,
     tol: float = 1e-4,
-    solver_tol: float = 1e-12,
     max_iter: int = 100_000,
-    polish_cap: int = 5000,
     fp_cache: dict | None = None,
 ) -> ClusterCheckReport:
     """Test whether member fixed points settle, and if so whether the
     settling value is fixed by the limit map.
 
-    The last quarter of the solved fixed points must sit inside a ball of
-    radius 10 * tol around their final value; otherwise the report says
-    not convergent and draws no conclusion.  On a cluster, the candidate is
-    polished by iterating the limit map until the float iteration reaches
-    an exact fixed point or polish_cap applications pass, and the residual
-    d(y, T y) at the polished point is reported, acceptable when its norm
-    is at most 10 * tol.
+    Members are solved to _CLUSTER_SOLVER_TOL.  The last quarter of the
+    solved fixed points must sit inside a ball of radius 10 * tol around
+    their final value; otherwise the report says not convergent and draws
+    no conclusion.  On a cluster, the candidate is polished by iterating
+    the limit map until the float iteration reaches an exact fixed point or
+    _POLISH_CAP applications pass, and the residual d(y, T y) at the
+    polished point is reported, acceptable when its norm is at most
+    10 * tol.
     """
     indices = tuple(indices)
-    solved, _ = _solve_members(family, space, _start_fn(start), solver_tol, max_iter, fp_cache,
-                               indices)
+    solved, _ = _solve_members(family, space, _start_fn(start), _CLUSTER_SOLVER_TOL, max_iter,
+                               fp_cache, indices)
     points = [solved(n).point for n in indices]
     quarter = points[-max(1, len(points) // 4):]
     anchor = quarter[-1]
@@ -1046,7 +1023,7 @@ def fixed_point_cluster_check(
         )
     y = anchor
     limit_map = family.limit.map
-    for _ in range(polish_cap):
+    for _ in range(_POLISH_CAP):
         y_next = limit_map(y)
         if y_next == y:
             break
@@ -1072,17 +1049,6 @@ class ApproxPropertyReport:
     labels: tuple
     point_reports: tuple
     passed: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "passed": self.passed,
-            "points": [
-                {"point": list(p) if isinstance(p, tuple) else p,
-                 "distance_probe": a.to_jsonable(),
-                 "image_probe": b.to_jsonable()}
-                for p, (a, b) in zip(self.labels, self.point_reports)
-            ],
-        }
 
 
 def property_g_check(
@@ -1204,14 +1170,6 @@ class CompositeCheckReport:
     conclusion_passed: bool
     detail: object | None
 
-    def to_jsonable(self) -> dict:
-        hyp = {
-            k: (v.to_jsonable() if hasattr(v, "to_jsonable") else v)
-            for k, v in self.hypotheses.items()
-        }
-        det = self.detail.to_jsonable() if hasattr(self.detail, "to_jsonable") else self.detail
-        return {"hypotheses": hyp, "conclusion_passed": self.conclusion_passed, "detail": det}
-
 
 def h_limit_implies_g_limit_check(
     family: MapFamily,
@@ -1277,13 +1235,12 @@ def equicontinuous_pointwise_check(
     cfg: CSeqProbeConfig,
     points,
     c1,
-    seed: int = 0,
 ) -> CompositeCheckReport:
     """Sampled replay of: approach-from-inside plus equicontinuity at each
     point give plain pointwise convergence of the member images."""
     equi_ok = True
     for x in points:
-        rep = check_equicontinuity(family, space, x, c1, seed=seed)
+        rep = check_equicontinuity(family, space, x, c1)
         equi_ok = equi_ok and rep.found
     g_rep = property_g_check(family, space, witness, cfg, points)
     pw = check_pointwise_convergence(family, space, points, cfg)

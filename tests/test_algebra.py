@@ -230,15 +230,13 @@ def _exact_inverse(k) -> tuple[Fraction, Fraction]:
 
 
 def test_spectral_radius_literals():
-    assert spectral_radius(R2Elem(0.5, 7.3), 64) == 0.5
+    assert spectral_radius(R2Elem(0.5, 7.3)) == 0.5
     assert spectral_radius(UT2Elem(-0.3, 100.0)) == 0.3
     assert spectral_radius(unit(R2Elem)) == 1.0
     assert spectral_radius(unit(UT2Elem)) == 1.0
     # nilpotent: the square is exactly zero
     assert spectral_radius(R2Elem(0.0, 3.0)) == 0.0
     assert spectral_radius(zero(UT2Elem)) == 0.0
-    with pytest.raises(ValueError):
-        spectral_radius(R2Elem(0.5, 0.5), 0)
 
 
 def test_spectral_radius_tracks_first_coordinate():
@@ -248,7 +246,7 @@ def test_spectral_radius_tracks_first_coordinate():
         b = rng.uniform(-5.0, 5.0, 300)
         for i in range(300):
             av, bv = float(a[i]), float(b[i])
-            rho = spectral_radius(kind.of(av, bv), 128)
+            rho = spectral_radius(kind.of(av, bv))
             assert rho == abs(av)
             raw, fitted = _power_norm_radius(av, bv, 128)
             assert abs(fitted - rho) <= 1e-3
@@ -321,7 +319,7 @@ def test_neumann_residual_and_cone_membership():
         b = rng.uniform(0.0, 3.0, 300)
         for i in range(300):
             k = kind.of(float(a[i]), float(b[i]))
-            inv = neumann_inverse_e_minus(k, tail_tol)
+            inv = neumann_inverse_e_minus(k)
             resid = sub(mul(sub(unit(kind), k), inv), unit(kind))
             assert norm(resid) < 10.0 * tail_tol
             # k in P with radius below 1 gives an inverse in P
@@ -338,9 +336,3 @@ def test_neumann_rejects_radius_at_or_above_one():
     for bad in ((math.nan, 0.0), (0.5, math.nan), (0.5, math.inf)):
         with pytest.raises(NotInvertibleHere):
             neumann_inverse_e_minus(R2Elem(*bad))
-
-
-def test_neumann_tail_tol_validation():
-    for bad in (0.0, -1e-9, math.nan):
-        with pytest.raises(ValueError):
-            neumann_inverse_e_minus(R2Elem(0.5, 0.0), bad)

@@ -412,6 +412,26 @@ def test_ode_lanes_leave_failing_members_to_ode_solve(k, make, max_iter, error):
     assert _raised(lambda: run(lane_slopes=lane_slopes)) == want
 
 
+def test_ode_lanes_leave_members_that_cannot_be_built_to_ode_solve():
+    # no member from 7 on can be built, and member 2 leaves its tube, which
+    # the rows meet first: the lanes must not raise for member 10 before
+    # that.  At grid 2049 a block holds 16 lanes, so members 17..32 form a
+    # block in which no member can be built at all.
+    members, limit, lane_slopes = _leaky_member_family(2)
+
+    def faulty(n):
+        if n >= 7:
+            raise ValueError(f"member {n} cannot be built")
+        return members(n)
+
+    cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=60)
+    run = lambda **lanes: ode_sequence_harness(
+        faulty, limit, (1, 2, 5, 10), cfg, grid_pts=2049, **lanes)
+    want = _raised(run)
+    assert want[0] is LeftInvariantSet
+    assert _raised(lambda: run(lane_slopes=lane_slopes)) == want
+
+
 def test_ode_lanes_stop_rule_edges(monkeypatch):
     # the family's rate is 1/2, so the stop threshold is tol itself: a step
     # equal to tol must not stop, and a tol whose threshold underflows to 0

@@ -194,3 +194,18 @@ def test_run_all_passes_each_scenario_only_its_knobs(tmp_path, monkeypatch, caps
         "thm_3_10.json": {"seed": 0, "tol": 1e-3},
         "ode_linear.json": {"grid_pts": 257, "seed": 0, "tol": 1e-11},
     }
+
+
+def test_run_all_with_an_invalid_knob_exits_two_and_writes_the_rest(tmp_path, capsys):
+    # thm_3_10 and ode_linear take no horizon, so --all runs them; every
+    # other scenario refuses a horizon below its probe tail
+    assert main(["run", "--all", "--horizon", "2", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == ["ode_linear.json", "thm_3_10.json"]
+    refused = [name for name in ALL_NAMES if name not in ("thm_3_10", "ode_linear")]
+    assert len(refused) == 7
+    for name in refused:
+        line = f"{name}: error: horizon must be >= tail_required (16), got 2\n"
+        assert err.count(line) == 1
+    assert err.count("tail_required (16)") == 7
