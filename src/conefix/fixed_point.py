@@ -102,7 +102,7 @@ class ContractionMap:
             raise ValueError(f"declared coefficient must be finite, got {self.alpha!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlainMap:
     """A bare self map with an optional domain, no coefficient attached.
 
@@ -135,10 +135,15 @@ class MapFamily:
     in the same form.  Lane i must equal member(ns[i]).map at that point
     bit for bit, which holds when both are written once with + - * / and
     abs only, on floats (IEEE exact in numpy and in Python alike; int64
-    products of indices could wrap where Python ints grow).  With it the
-    harnesses solve all the members they need together as numpy lanes, and
-    the convergence checkers and harness probes hand the probe judge whole
-    columns of distances instead of one entry per index.
+    products of indices could wrap where Python ints grow).  Where a numpy
+    ufunc rounds otherwise than the scalar operator (numpy's power against
+    Python's float ** int), a lane function may apply the scalar operator
+    lane by lane instead.  Its input columns may be read-only broadcast
+    views, so it must not write into them.  With it the harnesses solve all
+    the members they need together as numpy lanes, and the convergence
+    checkers, the uniform one with its adversarial points included, and the
+    harness probes hand the probe judge whole columns of distances instead
+    of one entry per index.
     """
 
     def __init__(
@@ -339,18 +344,25 @@ class UniformReport:
 _SUP_BLOCK = 4096
 
 
+def _adversarial_points(family, domain, n: int) -> list:
+    """The family's adversarial points for n, each of which must lie in
+    domain; none for a family without them."""
+    if family.adversarial is None:
+        return []
+    extra = family.adversarial(n)
+    for p in extra:
+        if not domain.contains(p):
+            raise WitnessOutsideDomain(
+                f"adversarial point {p!r} at index {n} is outside the domain"
+            )
+    return list(extra)
+
+
 def _uniform_sup(family, space, domain, points, n: int):
     """The componentwise max of d(T_n x, T x) over points and the family's
-    adversarial points for n, each of which must lie in domain."""
+    adversarial points for n."""
     member_map, limit_map = family.member(n).map, family.limit.map
-    if family.adversarial is not None:
-        extra = family.adversarial(n)
-        for p in extra:
-            if not domain.contains(p):
-                raise WitnessOutsideDomain(
-                    f"adversarial point {p!r} at index {n} is outside the domain"
-                )
-        points = points + list(extra)
+    points = points + _adversarial_points(family, domain, n)
     values = [space.distance(member_map(x), limit_map(x)) for x in points]
     return space.kind.of(max(v.first for v in values), max(v.second for v in values))
 
@@ -368,20 +380,29 @@ def check_uniform_convergence(
     the componentwise cone order of the shipped algebras.  Per index n the
     sample is the dense grid plus any adversarial points the family
     supplies for that n, so a family can be convicted by witnesses that
-    travel with n.  A family with a lane_map and no adversarial points has
-    its sups computed as numpy lanes over the index x grid product.
+    travel with n.  A family with a lane_map has its sups computed as numpy
+    lanes over the index x grid product, with each index's adversarial
+    points folded into its lane; a witness outside domain sends the judge
+    back to the scalar sup, which raises WitnessOutsideDomain at its index.
     """
     if domain is None:
         domain = family.limit.domain if family.limit.domain is not None else space.carrier
     base_points = dense_sample(domain, grid_count)
     limit_map = family.limit.map
     columns = None
-    if family.adversarial is None and _lane_members(family, space, cfg) is not None:
+    if _lane_members(family, space, cfg) is not None:
         dim = _space_dim(space)
+
+        def distances(lane_ns, at, lim):
+            images = _lane_columns(family.lane_map(lane_ns, _pack(at, dim)), dim,
+                                   lane_ns.shape)
+            return space.distances(_pack(images, dim), _pack(lim, dim))
 
         def fn(ns):
             # index x grid products in blocks of at most _SUP_BLOCK values,
-            # each reduced to its componentwise max along the grid axis
+            # each reduced to its componentwise max along the grid axis; a
+            # NaN image makes a NaN sup, which the judge rejects, so max
+            # folds in the adversarial points exactly as the scalar max does
             size = len(base_points)
             grid = _point_columns(base_points, dim, size)
             limits = _point_columns(map(limit_map, base_points), dim, size)
@@ -390,15 +411,25 @@ def check_uniform_convergence(
             bad = np.empty(ns.shape, dtype=bool)
             for i in range(0, ns.size, rows):
                 block = ns[i:i + rows]
-                lane_ns = np.repeat(block, size)
                 at = tuple(np.tile(c, block.size) for c in grid)
-                images = family.lane_map(lane_ns, _pack(at, dim))
-                images = _lane_columns(images, dim, lane_ns.shape)
                 lim = tuple(np.tile(c, block.size) for c in limits)
-                d1, d2, out = space.distances(_pack(images, dim), _pack(lim, dim))
+                d1, d2, out = distances(np.repeat(block, size), at, lim)
                 first[i:i + rows] = d1.reshape(block.size, size).max(axis=1)
                 second[i:i + rows] = d2.reshape(block.size, size).max(axis=1)
                 bad[i:i + rows] = out.reshape(block.size, size).any(axis=1)
+                owners, extra = [], []
+                for lane, n in enumerate(block.tolist(), start=i):
+                    witnesses = _adversarial_points(family, domain, n)
+                    owners += [lane] * len(witnesses)
+                    extra += witnesses
+                if extra:
+                    owner = np.array(owners, dtype=np.intp)
+                    at = _point_columns(extra, dim, len(extra))
+                    lim = _point_columns(map(limit_map, extra), dim, len(extra))
+                    d1, d2, out = distances(ns[owner], at, lim)
+                    np.maximum.at(first, owner, d1)
+                    np.maximum.at(second, owner, d2)
+                    np.logical_or.at(bad, owner, out)
             return first, second, bad
 
         columns = (space.kind, fn)
@@ -657,8 +688,9 @@ def _point_columns(points, dim: int, count: int) -> tuple:
 
 
 def _constant(x, dim: int, shape) -> tuple:
-    """The point x in every lane, as dim float64 columns."""
-    return tuple(np.full(shape, c[0]) for c in _point_columns((x,), dim, 1))
+    """The point x in every lane, as dim read-only float64 columns that
+    share one entry each."""
+    return tuple(np.broadcast_to(c[0], shape) for c in _point_columns((x,), dim, 1))
 
 
 def _lane_members(family, space, cfg: CSeqProbeConfig):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conefix.algebra import R2Elem, UT2Elem
+from conefix import fixed_point, scenarios
 from conefix.errors import PointOutsideCarrier, WitnessOutsideDomain
 from conefix.fixed_point import (
     ContractionMap,
@@ -18,13 +19,16 @@ from conefix.fixed_point import (
     PlainMap,
     check_pointwise_convergence,
     check_uniform_convergence,
+    dense_sample,
     pointwise_limit_harness,
     property_g_check,
     subdomain_limit_harness,
     uniform_limit_harness,
 )
 from conefix.scenarios import (
+    ScenarioConfig,
     _interval_ut2_family,
+    _power_family,
     _subinterval_family,
     _system_family,
     run_scenario,
@@ -243,12 +247,10 @@ def test_premises_make_no_scalar_distance_call(monkeypatch):
     assert report.passed
 
 
-def test_scenario_premises_and_probes_are_judged_from_columns(monkeypatch):
-    # a silent fall back to the scalar fetch would keep every payload and
-    # lose the speed: every judge call in the fixed point module must get a
-    # columnar source that is used, with a scalar fetch that refuses
-    from conefix import fixed_point
-
+def _judge_from_columns_only(monkeypatch) -> list:
+    """Patch the probe judge of the scenario and fixed point modules to
+    demand a columnar source and refuse the scalar fetch; returns the list
+    the horizon of each judge call is appended to."""
     real = fixed_point.is_c_sequence
     calls = []
 
@@ -261,7 +263,16 @@ def test_scenario_premises_and_probes_are_judged_from_columns(monkeypatch):
         calls.append(cfg.horizon)
         return real(refuse, cfg, columns)
 
-    monkeypatch.setattr(fixed_point, "is_c_sequence", columns_only)
+    for module in (scenarios, fixed_point):
+        monkeypatch.setattr(module, "is_c_sequence", columns_only)
+    return calls
+
+
+def test_scenario_premises_and_probes_are_judged_from_columns(monkeypatch):
+    # a silent fall back to the scalar fetch would keep every payload and
+    # lose the speed: every judge call in the fixed point module must get a
+    # columnar source that is used, with a scalar fetch that refuses
+    calls = _judge_from_columns_only(monkeypatch)
     for name in ("thm_2_9", "thm_2_10", "thm_3_6", "thm_4_1"):
         run = run_scenario(name)
         assert run.to_json().encode() == (GOLDEN_DIR / f"{name}.json").read_bytes()
@@ -273,8 +284,8 @@ def test_scenario_premises_and_probes_are_judged_from_columns(monkeypatch):
 
 def test_uniform_check_keeps_adversarial_points_with_lanes():
     # a bump of height 1/4 centred off the dense grid: the grid sup decays
-    # in n, but the adversarial point pins it; the lanes, which know only
-    # the grid, must leave such a family to the scalar sup
+    # in n, but the adversarial point pins it, in the lanes as in the
+    # scalar sup
     c = 0.3183098861837907
     step = lambda n, x: 0.5 * x + 0.25 / (1.0 + (n * n * n) * (x - c) * (x - c))
 
@@ -308,3 +319,141 @@ def test_points_that_are_not_floats_take_the_scalar_path():
     ]
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] is TypeError
+
+
+@pytest.mark.parametrize("name, judge_calls", [
+    # example_2_6: one probe per k; example_2_8: 14 pointwise premise
+    # points and the uniform check
+    ("example_2_6", 3),
+    ("example_2_8", 14 + 1),
+])
+def test_long_horizon_probes_are_judged_from_columns(monkeypatch, name, judge_calls):
+    calls = _judge_from_columns_only(monkeypatch)
+    run = run_scenario(name)
+    assert run.to_json().encode() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+    assert len(calls) == judge_calls
+
+
+@pytest.mark.parametrize("name, horizon", [("example_2_6", 50_000), ("example_2_8", 20_000)])
+def test_long_horizon_reports_equal_the_scalar_ones(monkeypatch, name, horizon):
+    # at the benchmark's horizons, every judge call reports with its columns
+    # exactly what it reports from the scalar fetch
+    real = fixed_point.is_c_sequence
+    compared = []
+
+    def both(seq, cfg, columns=None):
+        report = real(seq, cfg, columns)
+        assert report == real(seq, cfg)
+        compared.append(cfg.horizon)
+        return report
+
+    for module in (scenarios, fixed_point):
+        monkeypatch.setattr(module, "is_c_sequence", both)
+    run_scenario(name, ScenarioConfig(horizon=horizon, seed=1_000_000_011))
+    assert horizon in compared
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _assert_power_lanes_match(family, ns, points):
+    """lane_map on every (n, point) pair of ns x points against the member
+    maps, bit for bit; returns the lane images."""
+    lane_ns = np.repeat(ns, len(points))
+    xs = np.tile([p[0] for p in points], ns.size)
+    ys = np.tile([p[1] for p in points], ns.size)
+    got = family.lane_map(lane_ns, (xs, ys))
+    want = [family.member(n).map(p) for n in ns.tolist() for p in points]
+    assert _bits(got[0]) == _bits([w[0] for w in want])
+    assert _bits(got[1]) == _bits([w[1] for w in want])
+    return got
+
+
+def _underflows(images) -> tuple[bool, bool]:
+    """Whether some lane image is subnormal and whether some is 0.0."""
+    values = np.concatenate(images)
+    tiny = np.finfo(np.float64).tiny
+    return bool(((values > 0.0) & (values < tiny)).any()), bool((values == 0.0).any())
+
+
+@pytest.mark.parametrize("seed", [0, 1_000_000_011])
+def test_power_lanes_match_the_members_at_the_premise_points(seed):
+    space, family = _power_family()
+    points = space.sample(np.random.default_rng(seed), 12) + [(0.5, 0.5), (0.9, 0.9)]
+    images = _assert_power_lanes_match(family, np.arange(1, 20_001), points)
+    assert _underflows(images) == (True, True)
+
+
+def test_power_lanes_match_the_members_on_the_grid_and_witness():
+    space, family = _power_family()
+    box = family.limit.domain
+    ns = np.arange(1, 301)
+    images = _assert_power_lanes_match(family, ns, dense_sample(box, 256))
+    assert _underflows(images) == (True, True)
+    for n in ns.tolist():
+        _assert_power_lanes_match(family, np.array([n]), family.adversarial(n))
+
+
+_BUMP_C = 0.3183098861837907
+# the domain of the adversarial cases: 1.0 is on the carrier but off it
+HALF_OPEN = IntervalDomain(0.0, 1.0, open_hi=True)
+
+
+def _bump_step(n, x):
+    return 0.5 * x + 0.25 / (1.0 + (n * n * n) * (x - _BUMP_C) * (x - _BUMP_C))
+
+
+def _nan_at_bump(n, x):
+    return np.where(x == _BUMP_C, np.nan, 0.5 * x)
+
+
+def _refuse_index_5(n):
+    if n == 5:
+        raise ValueError("no witness at index 5")
+    return [_BUMP_C]
+
+
+# (scalar member map, lane_map, adversarial)
+_ADVERSARIAL_CASES = {
+    "witness outside the domain at index 7": (
+        _bump_step, _bump_step, lambda n: [1.0] if n == 7 else [_BUMP_C]),
+    "adversarial raises": (_bump_step, _bump_step, _refuse_index_5),
+    "0, 1 or 2 witnesses per index": (
+        _bump_step, _bump_step, lambda n: [_BUMP_C, 0.7][: n % 3]),
+    "witnesses from a generator": (
+        _bump_step, _bump_step, lambda n: (p for p in [_BUMP_C])),
+    "NaN image at the witness": (
+        lambda n, x: float("nan") if x == _BUMP_C else 0.5 * x, _nan_at_bump,
+        lambda n: [_BUMP_C]),
+}
+
+
+def _uniform_adversarial(case: str, lanes: bool):
+    """check_uniform_convergence on the family of an adversarial case."""
+    step, lane_map, adversarial = _ADVERSARIAL_CASES[case]
+    family = MapFamily(
+        lambda n: PlainMap(lambda x, n=n: step(n, x), HALF_OPEN),
+        PlainMap(lambda x: 0.5 * x, HALF_OPEN),
+        adversarial=adversarial,
+        lane_map=lane_map if lanes else None,
+    )
+    cfg = CSeqProbeConfig(probes=(UT2Elem(0.1, 0.1),), horizon=200)
+    return check_uniform_convergence(family, IntervalUT2Space(1.0), cfg, grid_count=33)
+
+
+@pytest.mark.parametrize("case", sorted(_ADVERSARIAL_CASES))
+def test_uniform_check_with_adversarial_lanes_matches_the_scalar_sup(case):
+    got, want = (_outcome(lambda: _uniform_adversarial(case, lanes)) for lanes in (True, False))
+    assert got == want
+
+
+def test_uniform_check_folds_varying_witness_counts_into_its_lanes(monkeypatch):
+    # the lanes must carry the witnesses themselves, not hand the family
+    # back to the scalar sup
+    case = "0, 1 or 2 witnesses per index"
+    want = _uniform_adversarial(case, False)
+    assert not want.passed
+    calls = _judge_from_columns_only(monkeypatch)
+    assert _uniform_adversarial(case, True) == want
+    assert calls == [200]
