@@ -86,7 +86,6 @@ from .spaces import (
     IntervalUT2Space,
     PlaneR2Space,
     ProbeOutcome,
-    bielecki_norm,
     check_metric_axioms,
     default_probes,
     is_c_sequence,

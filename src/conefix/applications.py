@@ -13,8 +13,10 @@ The second builds a weighted-norm certificate for a pair of decoupled
 initial value problems y' = f(x, y), z' = g(x, z) on a shared interval and
 solves both by integral Picard iteration on a fixed grid.  The solve
 interval half-width comes from an inflated bound on |f| and |g| so the
-iterates provably stay inside the stated tube, and the weight rates are
-chosen so the iteration contracts with factor at most one half.
+iterates stay inside the stated tube, and the weight rates are chosen so
+the iteration contracts with factor at most one half.  Every step, row
+distance and displacement is measured in the certificate's
+BieleckiPairSpace, through its distances; the tube test is a plain max.
 """
 
 from __future__ import annotations
@@ -42,7 +44,13 @@ from .fixed_point import (
     pointwise_limit_harness,
 )
 from .grid import GridFunction, cumulative_trapezoid_from
-from .spaces import BoxDomain, CSeqProbeConfig, PlaneR2Space, is_c_sequence
+from .spaces import (
+    BieleckiPairSpace,
+    BoxDomain,
+    CSeqProbeConfig,
+    PlaneR2Space,
+    is_c_sequence,
+)
 
 __all__ = [
     "CoupledSystem",
@@ -188,17 +196,18 @@ def coupled_sequence_harness(
     """Roots of a system family against the limit system's root, every
     system solved from the origin, with the varying-coefficient fixed point
     bound driven by the members' displacement at the limit root.  The
-    coefficient bound is the larger of the first member's and the limit's
-    lip.
+    coefficient bound is the largest lip of the limit and of the members at
+    indices, so it dominates the coefficient of every member a row reads.
 
     lane_map, when given, is the members' operator on numpy lanes (see
     MapFamily); for systems whose equations are array-safe it is
     lambda ns, p: members(ns).operator(p).
     """
+    indices = tuple(indices)
     family = MapFamily(
         lambda n: members(n).as_contraction(),
         limit.as_contraction(),
-        coefficient_bound=R2Elem(max(members(1).lip, limit.lip), 0.0),
+        coefficient_bound=R2Elem(max([limit.lip, *(members(n).lip for n in indices)]), 0.0),
         lane_map=lane_map,
     )
     return pointwise_limit_harness(
@@ -241,11 +250,14 @@ class OdeCertificate:
     maxima, so the interval half-width h is slightly conservative and the
     tube invariance survives quadrature and roundoff error.  sample_pts
     records the per-axis mesh density behind those maxima.  tau1 and tau2
-    are the weight rates; the weight is exp(-tau * |x - center|), centered
-    because integration runs both ways from the initial condition (a weight
-    anchored at one end would not contract on the other side).  alpha is
-    the contraction coefficient of the integral operator pair under that
-    weighted distance.
+    are the weight rates of the BieleckiPairSpace on [lo, hi] that every
+    ODE distance is measured in; its weight is exp(-tau * |x - center|),
+    centered because integration runs both ways from the initial condition
+    (a weight anchored at one end would not contract on the other side).
+    alpha is the contraction coefficient of the integral operator pair under
+    the exact weight.  The space rounds its weights to 29 significand bits,
+    which changes w(x) / w(s) by at most (1 + 2^-29) / (1 - 2^-29), so in
+    the rounded metric alpha holds up to a factor of about 1 + 2^-28.
     """
 
     h: float
@@ -362,17 +374,26 @@ def _tube_slack(radius):
     return 1e-9 * (1.0 + radius)
 
 
+def _tube_excess(values, init, radius):
+    """max |values - init| - radius over the grid axis, one per row.
+
+    Read off each row's extremes: rounding is monotone, so the larger of
+    max - init and init - min is exactly the largest rounded |values - init|,
+    and no temporary of a lane block's size is made."""
+    top = values.max(axis=-1, keepdims=True) - init
+    low = init - values.min(axis=-1, keepdims=True)
+    return np.maximum(top, low)[..., 0] - radius
+
+
 @dataclass(frozen=True)
 class _OdeGrid:
-    """What every sweep under one certificate shares: the nodes, their
-    spacing, the center node the initial condition sits on, the two weight
-    profiles and the stop threshold."""
+    """What every sweep under one certificate shares: the space the sweeps
+    are measured in (its nodes are the grid), the node spacing, the center
+    node the initial condition sits on, and the stop threshold."""
 
-    nodes: np.ndarray
+    space: BieleckiPairSpace
     spacing: float
     mid: int
-    w1: np.ndarray
-    w2: np.ndarray
     threshold: float
 
     def integral(self, values):
@@ -383,25 +404,13 @@ class _OdeGrid:
 def _ode_grid(cert: OdeCertificate, grid_pts: int, tol: float) -> _OdeGrid:
     if grid_pts < 3 or grid_pts % 2 == 0:
         raise ValueError(f"grid_pts must be odd and at least 3, got {grid_pts}")
-    nodes = np.linspace(cert.lo, cert.hi, grid_pts)
+    space = BieleckiPairSpace(cert.lo, cert.hi, grid_pts, cert.tau1, cert.tau2)
     return _OdeGrid(
-        nodes,
+        space,
         (cert.hi - cert.lo) / (grid_pts - 1),
         (grid_pts - 1) // 2,
-        np.exp(-cert.tau1 * np.abs(nodes - cert.center)),
-        np.exp(-cert.tau2 * np.abs(nodes - cert.center)),
         float(_stop_threshold(tol, spectral_radius(cert.alpha))),
     )
-
-
-def _weighted_sup(a, b, w, out=None):
-    """max |a - b| * w over the grid axis (w None: unweighted), one value
-    per row for lanes; out, if given, is scratch space for a - b."""
-    gap = np.subtract(a, b, out=out)
-    np.abs(gap, out=gap)
-    if w is not None:
-        gap *= w
-    return gap.max(axis=-1)
 
 
 def _ode_solution(nodes, y, z, deltas: list) -> OdeSolution:
@@ -429,24 +438,22 @@ def ode_solve(
     """
     cert = certificate if certificate is not None else ode_certify(problem)
     grid = _ode_grid(cert, grid_pts, tol)
-    nodes = grid.nodes
+    nodes = grid.space.nodes
     y = np.full(grid_pts, float(problem.y_init))
     z = np.full(grid_pts, float(problem.z_init))
     deltas: list[R2Elem] = []
     for it in range(1, max_iter + 1):
         y_next = problem.y_init + grid.integral(problem.f(nodes, y))
         z_next = problem.z_init + grid.integral(problem.g(nodes, z))
-        y_exc = float(_weighted_sup(y_next, problem.y_init, None)) - problem.y_radius
-        z_exc = float(_weighted_sup(z_next, problem.z_init, None)) - problem.z_radius
+        y_exc = _tube_excess(y_next, problem.y_init, problem.y_radius)
+        z_exc = _tube_excess(z_next, problem.z_init, problem.z_radius)
         if y_exc > _tube_slack(problem.y_radius) or z_exc > _tube_slack(problem.z_radius):
             raise LeftInvariantSet(
                 f"iterate {it} left the certified tube "
                 f"(y excess {max(y_exc, 0.0):.3e}, z excess {max(z_exc, 0.0):.3e})"
             )
-        delta = R2Elem(
-            float(_weighted_sup(y_next, y, grid.w1)),
-            float(_weighted_sup(z_next, z, grid.w2)),
-        )
+        d1, d2, _ = grid.space.distances((y_next, z_next), (y, z))
+        delta = R2Elem(float(d1), float(d2))
         deltas.append(delta)
         y, z = y_next, z_next
         if norm(delta) < grid.threshold or norm(delta) == 0.0:
@@ -489,7 +496,7 @@ def _ode_lane_block(members, lane_slopes, grid: _OdeGrid, max_iter: int, block,
             params.append(vals)
     if not ns:
         return
-    nodes = grid.nodes
+    nodes = grid.space.nodes
     try:
         with np.errstate(all="ignore"):
             cols = np.asarray(params, dtype=np.float64)
@@ -514,12 +521,10 @@ def _ode_lane_block(members, lane_slopes, grid: _OdeGrid, max_iter: int, block,
                 y_next += y0
                 z_next = grid.integral(gz)
                 z_next += z0
-                buf = np.empty_like(y)
-                y_exc = _weighted_sup(y_next, y0, None, buf) - ry
-                z_exc = _weighted_sup(z_next, z0, None, buf) - rz
+                y_exc = _tube_excess(y_next, y0, ry)
+                z_exc = _tube_excess(z_next, z0, rz)
                 inside = ~((y_exc > _tube_slack(ry)) | (z_exc > _tube_slack(rz)))
-                d1 = _weighted_sup(y_next, y, grid.w1, buf)
-                d2 = _weighted_sup(z_next, z, grid.w2, buf)
+                d1, d2, _ = grid.space.distances((y_next, z_next), (y, z))
                 if cache is not None:
                     full = np.full((2, len(ns)), np.nan)
                     full[0, lane], full[1, lane] = d1, d2
@@ -529,8 +534,9 @@ def _ode_lane_block(members, lane_slopes, grid: _OdeGrid, max_iter: int, block,
                 if done.any():
                     done_lane.append(lane[done])
                     done_iter.append(np.full(int(done.sum()), it))
-                    done_d1.append(_weighted_sup(y_next[done], u_y, grid.w1))
-                    done_d2.append(_weighted_sup(z_next[done], u_z, grid.w2))
+                    g1, g2, _ = grid.space.distances((y_next[done], z_next[done]), (u_y, u_z))
+                    done_d1.append(g1)
+                    done_d2.append(g2)
                     if cache is not None:
                         done_y.append(y_next[done])
                         done_z.append(z_next[done])
@@ -659,17 +665,15 @@ def ode_sequence_harness(
                 sol = ode_solve(members(n), grid_pts, tol, max_iter, cert)
                 if solution_cache is not None:
                     solution_cache[n] = sol
-            d = memo[n] = R2Elem(
-                float(_weighted_sup(sol.y.values, u_y, grid.w1)),
-                float(_weighted_sup(sol.z.values, u_z, grid.w2)),
-            )
+            d1, d2, _ = grid.space.distances((sol.y.values, sol.z.values), (u_y, u_z))
+            d = memo[n] = R2Elem(float(d1), float(d2))
         if distance_log is not None:
             distance_log[n] = d
         return d
 
     def sweep(problem: OdeProblem):
-        sy = problem.y_init + grid.integral(problem.f(grid.nodes, u_y))
-        sz = problem.z_init + grid.integral(problem.g(grid.nodes, u_z))
+        sy = problem.y_init + grid.integral(problem.f(grid.space.nodes, u_y))
+        sz = problem.z_init + grid.integral(problem.g(grid.space.nodes, u_z))
         return sy, sz
 
     limit_sweep_y, limit_sweep_z = sweep(limit)
@@ -678,10 +682,9 @@ def ode_sequence_harness(
     for n in indices:
         dist = distance_to_limit(n)
         member_sweep_y, member_sweep_z = sweep(members(n))
-        displacement = R2Elem(
-            float(_weighted_sup(member_sweep_y, limit_sweep_y, grid.w1)),
-            float(_weighted_sup(member_sweep_z, limit_sweep_z, grid.w2)),
-        )
+        d1, d2, _ = grid.space.distances((member_sweep_y, member_sweep_z),
+                                         (limit_sweep_y, limit_sweep_z))
+        displacement = R2Elem(float(d1), float(d2))
         rows.append((dist, _padded_bound(inv, displacement) + solver_slack))
     probe = is_c_sequence(distance_to_limit, cfg)
     return _bound_report("ode family solution bound", indices, rows, probe)

@@ -71,25 +71,6 @@ class GridFunction:
         self._require_same_grid(other)
         return GridFunction(self.nodes, self.values - other.values)
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._require_same_grid(other)
-        return GridFunction(self.nodes, self.values + other.values)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def to_jsonable(self) -> dict:
-        return {
-            "x": [float(v) for v in self.nodes],
-            "values": [float(v) for v in self.values],
-        }
-
-    def to_csv(self) -> str:
-        lines = ["x,value"]
-        for x, v in zip(self.nodes, self.values):
-            lines.append(f"{float(x)!r},{float(v)!r}")
-        return "\n".join(lines) + "\n"
-
 
 def cumulative_trapezoid_from(
     values: np.ndarray, spacing: float, anchor_index: int

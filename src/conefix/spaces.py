@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "CSeqProbeReport",
     "default_probes",
     "is_c_sequence",
-    "bielecki_norm",
 ]
 
 # lattice resolution for carrier sampling; fine enough to behave like a
@@ -218,34 +217,33 @@ class PlaneR2Space:
         return np.abs(ps[0] - qs[0]), np.abs(ps[1] - qs[1]), ~inside
 
 
-def bielecki_norm(f: GridFunction, tau: float, offset: float = 0.0) -> float:
-    """Weighted sup norm max |f(t)| * exp(-tau * (t - offset)) over the grid.
-
-    At tau = 0 the weights are exactly one and this is the plain max norm.
-    """
-    if tau < 0.0:
-        raise ValueError("tau must be >= 0")
-    if tau == 0.0:
-        return f.max_abs()
-    weights = np.exp(-tau * (f.nodes - offset))
-    return float(np.max(np.abs(f.values) * weights))
+def _weighted_max(gap: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """max |gap| * w over the last axis, worked in gap's own buffer: on a
+    block of lanes a second temporary costs more than the arithmetic."""
+    np.abs(gap, out=gap)
+    gap *= w
+    return gap.max(axis=-1)
 
 
 @dataclass(frozen=True)
 class BieleckiPairSpace:
-    """Pairs of grid functions measured in a pair of weighted sup norms.
+    """Pairs of grid functions on [lo, hi] under two Bielecki norms.
 
     Points are (y, z) tuples of GridFunction on this space's grid.  The
-    distance is an R2Elem whose coordinates are the weighted norms of the
-    coordinate gaps.  The weight anchor (offset) is shared by both norms.
+    distance is the R2Elem of the weighted sups max |gap(t)| * w(t) of the
+    coordinate gaps, w(t) = exp(-tau * |t - m|) with m = (lo + hi) / 2, tau1
+    for y and tau2 for z (A. Bielecki, Bull. Acad. Polon. Sci. 4, 1956).
+    Every ODE row is measured in this space: its certificate solves on
+    [center - h, center + h], so the weight decays both ways from the
+    initial-value node m.
 
-    The weights this space uses are exp(-tau * (t - offset)) rounded to 29
-    significand bits (relative error below 2^-29).  With sampled values on
-    the dyadic lattice, every |gap| * weight product is then exactly
-    representable, which carries the triangle inequality through the maxima
-    without roundoff; true exponential weights would leak one-ulp axiom
-    violations.  The module preamble explains the same tradeoff for the
-    point carriers.
+    The weights are rounded to 29 significand bits.  With sampled values on
+    the dyadic lattice every |gap| * weight product is then exact, which
+    carries the triangle inequality through the maxima without roundoff
+    (the module preamble explains the same tradeoff for the point
+    carriers).  The rounding changes w(x) / w(s) by at most
+    (1 + 2^-29) / (1 - 2^-29), so a contraction rate certified for the
+    exact weight holds here up to a factor of about 1 + 2^-28.
     """
 
     lo: float
@@ -253,8 +251,9 @@ class BieleckiPairSpace:
     grid_pts: int
     tau1: float
     tau2: float
-    offset: float
     value_box: tuple[float, float] = (-1.0, 1.0)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: tuple = field(init=False, repr=False, compare=False)
     kind = R2Elem
 
     def __post_init__(self) -> None:
@@ -264,25 +263,21 @@ class BieleckiPairSpace:
             raise ValueError("interval must have lo < hi")
         if self.tau1 < 0.0 or self.tau2 < 0.0:
             raise ValueError("weights need tau >= 0")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.grid_pts)
-
-    def _weights(self, tau: float) -> np.ndarray:
-        raw = np.exp(-tau * (self.nodes - self.offset))
-        mant, expo = np.frexp(raw)
-        return np.ldexp(np.round(np.ldexp(mant, 29)), expo - 29)
+        # built here, before any sweep allocates its lane blocks: made lazily
+        # in the middle of a sweep they fragment the heap (a larger peak RSS)
+        nodes = np.linspace(self.lo, self.hi, self.grid_pts)
+        nodes.flags.writeable = False
+        weights = []
+        for tau in (self.tau1, self.tau2):
+            mant, expo = np.frexp(np.exp(-tau * np.abs(nodes - (self.lo + self.hi) / 2)))
+            weights.append(np.ldexp(np.round(np.ldexp(mant, 29)), expo - 29))
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "_weights", tuple(weights))
 
     def contains(self, p: tuple[GridFunction, GridFunction]) -> bool:
         y, z = p
-        ok_grid = (
-            y.nodes.size == self.grid_pts
-            and z.nodes.size == self.grid_pts
-            and y.same_grid(z)
-            and np.array_equal(y.nodes, self.nodes)
-        )
-        return bool(ok_grid and np.all(np.isfinite(y.values)) and np.all(np.isfinite(z.values)))
+        return bool(y.same_grid(z) and np.array_equal(y.nodes, self.nodes)
+                    and np.all(np.isfinite(y.values)) and np.all(np.isfinite(z.values)))
 
     def _snap(self, values: np.ndarray) -> np.ndarray:
         # interpolation rounds off the lattice; snap back so that value
@@ -311,9 +306,26 @@ class BieleckiPairSpace:
                  q: tuple[GridFunction, GridFunction]) -> R2Elem:
         if not (self.contains(p) and self.contains(q)):
             raise PointOutsideCarrier("pair is not on this space's grid")
-        d1 = float(np.max(np.abs((p[0] - q[0]).values) * self._weights(self.tau1)))
-        d2 = float(np.max(np.abs((p[1] - q[1]).values) * self._weights(self.tau2)))
-        return R2Elem(d1, d2)
+        d1, d2, _ = self.distances((p[0].values, p[1].values), (q[0].values, q[1].values))
+        return R2Elem(float(d1), float(d2))
+
+    def distances(self, ps: tuple[np.ndarray, np.ndarray], qs: tuple[np.ndarray, np.ndarray]):
+        """distance for points given as pairs of value arrays on the nodes.
+
+        Each of the four arrays has shape (..., grid_pts), one function per
+        row, and the shapes broadcast.  Returns (first, second, outside):
+        row i of the two columns holds the coordinates distance would
+        return for the functions of row i, bit for bit; outside[i] marks
+        the rows with a non-finite value, where distance would raise
+        PointOutsideCarrier instead.
+        """
+        d1, d2 = (_weighted_max(p - q, w) for p, q, w in zip(ps, qs, self._weights))
+        # only a row whose maximum is not finite can hold a non-finite value
+        outside = ~(np.isfinite(d1) & np.isfinite(d2))
+        if outside.any():
+            finite = [np.isfinite(v).all(axis=-1) for v in (*ps, *qs)]
+            outside &= ~(finite[0] & finite[1] & finite[2] & finite[3])
+        return d1, d2, outside
 
 
 def _points_equal(x, y) -> bool:

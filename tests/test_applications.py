@@ -9,6 +9,8 @@ from conefix.algebra import R2Elem, zero
 from conefix.applications import (
     CoupledSystem,
     OdeProblem,
+    _family_certificate,
+    _tube_excess,
     coupled_sequence_harness,
     coupled_solve,
     ode_certify,
@@ -23,7 +25,7 @@ from conefix.errors import (
     NoConvergence,
 )
 from conefix.scenarios import ScenarioConfig, _damped_ivp_family, run_scenario
-from conefix.spaces import CSeqProbeConfig
+from conefix.spaces import BieleckiPairSpace, CSeqProbeConfig
 
 TWO_PROBES = (R2Elem(1.0, 1.0), R2Elem(0.05, 0.05))
 
@@ -148,6 +150,23 @@ def test_coupled_sequence_harness_frozen_family():
     assert report.verdict
     assert all(d == zero(R2Elem) for d in report.dists)
     assert all(o.n_found == 0 for o in report.probe.outcomes)
+
+
+def test_coupled_sequence_harness_bounds_members_with_a_larger_rate():
+    # member 1 declares rate 0.1 and every later member 0.9 (each contracts
+    # at 0.5 in truth); the limit declares 0.1.  A coefficient taken from
+    # member 1 and the limit alone makes the row bounds about half the
+    # distances, so the rows must read the rates of the members they show.
+    def members(n):
+        lip = 0.1 if n == 1 else 0.9
+        pull = 0.9 if n == 1 else 0.5
+        return CoupledSystem(lambda x, y: -pull * (x - 10.0 / n), lambda x, y: -pull * y, lip)
+
+    limit = CoupledSystem(lambda x, y: -0.9 * x, lambda x, y: -0.9 * y, 0.1)
+    cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=50)
+    report = coupled_sequence_harness(members, limit, (2, 5, 10, 50), cfg)
+    assert [d.first for d in report.dists] == pytest.approx([5.0, 2.0, 1.0, 0.2])
+    assert report.respected == (True, True, True, True)
 
 
 # ------------------------------------------------------------ certificates
@@ -322,6 +341,44 @@ def test_ode_sequence_harness_generator_indices():
     )
     assert report.indices == (1, 3)
     assert all(d == zero(R2Elem) for d in report.dists)
+
+
+@pytest.mark.parametrize("with_lanes", [False, True])
+def test_ode_sequence_rows_are_measured_in_the_exported_space(with_lanes):
+    members, limit, lane_slopes = _damped_ivp_family()
+    grid_pts, tol = 65, 1e-10
+    cfg = CSeqProbeConfig.default(R2Elem, horizon=200)
+    cache: dict = {}
+    log: dict = {}
+    report = ode_sequence_harness(
+        members, limit, (1, 2, 5, 10, 50, 200), cfg, grid_pts=grid_pts, tol=tol,
+        solution_cache=cache, distance_log=log,
+        lane_slopes=lane_slopes if with_lanes else None)
+    cert = _family_certificate(ode_certify(members(1)), ode_certify(limit), limit.center)
+    space = BieleckiPairSpace(cert.lo, cert.hi, grid_pts, cert.tau1, cert.tau2)
+    u = ode_solve(limit, grid_pts, tol, certificate=cert)
+    want = {n: space.distance((sol.y, sol.z), (u.y, u.z)) for n, sol in cache.items()}
+    assert sorted(want) == sorted(log) == list(range(1, 201))
+    for n, d in zip(report.indices, report.dists):
+        assert _bits((d.first, d.second)) == _bits((want[n].first, want[n].second)), n
+    for n, d in log.items():
+        assert _bits((d.first, d.second)) == _bits((want[n].first, want[n].second)), n
+
+
+def test_tube_excess_equals_the_plain_max_of_the_gaps():
+    # the tube test reads row extremes; it must equal max |values - init|
+    # computed the plain way, rows of lanes and a single grid alike
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(40, 33)) * 10.0 ** rng.integers(-300, 300, size=(40, 1))
+    init = rng.normal(size=(40, 1))
+    values[1, 5], values[2, 7], values[3], values[4, 9] = np.inf, -np.inf, -0.0, np.nan
+    values[5], init[5] = -1.5e308, 1.5e308  # the gap overflows
+    radius = rng.uniform(0.5, 2.0, size=40)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.abs(values - init).max(axis=-1) - radius
+        np.testing.assert_array_equal(_tube_excess(values, init, radius), want)
+        for row, y0, r, w in zip(values, init[:, 0], radius, want):
+            np.testing.assert_array_equal(_tube_excess(row, float(y0), float(r)), w)
 
 
 # ------------------------------------------------- ODE families as numpy lanes

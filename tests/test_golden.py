@@ -10,7 +10,9 @@ must dominate the exact distance, computed in rationals by the benchmark's
 checks (perfbench/checks.py), the one copy of that oracle.  The same audit
 runs on fresh payloads at two non-default knob sets.
 
-Regenerate with:  PYTHONPATH=src python tests/test_golden.py
+Regenerate with:  PYTHONPATH=src python tests/test_golden.py [scenario ...]
+It rewrites the files of the named scenarios only (all of them when none is
+named) and prints which files changed bytes.
 """
 
 from pathlib import Path
@@ -69,14 +71,27 @@ def test_payloads_pass_the_exact_audit_at_other_knobs(name, knob_set):
         assert check_payload(op, knobs["seed"], text) == []
 
 
-def _write_goldens() -> None:
+def _write_goldens(names) -> None:
+    """Regenerate the golden files of the named scenarios and print which
+    files changed bytes."""
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name in SCENARIOS:
+    for name in names:
         run = run_scenario(name)
-        (GOLDEN_DIR / f"{name}.json").write_bytes(run.to_json().encode())
-        (GOLDEN_DIR / f"{name}.csv").write_bytes(run.to_csv().encode())
-        print(f"wrote {name}.json and {name}.csv")
+        for fmt, text in (("json", run.to_json()), ("csv", run.to_csv())):
+            path = GOLDEN_DIR / f"{name}.{fmt}"
+            data = text.encode()
+            if path.exists() and path.read_bytes() == data:
+                print(f"unchanged {path.name}")
+            else:
+                path.write_bytes(data)
+                print(f"CHANGED {path.name}")
 
 
 if __name__ == "__main__":
-    _write_goldens()
+    import sys
+
+    wanted = sys.argv[1:] or list(SCENARIOS)
+    unknown = [name for name in wanted if name not in SCENARIOS]
+    if unknown:
+        sys.exit(f"unknown scenario(s): {', '.join(unknown)}; known: {', '.join(SCENARIOS)}")
+    _write_goldens(wanted)
