@@ -74,7 +74,7 @@ from .fixed_point import (
     uniform_limit_harness,
     verify_contraction,
 )
-from .grid import GridFunction, cumulative_trapezoid_from
+from .grid import cumulative_trapezoid_from
 from .scenarios import SCENARIOS, Scenario, ScenarioConfig, ScenarioRun, run_scenario
 from .spaces import (
     AxiomReport,

@@ -39,11 +39,11 @@ from .fixed_point import (
     MapFamily,
     _bound_report,
     _padded_bound,
-    _stop_threshold,
+    _stop_rule,
     picard_solve,
     pointwise_limit_harness,
 )
-from .grid import GridFunction, cumulative_trapezoid_from
+from .grid import cumulative_trapezoid_from
 from .spaces import (
     BieleckiPairSpace,
     BoxDomain,
@@ -144,7 +144,6 @@ class CoupledRoot:
     y: float
     iterations: int
     residual: R2Elem
-    converged: bool
 
 
 def coupled_solve(
@@ -181,7 +180,7 @@ def coupled_solve(
             f"root residual {norm(residual):.3e} exceeds {allowed:.3e}; "
             "the declared rate does not describe this system"
         )
-    return CoupledRoot(x, y, result.iterations, residual, True)
+    return CoupledRoot(x, y, result.iterations, residual)
 
 
 def coupled_sequence_harness(
@@ -246,52 +245,48 @@ class OdeProblem:
 class OdeCertificate:
     """Solve-interval and contraction data derived from an OdeProblem.
 
-    max_f and max_g carry a five percent inflation over the sampled box
-    maxima, so the interval half-width h is slightly conservative and the
-    tube invariance survives quadrature and roundoff error.  sample_pts
-    records the per-axis mesh density behind those maxima.  tau1 and tau2
-    are the weight rates of the BieleckiPairSpace on [lo, hi] that every
-    ODE distance is measured in; its weight is exp(-tau * |x - center|),
-    centered because integration runs both ways from the initial condition
-    (a weight anchored at one end would not contract on the other side).
-    alpha is the contraction coefficient of the integral operator pair under
-    the exact weight.  The space rounds its weights to 29 significand bits,
-    which changes w(x) / w(s) by at most (1 + 2^-29) / (1 - 2^-29), so in
-    the rounded metric alpha holds up to a factor of about 1 + 2^-28.
+    sampled_max_f and sampled_max_g are the box maxima of |f| and |g| on
+    the sample mesh; max_f and max_g inflate them by five percent, so the
+    interval half-width h = min(h1, h2) is slightly conservative and the
+    tube invariance survives quadrature and roundoff error.  tau is the
+    weight rate of the BieleckiPairSpace on [lo, hi] = [center - h,
+    center + h] that every ODE distance is measured in; its weight is
+    exp(-tau * |x - center|), centered because integration runs both ways
+    from the initial condition (a weight anchored at one end would not
+    contract on the other side).  alpha is the contraction coefficient of
+    the integral operator pair under the exact weight.  The space rounds
+    its weights to 29 significand bits, which changes w(x) / w(s) by at
+    most (1 + 2^-29) / (1 - 2^-29), so in the rounded metric alpha holds up
+    to a factor of about 1 + 2^-28.
     """
 
-    h: float
     h1: float
     h2: float
-    max_f: float
-    max_g: float
     sampled_max_f: float
     sampled_max_g: float
-    tau1: float
-    tau2: float
+    tau: float
     alpha: R2Elem
-    lo: float
-    hi: float
     center: float
-    sample_pts: int
 
-    def to_jsonable(self) -> dict:
-        return {
-            "h": self.h,
-            "h1": self.h1,
-            "h2": self.h2,
-            "max_f": self.max_f,
-            "max_g": self.max_g,
-            "sampled_max_f": self.sampled_max_f,
-            "sampled_max_g": self.sampled_max_g,
-            "tau1": self.tau1,
-            "tau2": self.tau2,
-            "alpha": [self.alpha.first, self.alpha.second],
-            "lo": self.lo,
-            "hi": self.hi,
-            "center": self.center,
-            "sample_pts": self.sample_pts,
-        }
+    @property
+    def max_f(self) -> float:
+        return _INFLATION * self.sampled_max_f
+
+    @property
+    def max_g(self) -> float:
+        return _INFLATION * self.sampled_max_g
+
+    @property
+    def h(self) -> float:
+        return min(self.h1, self.h2)
+
+    @property
+    def lo(self) -> float:
+        return self.center - self.h
+
+    @property
+    def hi(self) -> float:
+        return self.center + self.h
 
 
 _INFLATION = 1.05
@@ -304,11 +299,13 @@ def _check_sampled_lipschitz(label: str, fn, xs, us, lip: float, width: float) -
     # (linspace steps are dyadic here only by luck, so keep a product-
     # rounding allowance on the right side)
     vals = fn(*np.meshgrid(xs, us, indexing="ij"))
+    if not np.isfinite(vals).all():
+        raise ConditionViolated(f"{label} is not finite on the sample mesh")
     lhs = np.abs(vals[:, :, None] - vals[:, None, :])
     rhs = lip * np.abs(us[None, :, None] - us[None, None, :])
     slack = 1e-12 * (1.0 + abs(lip) * (1.0 + width))
     worst = float(np.max(lhs - rhs))
-    if worst > slack:
+    if not worst <= slack:  # a NaN rate fails too
         raise ConditionViolated(
             f"declared rate for {label} fails on the sample mesh "
             f"(worst excess {worst:.3e} over slack {slack:.3e})"
@@ -326,11 +323,11 @@ def ode_certify(problem: OdeProblem) -> OdeCertificate:
     h1 = min(x_radius, y_radius / max_f) and h2 likewise for g, with a
     vanishing right side meaning no constraint (identically zero slope
     keeps any tube).  The declared one-sided rates are sampled on the same
-    mesh (ConditionViolated on failure).  The weight rates are
-    tau1 = tau2 = 2 * max(lip_f, lip_g, 1/2), making the coefficient's
-    first coordinate lip/tau <= 1/2.
+    mesh; a slope that is not finite there, or breaks its rate, raises
+    ConditionViolated.  The weight rate is tau = 2 * max(lip_f, lip_g, 1/2),
+    making the coefficient's first coordinate lip/tau <= 1/2.
     """
-    if problem.x_radius <= 0.0 or problem.y_radius <= 0.0 or problem.z_radius <= 0.0:
+    if not (problem.x_radius > 0.0 and problem.y_radius > 0.0 and problem.z_radius > 0.0):
         raise DegenerateBox(
             "box half-widths must be positive, got "
             f"({problem.x_radius}, {problem.y_radius}, {problem.z_radius})"
@@ -351,23 +348,22 @@ def ode_certify(problem: OdeProblem) -> OdeCertificate:
     max_g = _INFLATION * sampled_g
     h1 = problem.x_radius if max_f == 0.0 else min(problem.x_radius, problem.y_radius / max_f)
     h2 = problem.x_radius if max_g == 0.0 else min(problem.x_radius, problem.z_radius / max_g)
-    h = min(h1, h2)
     tau = 2.0 * max(problem.lip_f, problem.lip_g, 0.5)
     alpha = R2Elem(max(problem.lip_f / tau, problem.lip_g / tau), 0.0)
-    return OdeCertificate(
-        h, h1, h2, max_f, max_g, sampled_f, sampled_g, tau, tau, alpha,
-        problem.center - h, problem.center + h, problem.center, _SAMPLE_PTS,
-    )
+    return OdeCertificate(h1, h2, sampled_f, sampled_g, tau, alpha, problem.center)
 
 
 @dataclass(frozen=True)
 class OdeSolution:
-    y: GridFunction
-    z: GridFunction
+    """Values of y and z on the grid nodes (y and z read-only), with the
+    weighted step of every sweep and the ratios of successive step norms."""
+
+    nodes: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
     iterations: int
     delta_history: tuple
     ratio_history: tuple[float, ...]
-    converged: bool
 
 
 def _tube_slack(radius):
@@ -389,12 +385,13 @@ def _tube_excess(values, init, radius):
 class _OdeGrid:
     """What every sweep under one certificate shares: the space the sweeps
     are measured in (its nodes are the grid), the node spacing, the center
-    node the initial condition sits on, and the stop threshold."""
+    node the initial condition sits on, and the stop rule (see _stop_rule)."""
 
     space: BieleckiPairSpace
     spacing: float
     mid: int
     threshold: float
+    first_weight: float
 
     def integral(self, values):
         """Running trapezoid integral from the center node, row by row."""
@@ -404,20 +401,21 @@ class _OdeGrid:
 def _ode_grid(cert: OdeCertificate, grid_pts: int, tol: float) -> _OdeGrid:
     if grid_pts < 3 or grid_pts % 2 == 0:
         raise ValueError(f"grid_pts must be odd and at least 3, got {grid_pts}")
-    space = BieleckiPairSpace(cert.lo, cert.hi, grid_pts, cert.tau1, cert.tau2)
+    space = BieleckiPairSpace(cert.lo, cert.hi, grid_pts, cert.tau)
+    threshold, first_weight = map(
+        float, _stop_rule(tol, spectral_radius(cert.alpha), cert.alpha.second))
     return _OdeGrid(
-        space,
-        (cert.hi - cert.lo) / (grid_pts - 1),
-        (grid_pts - 1) // 2,
-        float(_stop_threshold(tol, spectral_radius(cert.alpha))),
+        space, (cert.hi - cert.lo) / (grid_pts - 1), (grid_pts - 1) // 2,
+        threshold, first_weight,
     )
 
 
 def _ode_solution(nodes, y, z, deltas: list) -> OdeSolution:
     norms = [norm(d) for d in deltas]
     ratios = tuple(b / a for a, b in zip(norms, norms[1:]) if a > 0.0)
-    return OdeSolution(GridFunction(nodes, y), GridFunction(nodes, z),
-                       len(deltas), tuple(deltas), ratios, True)
+    y.flags.writeable = False
+    z.flags.writeable = False
+    return OdeSolution(nodes, y, z, len(deltas), tuple(deltas), ratios)
 
 
 def ode_solve(
@@ -432,9 +430,10 @@ def ode_solve(
     grid_pts must be odd so the initial condition sits on the center node;
     each sweep rebuilds y and z from the running integral of the slopes,
     anchored there.  Every iterate is checked against the certified tube
-    (LeftInvariantSet on escape).  Iteration stops when the weighted step
-    distance certifies tol accuracy at the contraction rate, and raises
-    NoConvergence at max_iter.
+    (LeftInvariantSet on escape, and on a value that is not finite).
+    Iteration stops when the weighted step distance certifies tol accuracy
+    at the contraction rate (see _stop_rule), and raises NoConvergence at
+    max_iter.
     """
     cert = certificate if certificate is not None else ode_certify(problem)
     grid = _ode_grid(cert, grid_pts, tol)
@@ -447,7 +446,9 @@ def ode_solve(
         z_next = problem.z_init + grid.integral(problem.g(nodes, z))
         y_exc = _tube_excess(y_next, problem.y_init, problem.y_radius)
         z_exc = _tube_excess(z_next, problem.z_init, problem.z_radius)
-        if y_exc > _tube_slack(problem.y_radius) or z_exc > _tube_slack(problem.z_radius):
+        # written so that a NaN excess, from a value that is not finite, fails
+        if not (y_exc <= _tube_slack(problem.y_radius)
+                and z_exc <= _tube_slack(problem.z_radius)):
             raise LeftInvariantSet(
                 f"iterate {it} left the certified tube "
                 f"(y excess {max(y_exc, 0.0):.3e}, z excess {max(z_exc, 0.0):.3e})"
@@ -456,7 +457,8 @@ def ode_solve(
         delta = R2Elem(float(d1), float(d2))
         deltas.append(delta)
         y, z = y_next, z_next
-        if norm(delta) < grid.threshold or norm(delta) == 0.0:
+        step = norm(delta)
+        if step + grid.first_weight * delta.first < grid.threshold or step == 0.0:
             return _ode_solution(nodes, y, z, deltas)
     raise NoConvergence(f"no settled solution within {max_iter} sweeps (tol {tol})")
 
@@ -475,14 +477,15 @@ def _ode_lane_block(members, lane_slopes, grid: _OdeGrid, max_iter: int, block,
     ode_solve's sweep in the same IEEE operations, so to the same bits:
     slopes from lane_slopes, the row-wise trapezoid integral, the tube test
     against the lane's own initial values and radii, the weighted step and
-    the shared stop threshold.  A finished lane puts its weighted distance
-    to the limit solution (u_y, u_z) into dists and, when cache is given,
-    its OdeSolution into cache.  A lane that ode_solve would raise on (a
-    member that cannot be built, an escape from the tube, no convergence
-    within max_iter) is left out, and so is a member whose initial values
-    and radii are not all floats.  The whole block is left out if
-    lane_slopes raises or returns anything but two float64 arrays of the
-    lanes' shape.  The lazy ode_solve then raises exactly what it raises.
+    the shared stop rule.  A finished lane puts its weighted distance to
+    the limit solution (u_y, u_z) into dists and, when cache is given, its
+    OdeSolution into cache.  A lane that ode_solve would raise on (a member
+    that cannot be built, an escape from the tube or a value that is not
+    finite, no convergence within max_iter) is left out, and so is a member
+    whose initial values and radii are not all floats.  The whole block is
+    left out if lane_slopes raises or returns anything but two float64
+    arrays of the lanes' shape.  The lazy ode_solve then raises exactly
+    what it raises.
     """
     ns, params = [], []
     for n in block:
@@ -523,14 +526,15 @@ def _ode_lane_block(members, lane_slopes, grid: _OdeGrid, max_iter: int, block,
                 z_next += z0
                 y_exc = _tube_excess(y_next, y0, ry)
                 z_exc = _tube_excess(z_next, z0, rz)
-                inside = ~((y_exc > _tube_slack(ry)) | (z_exc > _tube_slack(rz)))
+                inside = (y_exc <= _tube_slack(ry)) & (z_exc <= _tube_slack(rz))
                 d1, d2, _ = grid.space.distances((y_next, z_next), (y, z))
                 if cache is not None:
                     full = np.full((2, len(ns)), np.nan)
                     full[0, lane], full[1, lane] = d1, d2
                     steps.append(full)
                 step = np.abs(d1) + np.abs(d2)
-                done = inside & ((step < grid.threshold) | (step == 0.0))
+                done = inside & ((step + grid.first_weight * d1 < grid.threshold)
+                                 | (step == 0.0))
                 if done.any():
                     done_lane.append(lane[done])
                     done_iter.append(np.full(int(done.sum()), it))
@@ -566,28 +570,15 @@ def _family_certificate(
 ) -> OdeCertificate:
     """Shared certificate: the tighter interval with the larger rates, so
     one grid and one weight serve every solve in the family."""
-    h = min(member_cert.h, limit_cert.h)
-    tau1 = max(member_cert.tau1, limit_cert.tau1)
-    tau2 = max(member_cert.tau2, limit_cert.tau2)
-    alpha = R2Elem(
-        max(member_cert.alpha.first, limit_cert.alpha.first),
-        max(member_cert.alpha.second, limit_cert.alpha.second),
-    )
+    m, lim = member_cert, limit_cert
     return OdeCertificate(
-        h,
-        min(member_cert.h1, limit_cert.h1),
-        min(member_cert.h2, limit_cert.h2),
-        max(member_cert.max_f, limit_cert.max_f),
-        max(member_cert.max_g, limit_cert.max_g),
-        max(member_cert.sampled_max_f, limit_cert.sampled_max_f),
-        max(member_cert.sampled_max_g, limit_cert.sampled_max_g),
-        tau1,
-        tau2,
-        alpha,
-        center - h,
-        center + h,
+        min(m.h1, lim.h1),
+        min(m.h2, lim.h2),
+        max(m.sampled_max_f, lim.sampled_max_f),
+        max(m.sampled_max_g, lim.sampled_max_g),
+        max(m.tau, lim.tau),
+        R2Elem(max(m.alpha.first, lim.alpha.first), max(m.alpha.second, lim.alpha.second)),
         center,
-        min(member_cert.sample_pts, limit_cert.sample_pts),
     )
 
 
@@ -645,7 +636,7 @@ def ode_sequence_harness(
     inv = neumann_inverse_e_minus(cert.alpha)
 
     limit_sol = ode_solve(limit, grid_pts, tol, max_iter, cert)
-    u_y, u_z = limit_sol.y.values, limit_sol.z.values
+    u_y, u_z = limit_sol.y, limit_sol.z
 
     memo: dict = {}  # n -> distance to the limit solution
     if lane_slopes is not None:
@@ -665,7 +656,7 @@ def ode_sequence_harness(
                 sol = ode_solve(members(n), grid_pts, tol, max_iter, cert)
                 if solution_cache is not None:
                     solution_cache[n] = sol
-            d1, d2, _ = grid.space.distances((sol.y.values, sol.z.values), (u_y, u_z))
+            d1, d2, _ = grid.space.distances((sol.y, sol.z), (u_y, u_z))
             d = memo[n] = R2Elem(float(d1), float(d2))
         if distance_log is not None:
             distance_log[n] = d

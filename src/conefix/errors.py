@@ -33,7 +33,7 @@ class MemberOutsideCone(ConefixError, ValueError):
 
 
 class EmptyGrid(ConefixError, ValueError):
-    """A grid function with no nodes was supplied where values are required."""
+    """Fewer than two grid samples were supplied where an integral needs them."""
 
 
 class IterateEscapedDomain(ConefixError):

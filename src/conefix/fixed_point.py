@@ -11,7 +11,7 @@ fixed point and the limit fixed point together with the theorem's certified
 upper bound for that distance, and reports whether the cone inequality held
 and whether the distance sequence passes the smallness probe.  A family that
 declares a lane_map has all the members a harness needs solved together as
-numpy lanes, each lane stopping on its own threshold, with fixed points,
+numpy lanes, each lane stopping on its own stop rule, with fixed points,
 iteration counts and residuals bit for bit those of picard_solve.
 
 Bounds are outward rounded: the inverse (e - k)^-1 is the closed form
@@ -178,7 +178,6 @@ class FixedPointResult:
     point: object
     iterations: int
     residual: object
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -227,10 +226,19 @@ def verify_contraction(
     return ContractionCheckReport(samples, violations, worst, example)
 
 
-def _stop_threshold(tol, r):
-    """The step norm below which Picard iteration at rate r is within tol
-    of its fixed point; r may be a float or a numpy array of rates."""
-    return tol * (1.0 - r) / np.maximum(r, 1e-15)
+def _stop_rule(tol, r, b):
+    """(threshold, first_weight) of the Picard stop rule at a coefficient
+    (a, b) with spectral radius r = |a|: iteration stops once a step delta
+    has norm(delta) + first_weight * delta.first < threshold, or is zero.
+
+    Both algebras multiply as dual numbers, so the a-posteriori bound
+    d(x_n, x*) <= inverse(e - alpha) * alpha * delta has the norm
+    r / (1 - r) * norm(delta) + |b| / (1 - r)^2 * delta.first, and the rule
+    keeps it below tol.  r and b may be floats or numpy arrays of rates;
+    for b = 0 the weight is 0.0 and the rule is the plain norm test.
+    """
+    r_floor = np.maximum(r, 1e-15)
+    return tol * (1.0 - r) / r_floor, np.abs(b) / (r_floor * (1.0 - r))
 
 
 def picard_solve(
@@ -240,7 +248,8 @@ def picard_solve(
     tol: float = 1e-10,
     max_iter: int = 10_000,
 ) -> FixedPointResult:
-    """Iterate x <- T(x) until the step distance certifies tol accuracy.
+    """Iterate x <- T(x) until the step distance certifies tol accuracy
+    (see _stop_rule).
 
     Raises IterateEscapedDomain if an iterate leaves the declared domain
     and NoConvergence if max_iter is reached first.  A start already at the
@@ -248,7 +257,8 @@ def picard_solve(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    threshold = float(_stop_threshold(tol, spectral_radius(T.alpha)))
+    threshold, first_weight = map(
+        float, _stop_rule(tol, spectral_radius(T.alpha), T.alpha.second))
     domain = T.domain
     if domain is not None and not domain.contains(x0):
         raise IterateEscapedDomain(f"start point {x0!r} is outside the declared domain")
@@ -262,9 +272,9 @@ def picard_solve(
         delta = space.distance(x_next, x)
         step = norm(delta)
         x = x_next
-        if step < threshold or step == 0.0:
+        if step + first_weight * delta.first < threshold or step == 0.0:
             residual = space.distance(T.map(x), x)
-            return FixedPointResult(x, it, residual, True)
+            return FixedPointResult(x, it, residual)
     raise NoConvergence(f"no fixed point within {max_iter} iterations (tol {tol})")
 
 
@@ -712,9 +722,9 @@ def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
     """picard_solve for the members in block, as numpy lanes.
 
     Each lane runs picard_solve's steps on float64 columns: its own stop
-    threshold, picard_solve's formula in the same IEEE operations and so
-    the same bits, then per iteration the domain test, the carrier test and
-    the stop test.  A lane that would raise in picard_solve (a member that
+    rule, picard_solve's formulas in the same IEEE operations and so the
+    same bits, then per iteration the domain test, the carrier test and
+    the stop rule.  A lane that would raise in picard_solve (a member that
     cannot be built, a start of another form, an escape from the domain or
     the carrier, no convergence within max_iter) is left out of the cache,
     as is the whole block if lane_map fails, so that the lazy scalar solve
@@ -722,11 +732,12 @@ def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
     stalls for _LANE_STALL iterations, which picard_solve then settles or
     gives up on at scalar cost.
     """
-    ns, starts, rates, axes = [], [], [], []
+    ns, starts, rates, seconds, axes = [], [], [], [], []
     for n in block:
         try:
             member = family.member(n)
             rate = spectral_radius(member.alpha)
+            second = member.alpha.second
             x0 = _lane_start(start(n), dim)
             lane_axes = _domain_axes(member.domain, dim)
         except Exception:
@@ -736,6 +747,7 @@ def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
         ns.append(n)
         starts.append(x0)
         rates.append(rate)
+        seconds.append(second)
         axes.append(lane_axes)
     if not ns:
         return
@@ -747,12 +759,12 @@ def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
         with np.errstate(all="ignore"):
             lane = np.arange(len(ns))
             idx = all_idx = np.asarray(ns, dtype=np.int64)
-            r = np.asarray(rates, dtype=np.float64)
-            thr = _stop_threshold(tol, r)
+            thr, wt = _stop_rule(tol, np.asarray(rates, dtype=np.float64),
+                                 np.asarray(seconds, dtype=np.float64))
             bounds = np.asarray(axes, dtype=np.float64)  # lane x axis x 4
             x = [np.asarray(c, dtype=np.float64) for c in zip(*starts)]
             keep = _inside_axes(bounds, x)
-            lane, idx, thr, bounds = lane[keep], idx[keep], thr[keep], bounds[keep]
+            lane, idx, thr, wt, bounds = lane[keep], idx[keep], thr[keep], wt[keep], bounds[keep]
             x = [c[keep] for c in x]
             stall_ref = np.full(lane.size, np.inf)  # step at the last stall check
             done_lane, done_iter = [], []
@@ -764,7 +776,7 @@ def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
                 d1, d2, outside = space.distances(_pack(x_next, dim), _pack(x, dim))
                 delta = np.abs(d1) + np.abs(d2)
                 ok = _inside_axes(bounds, x_next) & ~outside
-                done = ok & ((delta < thr) | (delta == 0.0))
+                done = ok & ((delta + wt * d1 < thr) | (delta == 0.0))
                 done_lane.append(lane[done])
                 done_iter.append(np.full(int(done.sum()), it))
                 for a in range(dim):
@@ -773,7 +785,8 @@ def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
                 if it % _LANE_STALL == 0:
                     keep &= delta < stall_ref
                     stall_ref = delta
-                lane, idx, thr, bounds = lane[keep], idx[keep], thr[keep], bounds[keep]
+                lane, idx, thr, wt, bounds = (
+                    lane[keep], idx[keep], thr[keep], wt[keep], bounds[keep])
                 stall_ref = stall_ref[keep]
                 x = [c[keep] for c in x_next]
             if not done_lane:
@@ -791,7 +804,7 @@ def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
         points, r1.tolist(), r2.tolist(), outside.tolist(),
     ):
         if not out:
-            cache[ns[i]] = FixedPointResult(p, it, kind.of(a, b), True)
+            cache[ns[i]] = FixedPointResult(p, it, kind.of(a, b))
 
 
 def _solve_members(
@@ -943,42 +956,39 @@ def subdomain_limit_harness(
     cfg: CSeqProbeConfig,
     indices,
     start,
-    witness: Callable[[int], object],
-    x_inf=None,
-    bound_form: str = "witness",
+    x_inf,
+    witness: Callable[[int], object] | None = None,
     responder: Callable[[int], object] | None = None,
     tol: float = 1e-12,
     max_iter: int = 100_000,
     fp_cache: dict | None = None,
 ) -> ConvergenceReport:
     """Fixed point convergence bounds for members living on moving
-    sub-domains, measured against a limit fixed point x_inf.
+    sub-domains, measured against the limit fixed point x_inf.  Exactly one
+    of witness and responder is given, and it picks the form of the bound.
 
-    bound_form "witness": per index n, with y_n = witness(n) a point of the
-    member domain,
+    Witness form: per index n, with y_n = witness(n) a point of the member
+    domain,
 
         bound = inverse(e - k) * (k * d(y_n, x_inf) + d(T_n y_n, T x_inf))
 
-    bound_form "responder": with x_n the member fixed point (the challenge)
-    and y_n = responder(n) a point of the limit domain,
+    Responder form: with x_n the member fixed point (the challenge) and
+    y_n = responder(n) a point of the limit domain,
 
         bound = inverse(e - k) * (d(T_n x_n, T y_n) + k * d(y_n, x_n))
 
     k is the dominating coefficient (family.coefficient_bound, else the
-    limit coefficient).  x_inf defaults to solving the limit map from the
-    first witness point.
+    limit coefficient).
     """
-    if bound_form not in ("witness", "responder"):
-        raise ValueError("bound_form must be 'witness' or 'responder'")
-    if bound_form == "responder" and responder is None:
-        raise ValueError("responder form needs a responder callable")
+    if (witness is None) == (responder is None):
+        raise ValueError("pass exactly one of witness and responder")
     k = family.bound_coefficient
     inv = neumann_inverse_e_minus(k)
     limit = family.limit
 
     def bound(n, x_n, x_star):
         member = family.member(n)
-        if bound_form == "witness":
+        if witness is not None:
             y_n = witness(n)
             _require_inside(member.domain, y_n,
                             f"witness at index {n} is outside the member domain")
@@ -992,14 +1002,10 @@ def subdomain_limit_harness(
                 k, space.distance(y_n, x_n))
         return _padded_bound(inv, displacement)
 
-    def target():
-        if x_inf is not None:
-            return x_inf
-        return picard_solve(limit, space, witness(1), tol, max_iter).point
-
+    form = "witness" if witness is not None else "responder"
     return _family_report(
-        f"sub-domain fixed point bound ({bound_form} form)", family, space, cfg,
-        indices, _start_fn(start), tol, max_iter, fp_cache, target, bound,
+        f"sub-domain fixed point bound ({form} form)", family, space, cfg,
+        indices, _start_fn(start), tol, max_iter, fp_cache, lambda: x_inf, bound,
     )
 
 

@@ -33,7 +33,6 @@ from .algebra import (
     zero,
 )
 from .errors import MemberOutsideCone, PointOutsideCarrier
-from .grid import GridFunction
 
 __all__ = [
     "IntervalDomain",
@@ -53,6 +52,8 @@ __all__ = [
 # lattice resolution for carrier sampling; fine enough to behave like a
 # uniform draw at desk scale, coarse enough that differences are exact
 _LATTICE = 1 << 20
+# the value range BieleckiPairSpace samples its functions from
+_PAIR_VALUE_BOX = (-1.0, 1.0)
 
 
 def _lattice_draw(rng: np.random.Generator, lo: float, hi: float, count: int,
@@ -227,15 +228,15 @@ def _weighted_max(gap: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BieleckiPairSpace:
-    """Pairs of grid functions on [lo, hi] under two Bielecki norms.
+    """Pairs of grid functions on [lo, hi] under the Bielecki norm.
 
-    Points are (y, z) tuples of GridFunction on this space's grid.  The
-    distance is the R2Elem of the weighted sups max |gap(t)| * w(t) of the
-    coordinate gaps, w(t) = exp(-tau * |t - m|) with m = (lo + hi) / 2, tau1
-    for y and tau2 for z (A. Bielecki, Bull. Acad. Polon. Sci. 4, 1956).
-    Every ODE row is measured in this space: its certificate solves on
-    [center - h, center + h], so the weight decays both ways from the
-    initial-value node m.
+    A point is a (y, z) pair of float64 value arrays of shape (grid_pts,),
+    the values of two functions on this space's nodes.  The distance is the
+    R2Elem of the weighted sups max |gap(t)| * w(t) of the coordinate gaps,
+    w(t) = exp(-tau * |t - m|) with m = (lo + hi) / 2 (A. Bielecki, Bull.
+    Acad. Polon. Sci. 4, 1956).  Every ODE row is measured in this space:
+    its certificate solves on [center - h, center + h], so the weight decays
+    both ways from the initial-value node m.
 
     The weights are rounded to 29 significand bits.  With sampled values on
     the dyadic lattice every |gap| * weight product is then exact, which
@@ -249,11 +250,9 @@ class BieleckiPairSpace:
     lo: float
     hi: float
     grid_pts: int
-    tau1: float
-    tau2: float
-    value_box: tuple[float, float] = (-1.0, 1.0)
+    tau: float
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
-    _weights: tuple = field(init=False, repr=False, compare=False)
+    _weight: np.ndarray = field(init=False, repr=False, compare=False)
     kind = R2Elem
 
     def __post_init__(self) -> None:
@@ -261,52 +260,48 @@ class BieleckiPairSpace:
             raise ValueError("grid_pts must be >= 2")
         if not self.lo < self.hi:
             raise ValueError("interval must have lo < hi")
-        if self.tau1 < 0.0 or self.tau2 < 0.0:
-            raise ValueError("weights need tau >= 0")
+        if not 0.0 <= self.tau < math.inf:
+            raise ValueError(f"weights need a finite tau >= 0, got {self.tau}")
         # built here, before any sweep allocates its lane blocks: made lazily
         # in the middle of a sweep they fragment the heap (a larger peak RSS)
         nodes = np.linspace(self.lo, self.hi, self.grid_pts)
         nodes.flags.writeable = False
-        weights = []
-        for tau in (self.tau1, self.tau2):
-            mant, expo = np.frexp(np.exp(-tau * np.abs(nodes - (self.lo + self.hi) / 2)))
-            weights.append(np.ldexp(np.round(np.ldexp(mant, 29)), expo - 29))
+        mant, expo = np.frexp(np.exp(-self.tau * np.abs(nodes - (self.lo + self.hi) / 2)))
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "_weights", tuple(weights))
+        object.__setattr__(self, "_weight", np.ldexp(np.round(np.ldexp(mant, 29)), expo - 29))
 
-    def contains(self, p: tuple[GridFunction, GridFunction]) -> bool:
-        y, z = p
-        return bool(y.same_grid(z) and np.array_equal(y.nodes, self.nodes)
-                    and np.all(np.isfinite(y.values)) and np.all(np.isfinite(z.values)))
-
-    def _snap(self, values: np.ndarray) -> np.ndarray:
-        # interpolation rounds off the lattice; snap back so that value
-        # differences in the axiom comparisons stay exact
-        v_lo, v_hi = self.value_box
-        step = (v_hi - v_lo) / _LATTICE
-        return v_lo + np.round((values - v_lo) / step) * step
+    def contains(self, p: tuple[np.ndarray, np.ndarray]) -> bool:
+        return isinstance(p, tuple) and len(p) == 2 and all(
+            isinstance(v, np.ndarray) and v.dtype == np.float64
+            and v.shape == self.nodes.shape and bool(np.isfinite(v).all())
+            for v in p
+        )
 
     def sample(self, rng: np.random.Generator, count: int
-               ) -> list[tuple[GridFunction, GridFunction]]:
+               ) -> list[tuple[np.ndarray, np.ndarray]]:
         # random piecewise-linear interpolants: a handful of lattice-valued
-        # breakpoints joined linearly, then read off on the grid
-        nodes = self.nodes
+        # breakpoints joined linearly and read off on the grid, then snapped
+        # back to the lattice (interpolation rounds off it) so that value
+        # differences in the axiom comparisons stay exact
+        v_lo, v_hi = _PAIR_VALUE_BOX
+        step = (v_hi - v_lo) / _LATTICE
         pieces = 5
         knots = np.linspace(self.lo, self.hi, pieces)
         out = []
         for _ in range(count):
-            fy = _lattice_draw(rng, self.value_box[0], self.value_box[1], pieces)
-            fz = _lattice_draw(rng, self.value_box[0], self.value_box[1], pieces)
-            y = GridFunction(nodes, self._snap(np.interp(nodes, knots, fy)))
-            z = GridFunction(nodes, self._snap(np.interp(nodes, knots, fz)))
-            out.append((y, z))
+            fy = _lattice_draw(rng, v_lo, v_hi, pieces)
+            fz = _lattice_draw(rng, v_lo, v_hi, pieces)
+            out.append(tuple(
+                v_lo + np.round((np.interp(self.nodes, knots, f) - v_lo) / step) * step
+                for f in (fy, fz)))
         return out
 
-    def distance(self, p: tuple[GridFunction, GridFunction],
-                 q: tuple[GridFunction, GridFunction]) -> R2Elem:
+    def distance(self, p: tuple[np.ndarray, np.ndarray],
+                 q: tuple[np.ndarray, np.ndarray]) -> R2Elem:
         if not (self.contains(p) and self.contains(q)):
-            raise PointOutsideCarrier("pair is not on this space's grid")
-        d1, d2, _ = self.distances((p[0].values, p[1].values), (q[0].values, q[1].values))
+            raise PointOutsideCarrier(
+                "pair is not two finite float64 arrays on this space's nodes")
+        d1, d2, _ = self.distances(p, q)
         return R2Elem(float(d1), float(d2))
 
     def distances(self, ps: tuple[np.ndarray, np.ndarray], qs: tuple[np.ndarray, np.ndarray]):
@@ -319,7 +314,7 @@ class BieleckiPairSpace:
         the rows with a non-finite value, where distance would raise
         PointOutsideCarrier instead.
         """
-        d1, d2 = (_weighted_max(p - q, w) for p, q, w in zip(ps, qs, self._weights))
+        d1, d2 = (_weighted_max(p - q, self._weight) for p, q in zip(ps, qs))
         # only a row whose maximum is not finite can hold a non-finite value
         outside = ~(np.isfinite(d1) & np.isfinite(d2))
         if outside.any():
@@ -329,11 +324,8 @@ class BieleckiPairSpace:
 
 
 def _points_equal(x, y) -> bool:
-    if isinstance(x, tuple) and isinstance(x[0], GridFunction):
-        return bool(
-            np.array_equal(x[0].values, y[0].values)
-            and np.array_equal(x[1].values, y[1].values)
-        )
+    if isinstance(x, tuple) and isinstance(x[0], np.ndarray):
+        return bool(np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1]))
     return x == y
 
 

@@ -106,7 +106,7 @@ def _producers(space, start, witness, lane_witness, points, cfg, lanes):
     }
     if not isinstance(space, PlaneR2Space):
         calls["subdomain probe"] = lambda fam: subdomain_limit_harness(
-            fam, space, cfg, rows, start, witness=lambda n: 1.0, x_inf=0.0)
+            fam, space, cfg, rows, start, x_inf=0.0, witness=lambda n: 1.0)
     return calls
 
 

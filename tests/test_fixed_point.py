@@ -90,7 +90,6 @@ def _power_box_family() -> MapFamily:
 def test_picard_literals():
     space = IntervalUT2Space(1.0)
     res = picard_solve(_half_plus(0.25), space, 0.0)
-    assert res.converged
     assert abs(res.point - 0.5) < 1e-10
     assert norm(res.residual) < 1e-9
 
@@ -128,6 +127,23 @@ def test_picard_iteration_budget():
         picard_solve(_half_plus(0.0), space, 1.0, tol=1e-12, max_iter=2)
     with pytest.raises(ValueError):
         picard_solve(_half_plus(0.0), space, 1.0, tol=0.0)
+
+
+def test_picard_solve_is_within_tol_of_the_exact_fixed_point():
+    # the stop rule must count the coefficient's second coordinate: with
+    # b = 0.09 the plain norm test stops 1.05e-6 from the fixed point
+    a, b = Fraction(0.9), Fraction(0.09)
+    T = ContractionMap(lambda p: (0.9 * p[0] - 1.0, 0.9 * p[1] - 0.09 * p[0]),
+                       R2Elem(0.9, 0.09))
+    space = PlaneR2Space()
+    assert verify_contraction(T, space).ok
+    result = picard_solve(T, space, (5.0, -5.0), tol=1e-6)
+    # the exact fixed point of x -> a x - 1, y -> a y - b x, about (-10, 9)
+    x_star = -1 / (1 - a)
+    y_star = -b * x_star / (1 - a)
+    x, y = result.point
+    gap = abs(Fraction(x) - x_star) + abs(Fraction(y) - y_star)
+    assert gap <= Fraction(1e-6)
 
 
 def test_contraction_map_coefficient_validation():
@@ -374,17 +390,17 @@ def test_subdomain_harness_witness_and_responder_forms():
     edge = lambda n: 1.0 / n
     cache: dict = {}
     witness_rep = subdomain_limit_harness(
-        family, space, cfg, range(1, 51), start=1.0,
-        witness=edge, x_inf=0.0, fp_cache=cache,
+        family, space, cfg, range(1, 51), start=1.0, x_inf=0.0,
+        witness=edge, fp_cache=cache,
     )
     assert witness_rep.verdict and all(witness_rep.respected)
     assert witness_rep.to_jsonable()["label"].endswith("(witness form)")
     responder_rep = subdomain_limit_harness(
-        family, space, cfg, range(1, 51), start=1.0,
-        witness=edge, x_inf=0.0, bound_form="responder", responder=edge,
-        fp_cache=cache,
+        family, space, cfg, range(1, 51), start=1.0, x_inf=0.0,
+        responder=edge, fp_cache=cache,
     )
     assert responder_rep.verdict and all(responder_rep.respected)
+    assert responder_rep.to_jsonable()["label"].endswith("(responder form)")
     # witness form pays the coefficient on the witness gap, so it is the
     # looser of the two on this family
     for wide, tight in zip(witness_rep.bounds, responder_rep.bounds):
@@ -396,21 +412,18 @@ def test_subdomain_harness_defaults_and_validation():
     space = IntervalUT2Space(1.0)
     cfg = CSeqProbeConfig(probes=(UT2Elem(0.5, 0.5),), horizon=60)
     edge = lambda n: 1.0 / n
-    # x_inf omitted: the limit fixed point is solved from witness(1)
     report = subdomain_limit_harness(
-        family, space, cfg, range(1, 11), start=1.0, witness=edge
+        family, space, cfg, range(1, 11), start=1.0, x_inf=0.0, witness=edge
     )
     assert report.verdict
-    with pytest.raises(ValueError):
-        subdomain_limit_harness(
-            family, space, cfg, range(1, 4), start=1.0,
-            witness=edge, bound_form="responder",
-        )
-    with pytest.raises(ValueError):
-        subdomain_limit_harness(
-            family, space, cfg, range(1, 4), start=1.0,
-            witness=edge, bound_form="sideways",
-        )
+    # x_inf has no default: the harness never solves for its own target
+    with pytest.raises(TypeError):
+        subdomain_limit_harness(family, space, cfg, range(1, 4), start=1.0, witness=edge)
+    # exactly one of witness and responder picks the bound form
+    for forms in ({}, {"witness": edge, "responder": edge}):
+        with pytest.raises(ValueError):
+            subdomain_limit_harness(
+                family, space, cfg, range(1, 4), start=1.0, x_inf=0.0, **forms)
     with pytest.raises(WitnessOutsideDomain):
         subdomain_limit_harness(
             family, space, cfg, range(1, 4), start=1.0,
@@ -449,7 +462,7 @@ def _ray_bound(harness: str, kind, k, direction):
         report = pointwise_limit_harness(family, space, cfg, (1,), start=0.5)
     else:
         report = subdomain_limit_harness(family, space, cfg, (1,), start=0.5,
-                                         witness=lambda n: 0.0, x_inf=0.0)
+                                         x_inf=0.0, witness=lambda n: 0.0)
     return report.bounds[0]
 
 
@@ -711,18 +724,23 @@ def test_lanes_match_picard_on_shipped_families(name):
     plane=st.booleans(),
     bounded=st.booleans(),
     rate=st.floats(0.01, 0.99),
+    second=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
     shift=st.floats(-2.0, 2.0),
     x0=st.floats(-1.5, 1.5),
     y0=st.floats(-1.5, 1.5),
     tol=st.floats(1e-13, 1e-2),
 )
-def test_lanes_match_picard_on_random_affine_families(plane, bounded, rate, shift, x0, y0, tol):
-    # member n is x -> r_n x + shift / n with rates growing toward rate; the
-    # draw covers converging lanes, domain and carrier escapes, and lanes
-    # that run out of iterations, which the lanes must all leave to picard
+def test_lanes_match_picard_on_random_affine_families(
+        plane, bounded, rate, second, shift, x0, y0, tol):
+    # member n is x -> r_n x + shift / n with rates growing toward rate,
+    # and on the plane y also leans on x by second, the coefficient's second
+    # coordinate, which the stop rule counts; the draw covers converging
+    # lanes, domain and carrier escapes, and lanes that run out of
+    # iterations, which the lanes must all leave to picard
     r = lambda n: rate * (1.0 - 1.0 / (n + 1.0))
     if plane:
-        step = lambda n, p: (r(n) * p[0] + shift / n, r(n) * p[1] - shift / n)
+        step = lambda n, p: (r(n) * p[0] + shift / n,
+                             r(n) * p[1] + second * p[0] - shift / n)
         kind, space, start = R2Elem, PlaneR2Space(), (x0, y0)
         domain = BoxDomain((-1.0, -1.0), (1.0, 1.0)) if bounded else None
     else:
@@ -730,7 +748,7 @@ def test_lanes_match_picard_on_random_affine_families(plane, bounded, rate, shif
         kind, space, start = UT2Elem, IntervalUT2Space(2.0), x0
         domain = IntervalDomain(0.0, 1.0, open_lo=True) if bounded else None
     family = MapFamily(
-        lambda n: ContractionMap(lambda x, n=n: step(n, x), kind.of(r(n), 0.0), domain),
+        lambda n: ContractionMap(lambda x, n=n: step(n, x), kind.of(r(n), second), domain),
         ContractionMap(lambda x: x, kind.of(0.5, 0.0)),
         lane_map=step,
     )
@@ -833,8 +851,8 @@ _HARNESS_CALLS = {
     "pointwise": lambda fam, space, cfg: pointwise_limit_harness(
         fam, space, cfg, (1, 2, 3, 10), start=0.25, max_iter=300),
     "subdomain": lambda fam, space, cfg: subdomain_limit_harness(
-        fam, space, cfg, (1, 2, 3, 10), start=0.25, witness=lambda n: 0.5,
-        x_inf=0.0, max_iter=300),
+        fam, space, cfg, (1, 2, 3, 10), start=0.25, x_inf=0.0,
+        witness=lambda n: 0.5, max_iter=300),
     "cluster": lambda fam, space, cfg: fixed_point_cluster_check(
         fam, space, range(1, cfg.horizon + 1), start=0.25, max_iter=300),
 }

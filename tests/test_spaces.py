@@ -1,4 +1,4 @@
-"""Cone metric spaces, grid functions, weighted norms, and smallness probes."""
+"""Cone metric spaces, weighted norms, trapezoid integration, and smallness probes."""
 
 import math
 from fractions import Fraction
@@ -16,7 +16,7 @@ from conefix.errors import (
     MemberOutsideCone,
     PointOutsideCarrier,
 )
-from conefix.grid import GridFunction, cumulative_trapezoid_from
+from conefix.grid import cumulative_trapezoid_from
 from conefix.scenarios import _damped_ivp_family
 from conefix.spaces import (
     BieleckiPairSpace,
@@ -85,7 +85,7 @@ def test_metric_axioms_hold_on_shipped_spaces():
         (IntervalUT2Space(1.0), 10_000),
         (IntervalUT2Space(3.5), 10_000),
         (PlaneR2Space(), 10_000),
-        (BieleckiPairSpace(-0.5, 0.5, 33, 4.0, 4.0), 1_000),
+        (BieleckiPairSpace(-0.5, 0.5, 33, 4.0), 1_000),
         (_ode_sequence_space(), 1_000),
     ):
         report = check_metric_axioms(space, samples=samples, seed=0)
@@ -154,8 +154,7 @@ def test_batch_distances_match_distance_lane_by_lane(lanes, open_hi):
     # coordinate j and zeros elsewhere, the y pair (j = 0, 2) at node 1
     # and the z pair (j = 1, 3) at node 2, so that a gap can overflow
     rows = [np.where(np.arange(4) == 1 + j % 2, cols[j][:, None], 0.0) for j in range(4)]
-    bielecki = BieleckiPairSpace(-1.0, 1.0, 4, 1.5, 3.0)
-    fn = lambda j, i: GridFunction(bielecki.nodes, rows[j][i])
+    bielecki = BieleckiPairSpace(-1.0, 1.0, 4, 1.5)
     cases = [
         (IntervalUT2Space(3.0), cols[0], cols[1],
          lambda i: (lanes[i][0], lanes[i][1])),
@@ -165,7 +164,7 @@ def test_batch_distances_match_distance_lane_by_lane(lanes, open_hi):
         (PlaneR2Space(), (cols[0], cols[1]), (cols[2], cols[3]),
          lambda i: ((lanes[i][0], lanes[i][1]), (lanes[i][2], lanes[i][3]))),
         (bielecki, (rows[0], rows[1]), (rows[2], rows[3]),
-         lambda i: ((fn(0, i), fn(1, i)), (fn(2, i), fn(3, i)))),
+         lambda i: ((rows[0][i], rows[1][i]), (rows[2][i], rows[3][i]))),
     ]
     # inf - inf, and finite gaps that overflow, in both paths
     with np.errstate(invalid="ignore", over="ignore"):
@@ -183,42 +182,37 @@ def test_batch_distances_match_distance_lane_by_lane(lanes, open_hi):
 
 
 def test_bielecki_pair_space_distance():
-    space = BieleckiPairSpace(0.0, 1.0, 17, 1.0, 2.0)
-    y1 = GridFunction.constant(0.0, 1.0, 17, 1.0)
-    z1 = GridFunction.constant(0.0, 1.0, 17, 0.0)
-    y2 = GridFunction.constant(0.0, 1.0, 17, 0.0)
-    z2 = GridFunction.constant(0.0, 1.0, 17, 3.0)
+    space = BieleckiPairSpace(0.0, 1.0, 17, 1.0)
+    y1, z1 = np.full(17, 1.0), np.full(17, 0.0)
+    y2, z2 = np.full(17, 0.0), np.full(17, 3.0)
     d = space.distance((y1, z1), (y2, z2))
     # constant gaps peak at the midpoint, where the weight is 1
     assert d == R2Elem(1.0, 3.0)
-    off_grid = GridFunction.constant(0.0, 1.0, 9, 0.0)
-    with pytest.raises(PointOutsideCarrier):
-        space.distance((y1, z1), (off_grid, off_grid))
+    # a point is two finite float64 arrays of one value per node
+    nan_at_end = np.full(17, 0.0)
+    nan_at_end[-1] = np.nan
+    for bad in (
+        (np.full(9, 0.0), z1),  # wrong length
+        (y1, np.full((1, 17), 0.0)),  # a row, not a vector
+        (y1, nan_at_end),
+        (y1, np.full(17, np.inf)),
+        (y1, np.full(17, 0, dtype=np.int64)),
+        (y1, [0.0] * 17),  # not an array
+        (y1, 0.0),
+        (y1, z1, z1),  # not a pair
+        [y1, z1],
+    ):
+        assert not space.contains(bad)
+        with pytest.raises(PointOutsideCarrier):
+            space.distance((y1, z1), bad)
+        with pytest.raises(PointOutsideCarrier):
+            space.distance(bad, (y1, z1))
+    for tau in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            BieleckiPairSpace(0.0, 1.0, 17, tau)
 
 
 # ------------------------------------------------------------------ grids
-
-
-def test_grid_function_validation():
-    with pytest.raises(EmptyGrid):
-        GridFunction(np.array([0.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        GridFunction(np.array([0.0, 1.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        GridFunction(np.array([0.0, 1.0, 0.5]), np.zeros(3))
-    with pytest.raises(ValueError):
-        GridFunction(np.array([0.0, 0.1, 1.0]), np.zeros(3))
-
-
-def test_grid_function_arithmetic_and_guards():
-    f = GridFunction.from_callable(0.0, 1.0, 11, lambda t: t)
-    g = GridFunction.constant(0.0, 1.0, 11, 2.0)
-    assert (g - f).values[-1] == 1.0
-    other = GridFunction.constant(0.0, 2.0, 11, 2.0)
-    with pytest.raises(ValueError):
-        f - other
-    with pytest.raises(ValueError):
-        f.values[0] = 99.0
 
 
 def test_cumulative_trapezoid_anchoring():
