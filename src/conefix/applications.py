@@ -13,8 +13,8 @@ The second builds a weighted-norm certificate for a pair of decoupled
 initial value problems y' = f(x, y), z' = g(x, z) on a shared interval and
 solves both by integral Picard iteration on a fixed grid.  The solve
 interval half-width comes from an inflated bound on |f| and |g| so the
-iterates stay inside the stated tube, and the weight rates are chosen so
-the iteration contracts with factor at most one half.  Every step, row
+iterates stay inside the stated tube, and the one weight rate tau is chosen
+so the iteration contracts with factor at most one half.  Every step, row
 distance and displacement is measured in the certificate's
 BieleckiPairSpace, through its distances; the tube test is a plain max.
 """
@@ -189,7 +189,6 @@ def coupled_sequence_harness(
     indices,
     cfg: CSeqProbeConfig,
     tol: float = 1e-12,
-    fp_cache: dict | None = None,
     lane_map: Callable | None = None,
 ) -> ConvergenceReport:
     """Roots of a system family against the limit system's root, every
@@ -210,7 +209,7 @@ def coupled_sequence_harness(
         lane_map=lane_map,
     )
     return pointwise_limit_harness(
-        family, PlaneR2Space(), cfg, indices, (0.0, 0.0), tol=tol, fp_cache=fp_cache
+        family, PlaneR2Space(), cfg, indices, (0.0, 0.0), tol=tol
     )
 
 
@@ -225,8 +224,8 @@ class OdeProblem:
     |y - y_init| <= y_radius, |z - z_init| <= z_radius.
 
     f and g must accept numpy arrays (evaluated on whole grids at once).
-    lip_f and lip_g are one-sided rates: |f(x, u) - f(x, v)| <= lip_f|u - v|
-    on the box, likewise for g.
+    lip_f and lip_g are Lipschitz constants in the second variable:
+    |f(x, u) - f(x, v)| <= lip_f |u - v| on the box, likewise for g.
     """
 
     f: Callable
@@ -322,8 +321,8 @@ def ode_certify(problem: OdeProblem) -> OdeCertificate:
     tube test in ode_solve may then refuse (LeftInvariantSet).
     h1 = min(x_radius, y_radius / max_f) and h2 likewise for g, with a
     vanishing right side meaning no constraint (identically zero slope
-    keeps any tube).  The declared one-sided rates are sampled on the same
-    mesh; a slope that is not finite there, or breaks its rate, raises
+    keeps any tube).  The declared Lipschitz constants are sampled on the
+    same mesh; a slope that is not finite there, or breaks its rate, raises
     ConditionViolated.  The weight rate is tau = 2 * max(lip_f, lip_g, 1/2),
     making the coefficient's first coordinate lip/tau <= 1/2.
     """
@@ -356,14 +355,13 @@ def ode_certify(problem: OdeProblem) -> OdeCertificate:
 @dataclass(frozen=True)
 class OdeSolution:
     """Values of y and z on the grid nodes (y and z read-only), with the
-    weighted step of every sweep and the ratios of successive step norms."""
+    weighted step of every sweep."""
 
     nodes: np.ndarray
     y: np.ndarray
     z: np.ndarray
     iterations: int
     delta_history: tuple
-    ratio_history: tuple[float, ...]
 
 
 def _tube_slack(radius):
@@ -410,14 +408,6 @@ def _ode_grid(cert: OdeCertificate, grid_pts: int, tol: float) -> _OdeGrid:
     )
 
 
-def _ode_solution(nodes, y, z, deltas: list) -> OdeSolution:
-    norms = [norm(d) for d in deltas]
-    ratios = tuple(b / a for a, b in zip(norms, norms[1:]) if a > 0.0)
-    y.flags.writeable = False
-    z.flags.writeable = False
-    return OdeSolution(nodes, y, z, len(deltas), tuple(deltas), ratios)
-
-
 def ode_solve(
     problem: OdeProblem,
     grid_pts: int = 257,
@@ -459,7 +449,9 @@ def ode_solve(
         y, z = y_next, z_next
         step = norm(delta)
         if step + grid.first_weight * delta.first < grid.threshold or step == 0.0:
-            return _ode_solution(nodes, y, z, deltas)
+            y.flags.writeable = False
+            z.flags.writeable = False
+            return OdeSolution(nodes, y, z, it, tuple(deltas))
     raise NoConvergence(f"no settled solution within {max_iter} sweeps (tol {tol})")
 
 
@@ -470,7 +462,7 @@ _ODE_BLOCK = 1 << 15
 
 
 def _ode_lane_block(members, lane_slopes, grid: _OdeGrid, max_iter: int, block,
-                    u_y, u_z, dists: dict, cache: dict | None) -> None:
+                    u_y, u_z, dists: dict) -> None:
     """ode_solve for the members in block, as numpy lanes.
 
     Each lane is one row of (lanes x grid) float64 arrays and runs
@@ -478,14 +470,13 @@ def _ode_lane_block(members, lane_slopes, grid: _OdeGrid, max_iter: int, block,
     slopes from lane_slopes, the row-wise trapezoid integral, the tube test
     against the lane's own initial values and radii, the weighted step and
     the shared stop rule.  A finished lane puts its weighted distance to
-    the limit solution (u_y, u_z) into dists and, when cache is given, its
-    OdeSolution into cache.  A lane that ode_solve would raise on (a member
-    that cannot be built, an escape from the tube or a value that is not
-    finite, no convergence within max_iter) is left out, and so is a member
-    whose initial values and radii are not all floats.  The whole block is
-    left out if lane_slopes raises or returns anything but two float64
-    arrays of the lanes' shape.  The lazy ode_solve then raises exactly
-    what it raises.
+    the limit solution (u_y, u_z) into dists.  A lane that ode_solve would
+    raise on (a member that cannot be built, an escape from the tube or a
+    value that is not finite, no convergence within max_iter) is left out,
+    and so is a member whose initial values and radii are not all floats.
+    The whole block is left out if lane_slopes raises or returns anything
+    but two float64 arrays of the lanes' shape.  The lazy ode_solve then
+    raises exactly what it raises.
     """
     ns, params = [], []
     for n in block:
@@ -509,9 +500,8 @@ def _ode_lane_block(members, lane_slopes, grid: _OdeGrid, max_iter: int, block,
             idx = np.asarray(ns, dtype=np.int64)[:, None]
             y = np.repeat(y0, nodes.size, axis=1)
             z = np.repeat(z0, nodes.size, axis=1)
-            steps = []  # per sweep: (d1, d2) of every lane, NaN once it left
-            done_lane, done_iter, done_d1, done_d2, done_y, done_z = [], [], [], [], [], []
-            for it in range(1, max_iter + 1):
+            done_lane, done_d1, done_d2 = [], [], []
+            for _ in range(max_iter):
                 if not lane.size:
                     break
                 fy, gz = lane_slopes(idx, nodes, y, z)
@@ -528,22 +518,14 @@ def _ode_lane_block(members, lane_slopes, grid: _OdeGrid, max_iter: int, block,
                 z_exc = _tube_excess(z_next, z0, rz)
                 inside = (y_exc <= _tube_slack(ry)) & (z_exc <= _tube_slack(rz))
                 d1, d2, _ = grid.space.distances((y_next, z_next), (y, z))
-                if cache is not None:
-                    full = np.full((2, len(ns)), np.nan)
-                    full[0, lane], full[1, lane] = d1, d2
-                    steps.append(full)
                 step = np.abs(d1) + np.abs(d2)
                 done = inside & ((step + grid.first_weight * d1 < grid.threshold)
                                  | (step == 0.0))
                 if done.any():
                     done_lane.append(lane[done])
-                    done_iter.append(np.full(int(done.sum()), it))
                     g1, g2, _ = grid.space.distances((y_next[done], z_next[done]), (u_y, u_z))
                     done_d1.append(g1)
                     done_d2.append(g2)
-                    if cache is not None:
-                        done_y.append(y_next[done])
-                        done_z.append(z_next[done])
                 keep = inside & ~done
                 lane, idx, y0, z0, ry, rz = (a[keep] for a in (lane, idx, y0, z0, ry, rz))
                 y, z = y_next[keep], z_next[keep]
@@ -552,17 +534,9 @@ def _ode_lane_block(members, lane_slopes, grid: _OdeGrid, max_iter: int, block,
     if not done_lane:
         return
     lanes = np.concatenate(done_lane).tolist()
-    iters = np.concatenate(done_iter).tolist()
     gaps = zip(np.concatenate(done_d1).tolist(), np.concatenate(done_d2).tolist())
     for i, (a, b) in zip(lanes, gaps):
         dists[ns[i]] = R2Elem(a, b)
-    if cache is None:
-        return
-    hist = np.stack(steps)  # sweep x 2 x lane
-    for i, k, y_row, z_row in zip(lanes, iters, np.concatenate(done_y),
-                                  np.concatenate(done_z)):
-        deltas = [R2Elem(a, b) for a, b in hist[:k, :, i].tolist()]
-        cache[ns[i]] = _ode_solution(nodes, y_row, z_row, deltas)
 
 
 def _family_certificate(
@@ -590,7 +564,6 @@ def ode_sequence_harness(
     grid_pts: int = 257,
     tol: float = 1e-10,
     max_iter: int = 200,
-    solution_cache: dict | None = None,
     distance_log: dict | None = None,
     lane_slopes: Callable | None = None,
 ) -> ConvergenceReport:
@@ -614,15 +587,13 @@ def ode_sequence_harness(
     members' slope pair on numpy lanes: ns an int64 column of member
     indices, x the grid nodes, y and z float64 arrays of shape
     (lanes, grid_pts), one row per member.  Every member the rows and the
-    probe fetch is then solved up front in blocks of lanes, with the same
-    values, iterations and histories as ode_solve, bit for bit.  Write the
-    slopes once with + - * / only so that one expression serves both forms
-    (the ode_sequence scenario does).  A member the lanes cannot settle is
-    left to ode_solve, which raises as before.
+    probe fetch is then solved up front in blocks of lanes, each to the
+    values ode_solve reaches, bit for bit.  Write the slopes once with
+    + - * / only so that one expression serves both forms (the ode_sequence
+    scenario does).  A member the lanes cannot settle is left to ode_solve,
+    which raises as before.
 
-    Only distances are kept per index.  A caller-supplied solution_cache
-    dict also receives each member's OdeSolution, and a solution already
-    in it is used instead of solving again.  When a distance_log dict is
+    Only distances are kept per index.  When a distance_log dict is
     supplied, every index the probe or the rows touch is recorded there as
     n -> distance element, so callers can study the full decay profile
     without re-solving anything.
@@ -640,22 +611,17 @@ def ode_sequence_harness(
 
     memo: dict = {}  # n -> distance to the limit solution
     if lane_slopes is not None:
-        known = solution_cache if solution_cache is not None else {}
         want = (*indices, *range(cfg.start, cfg.horizon + 1))
-        todo = [n for n in dict.fromkeys(want) if type(n) is int and n not in known]
+        todo = [n for n in dict.fromkeys(want) if type(n) is int]
         lanes = max(1, _ODE_BLOCK // (grid_pts - 1))
         for i in range(0, len(todo), lanes):
             _ode_lane_block(members, lane_slopes, grid, max_iter, todo[i:i + lanes],
-                            u_y, u_z, memo, solution_cache)
+                            u_y, u_z, memo)
 
     def distance_to_limit(n: int) -> R2Elem:
         d = memo.get(n)
         if d is None:
-            sol = solution_cache.get(n) if solution_cache is not None else None
-            if sol is None:
-                sol = ode_solve(members(n), grid_pts, tol, max_iter, cert)
-                if solution_cache is not None:
-                    solution_cache[n] = sol
+            sol = ode_solve(members(n), grid_pts, tol, max_iter, cert)
             d1, d2, _ = grid.space.distances((sol.y, sol.z), (u_y, u_z))
             d = memo[n] = R2Elem(float(d1), float(d2))
         if distance_log is not None:
@@ -678,4 +644,4 @@ def ode_sequence_harness(
         displacement = R2Elem(float(d1), float(d2))
         rows.append((dist, _padded_bound(inv, displacement) + solver_slack))
     probe = is_c_sequence(distance_to_limit, cfg)
-    return _bound_report("ode family solution bound", indices, rows, probe)
+    return _bound_report(indices, rows, probe)

@@ -1,9 +1,11 @@
 """Contraction maps on cone metric spaces and convergence-mode checkers.
 
-The solver is plain Picard iteration with an a-posteriori stopping rule: if
-the coefficient's spectral radius is r, iteration stops once the norm of
-the step distance falls below tol * (1 - r) / max(r, 1e-15), which converts
-a step size into a distance-to-fixed-point guarantee.
+The solver is plain Picard iteration with an a-posteriori stopping rule:
+for a coefficient (a, b) with spectral radius r = |a|, iteration stops once
+the step distance delta has norm(delta) + c * delta.first below
+tol * (1 - r) / max(r, 1e-15), with c = |b| / (max(r, 1e-15) * (1 - r)), or
+is zero.  That converts a step into a distance-to-fixed-point guarantee
+(see _stop_rule); tol must be positive and finite.
 
 The harnesses replay limit theorems for families of contractions at desk
 scale.  Each harness computes, per index n, the distance between a member
@@ -236,7 +238,10 @@ def _stop_rule(tol, r, b):
     r / (1 - r) * norm(delta) + |b| / (1 - r)^2 * delta.first, and the rule
     keeps it below tol.  r and b may be floats or numpy arrays of rates;
     for b = 0 the weight is 0.0 and the rule is the plain norm test.
+    ValueError unless tol is positive and finite.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     r_floor = np.maximum(r, 1e-15)
     return tol * (1.0 - r) / r_floor, np.abs(b) / (r_floor * (1.0 - r))
 
@@ -251,12 +256,11 @@ def picard_solve(
     """Iterate x <- T(x) until the step distance certifies tol accuracy
     (see _stop_rule).
 
-    Raises IterateEscapedDomain if an iterate leaves the declared domain
-    and NoConvergence if max_iter is reached first.  A start already at the
+    Raises ValueError unless tol is positive and finite,
+    IterateEscapedDomain if an iterate leaves the declared domain and
+    NoConvergence if max_iter is reached first.  A start already at the
     fixed point returns after one application with residual theta.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     threshold, first_weight = map(
         float, _stop_rule(tol, spectral_radius(T.alpha), T.alpha.second))
     domain = T.domain
@@ -304,7 +308,6 @@ def dense_sample(domain, count: int) -> list:
 
 @dataclass(frozen=True)
 class PointwiseReport:
-    points: tuple
     reports: tuple[CSeqProbeReport, ...]
     passed: bool
 
@@ -339,7 +342,7 @@ def check_pointwise_convergence(
             lambda n: space.distance(family.member(n).map(x), fx), cfg, columns
         )
         reports.append(report)
-    return PointwiseReport(tuple(points), tuple(reports), all(r.passed for r in reports))
+    return PointwiseReport(tuple(reports), all(r.passed for r in reports))
 
 
 @dataclass(frozen=True)
@@ -381,7 +384,6 @@ def check_uniform_convergence(
     family: MapFamily,
     space,
     cfg: CSeqProbeConfig,
-    domain=None,
     grid_count: int = 256,
 ) -> UniformReport:
     """Probe the per-index sup of d(T_n x, T x) over a dense sample.
@@ -390,13 +392,14 @@ def check_uniform_convergence(
     the componentwise cone order of the shipped algebras.  Per index n the
     sample is the dense grid plus any adversarial points the family
     supplies for that n, so a family can be convicted by witnesses that
-    travel with n.  A family with a lane_map has its sups computed as numpy
-    lanes over the index x grid product, with each index's adversarial
-    points folded into its lane; a witness outside domain sends the judge
-    back to the scalar sup, which raises WitnessOutsideDomain at its index.
+    travel with n.  The sample is drawn from the limit map's domain, or
+    from the space's carrier when the limit declares none.  A family with a
+    lane_map has its sups computed as numpy lanes over the index x grid
+    product, with each index's adversarial points folded into its lane; a
+    witness outside that domain sends the judge back to the scalar sup,
+    which raises WitnessOutsideDomain at its index.
     """
-    if domain is None:
-        domain = family.limit.domain if family.limit.domain is not None else space.carrier
+    domain = family.limit.domain if family.limit.domain is not None else space.carrier
     base_points = dense_sample(domain, grid_count)
     limit_map = family.limit.map
     columns = None
@@ -569,17 +572,8 @@ class ConvergenceReport(BoundTable):
     sequence passed the probe.
     """
 
-    label: str
     probe: CSeqProbeReport
     verdict: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "label": self.label,
-            "rows": self.json_rows(),
-            "c_sequence": self.probe.to_jsonable(),
-            "verdict": self.verdict,
-        }
 
 
 def _padded_bound(inv, displacement):
@@ -589,7 +583,7 @@ def _padded_bound(inv, displacement):
     return raw + raw.of(pad, pad)
 
 
-def _bound_report(label: str, indices, rows, probe) -> ConvergenceReport:
+def _bound_report(indices, rows, probe) -> ConvergenceReport:
     """The report of (dist, bound) rows at indices, with their cone test;
     the verdict asks every bound to hold and the distance sequence to pass
     its probe."""
@@ -597,7 +591,7 @@ def _bound_report(label: str, indices, rows, probe) -> ConvergenceReport:
     bounds = tuple(b for _, b in rows)
     respected = tuple(cone_compare(d, b).le for d, b in rows)
     return ConvergenceReport(tuple(indices), dists, bounds, respected,
-                             label, probe, all(respected) and probe.passed)
+                             probe, all(respected) and probe.passed)
 
 
 def _require_inside(domain, y, what: str) -> None:
@@ -727,10 +721,10 @@ def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
     the stop rule.  A lane that would raise in picard_solve (a member that
     cannot be built, a start of another form, an escape from the domain or
     the carrier, no convergence within max_iter) is left out of the cache,
-    as is the whole block if lane_map fails, so that the lazy scalar solve
-    raises exactly what picard_solve raises.  So is a lane whose step
-    stalls for _LANE_STALL iterations, which picard_solve then settles or
-    gives up on at scalar cost.
+    as is the whole block if lane_map fails or the stop rule refuses tol,
+    so that the lazy scalar solve raises exactly what picard_solve raises.
+    So is a lane whose step stalls for _LANE_STALL iterations, which
+    picard_solve then settles or gives up on at scalar cost.
     """
     ns, starts, rates, seconds, axes = [], [], [], [], []
     for n in block:
@@ -825,7 +819,7 @@ def _solve_members(
     the lanes leave out is solved lazily by picard_solve itself.
     """
     cache = cache if cache is not None else {}
-    if _has_lanes(family, space) and isinstance(tol, float) and tol > 0.0:
+    if _has_lanes(family, space) and isinstance(tol, float):
         dim = _space_dim(space)
         todo = list(dict.fromkeys(n for n in want if type(n) is int and n not in cache))
         for i in range(0, len(todo), _LANE_BLOCK):
@@ -847,7 +841,7 @@ def _start_fn(start):
     return start if callable(start) else (lambda n: start)
 
 
-def _family_report(label: str, family, space, cfg: CSeqProbeConfig, indices, start_fn,
+def _family_report(family, space, cfg: CSeqProbeConfig, indices, start_fn,
                    tol, max_iter, fp_cache, target, bound) -> ConvergenceReport:
     """The skeleton of the fixed point harnesses.
 
@@ -878,7 +872,7 @@ def _family_report(label: str, family, space, cfg: CSeqProbeConfig, indices, sta
 
         columns = (space.kind, fn)
     probe = is_c_sequence(lambda n: space.distance(solved(n).point, x_star), cfg, columns)
-    return _bound_report(label, indices, rows, probe)
+    return _bound_report(indices, rows, probe)
 
 
 def uniform_limit_harness(
@@ -910,8 +904,7 @@ def uniform_limit_harness(
         return _padded_bound(inv, space.distance(family.member(n).map(x_n), limit.map(x_n)))
 
     return _family_report(
-        "uniform-limit fixed point bound", family, space, cfg, indices, start_fn,
-        tol, max_iter, fp_cache,
+        family, space, cfg, indices, start_fn, tol, max_iter, fp_cache,
         lambda: picard_solve(limit, space, limit_start, tol, max_iter).point, bound,
     )
 
@@ -944,8 +937,7 @@ def pointwise_limit_harness(
             inv, space.distance(family.member(n).map(x_star), limit.map(x_star)))
 
     return _family_report(
-        "pointwise-limit fixed point bound", family, space, cfg, indices, start_fn,
-        tol, max_iter, fp_cache,
+        family, space, cfg, indices, start_fn, tol, max_iter, fp_cache,
         lambda: picard_solve(limit, space, limit_start, tol, max_iter).point, bound,
     )
 
@@ -1002,10 +994,9 @@ def subdomain_limit_harness(
                 k, space.distance(y_n, x_n))
         return _padded_bound(inv, displacement)
 
-    form = "witness" if witness is not None else "responder"
     return _family_report(
-        f"sub-domain fixed point bound ({form} form)", family, space, cfg,
-        indices, _start_fn(start), tol, max_iter, fp_cache, lambda: x_inf, bound,
+        family, space, cfg, indices, _start_fn(start), tol, max_iter, fp_cache,
+        lambda: x_inf, bound,
     )
 
 
@@ -1084,7 +1075,6 @@ def fixed_point_cluster_check(
 class ApproxPropertyReport:
     """Per-point outcomes for an approximation property of a family."""
 
-    labels: tuple
     point_reports: tuple
     passed: bool
 
@@ -1157,7 +1147,7 @@ def property_g_check(
         )
         reports.append((dist_rep, image_rep))
     passed = all(a.passed and b.passed for a, b in reports)
-    return ApproxPropertyReport(tuple(points), tuple(reports), passed)
+    return ApproxPropertyReport(tuple(reports), passed)
 
 
 def property_h_check(
@@ -1197,7 +1187,7 @@ def property_h_check(
         cfg,
     )
     passed = dist_rep.passed and image_rep.passed
-    return ApproxPropertyReport(("challenge",), ((dist_rep, image_rep),), passed)
+    return ApproxPropertyReport(((dist_rep, image_rep),), passed)
 
 
 @dataclass(frozen=True)

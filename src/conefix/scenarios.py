@@ -231,8 +231,7 @@ def _run_example_2_8(knobs: dict):
     uni_horizon = min(horizon, 300)
     pinned = R2Elem(1.0 / 11.0, 1.0 / 8.0)
     uni_cfg = CSeqProbeConfig(default_probes(R2Elem) + (pinned,), horizon=uni_horizon)
-    uni = check_uniform_convergence(family, space, uni_cfg, domain=box,
-                                    grid_count=grid_pts)
+    uni = check_uniform_convergence(family, space, uni_cfg, grid_count=grid_pts)
     verdict = pw.passed and not uni.passed
     notes = [
         f"pointwise: passed={pw.passed} over {len(points)} points",

@@ -121,16 +121,16 @@ class BoxDomain:
 class IntervalUT2Space:
     """Points of [0, 1]; distance (|x - y|, scale * |x - y|) as a matrix pair.
 
-    The scale parameter must be >= 1.  Integer scales keep the axiom
-    arithmetic exact on lattice samples.
+    The scale parameter must be finite and >= 1.  Integer scales keep the
+    axiom arithmetic exact on lattice samples.
     """
 
     scale_param: float = 1.0
     kind = UT2Elem
 
     def __post_init__(self) -> None:
-        if not self.scale_param >= 1.0:
-            raise ValueError("scale_param must be >= 1")
+        if not 1.0 <= self.scale_param < math.inf:
+            raise ValueError(f"scale_param must be finite and >= 1, got {self.scale_param!r}")
 
     @property
     def carrier(self) -> IntervalDomain:
@@ -173,6 +173,10 @@ class PlaneR2Space:
     open_hi: bool = False
     sample_box: tuple[tuple[float, float], tuple[float, float]] = ((-8.0, -8.0), (8.0, 8.0))
     kind = R2Elem
+
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(c) for corner in self.sample_box for c in corner):
+            raise ValueError(f"sample_box must be finite, got {self.sample_box!r}")
 
     def contains(self, p: tuple[float, float]) -> bool:
         x, y = p
@@ -421,33 +425,11 @@ class ProbeOutcome:
     n_found: int | None
     verdict: bool
 
-    def to_jsonable(self) -> dict:
-        return {
-            "probe": list(self.probe),
-            "N_found": self.n_found,
-            "verdict": self.verdict,
-        }
-
 
 @dataclass(frozen=True)
 class CSeqProbeReport:
     outcomes: tuple[ProbeOutcome, ...]
-    horizon: int
     passed: bool
-
-    def outcome_for(self, probe) -> ProbeOutcome:
-        key = (probe.first, probe.second)
-        for o in self.outcomes:
-            if o.probe == key:
-                return o
-        raise KeyError(f"no outcome recorded for probe {key}")
-
-    def to_jsonable(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "passed": self.passed,
-            "probes": [o.to_jsonable() for o in self.outcomes],
-        }
 
 
 def _column_entries(columns, cfg: CSeqProbeConfig):
@@ -539,4 +521,4 @@ def is_c_sequence(seq, cfg: CSeqProbeConfig, columns=None) -> CSeqProbeReport:
             n_found = None
             verdict = False
         outcomes.append(ProbeOutcome((c.first, c.second), n_found, verdict))
-    return CSeqProbeReport(tuple(outcomes), cfg.horizon, all(o.verdict for o in outcomes))
+    return CSeqProbeReport(tuple(outcomes), all(o.verdict for o in outcomes))

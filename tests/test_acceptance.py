@@ -41,6 +41,7 @@ from conefix.fixed_point import (
     check_pointwise_convergence,
     check_uniform_convergence,
     fixed_point_cluster_check,
+    picard_solve,
     pointwise_limit_harness,
     subdomain_limit_harness,
     uniform_limit_harness,
@@ -293,14 +294,17 @@ def test_criterion_08_coupled_system_family():
     inv = neumann_inverse_e_minus(R2Elem(0.5, 0.0))
     assert abs(inv.first - 2.0) < 1e-12 and inv.second == 0.0
     cfg = CSeqProbeConfig.default(R2Elem, horizon=10_000)
-    cache: dict = {}
-    report = coupled_sequence_harness(
-        members, limit, range(1, 1001), cfg, tol=1e-14, fp_cache=cache
-    )
+    report = coupled_sequence_harness(members, limit, range(1, 1001), cfg, tol=1e-14)
     assert report.verdict and all(report.respected) and report.probe.passed
-    worst = 0.0
-    for n in range(1, 1001):
-        x, y = cache[n].point
+    # each row measures the root the solver reaches from the origin
+    space = PlaneR2Space()
+    root = lambda system: picard_solve(
+        system.as_contraction(), space, (0.0, 0.0), 1e-14, 100_000).point
+    limit_root = root(limit)
+    worst = max(abs(limit_root[0] - 0.5), abs(limit_root[1] - 0.25))
+    for n, dist in zip(range(1, 1001), report.dists):
+        x, y = root(members(n))
+        assert dist == space.distance((x, y), limit_root), n
         worst = max(worst, abs(x - (0.5 + 2.0 / n)), abs(y - 0.25))
     assert worst < 1e-8
     print(f"criterion 08 pass: 1000 roots within {worst:.2e}, bounds respected "

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conefix.algebra import R2Elem, zero
+from conefix.algebra import R2Elem, UT2Elem, norm, zero
 from conefix.applications import (
     CoupledSystem,
     OdeProblem,
@@ -24,8 +24,9 @@ from conefix.errors import (
     LeftInvariantSet,
     NoConvergence,
 )
+from conefix.fixed_point import ContractionMap, MapFamily, picard_solve, uniform_limit_harness
 from conefix.scenarios import ScenarioConfig, _damped_ivp_family, run_scenario
-from conefix.spaces import BieleckiPairSpace, CSeqProbeConfig
+from conefix.spaces import BieleckiPairSpace, CSeqProbeConfig, IntervalUT2Space, default_probes
 
 TWO_PROBES = (R2Elem(1.0, 1.0), R2Elem(0.05, 0.05))
 
@@ -125,17 +126,16 @@ def test_coupled_sequence_harness_family():
         0.5,
     )
     cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=300)
-    cache: dict = {}
     # solve tightly: member and limit share the y equation, and a loose stop
     # leaves a solver gap there bigger than the bound pad
     report = coupled_sequence_harness(
-        members, _aligned_system(), range(1, 41), cfg, tol=1e-14, fp_cache=cache
+        members, _aligned_system(), range(1, 41), cfg, tol=1e-14
     )
     assert report.verdict and all(report.respected)
-    for n in range(1, 41):
-        point = cache[n].point
-        assert abs(point[0] - (0.5 + 2.0 / n)) < 1e-8
-        assert abs(point[1] - 0.25) < 1e-8
+    # the roots sit at (0.5 + 2 / n, 0.25) and (0.5, 0.25)
+    for n, dist in zip(range(1, 41), report.dists):
+        assert abs(dist.first - 2.0 / n) < 1e-8
+        assert dist.second < 1e-8
     # the default coefficient bound is the shared lip, so the first bound
     # is about twice the first member's equation gap at the limit root
     assert report.bounds[0].first == pytest.approx(2.0, rel=1e-9)
@@ -245,7 +245,9 @@ def test_ode_solve_linear_ivp_against_exponentials():
     assert float(np.max(np.abs(sol.y - np.exp(-nodes)))) < 1e-6
     assert float(np.max(np.abs(sol.z - np.exp(-2.0 * nodes)))) < 1e-6
     # observed contraction never outruns the certified coefficient by much
-    assert all(r <= 0.5 + 0.05 for r in sol.ratio_history)
+    norms = [norm(d) for d in sol.delta_history]
+    assert len(norms) == sol.iterations
+    assert all(b <= (0.5 + 0.05) * a for a, b in zip(norms, norms[1:]))
     # iterates keep the solution inside the certified tube
     assert float(np.max(np.abs(sol.y - 1.0))) <= 1.0 + 1e-9
     assert float(np.max(np.abs(sol.z - 1.0))) <= 1.0 + 1e-9
@@ -310,6 +312,29 @@ def test_ode_solve_iteration_budget():
         ode_solve(_linear_ivp(), grid_pts=65, max_iter=1)
 
 
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+def test_solvers_refuse_a_tol_that_is_not_positive_and_finite(tol):
+    # the stop rule certifies nothing at such a tol: a NaN one is never met,
+    # so the loops ran on to a zero step, and an infinite one is met at once
+    refused = pytest.raises(ValueError, match="tol must be positive and finite")
+    step = lambda n, x: 0.5 * x + 0.25 / n
+    family = MapFamily(
+        lambda n: ContractionMap(lambda x, n=n: step(n, x), UT2Elem(0.5, 0.0)),
+        ContractionMap(lambda x: 0.5 * x, UT2Elem(0.5, 0.0)), lane_map=step)
+    with refused:
+        picard_solve(family.limit, IntervalUT2Space(1.0), 0.0, tol)
+    with refused:  # the lane blocks meet the error and leave it to picard_solve
+        uniform_limit_harness(family, IntervalUT2Space(1.0),
+                              CSeqProbeConfig(default_probes(UT2Elem), horizon=30),
+                              (1, 2), 0.0, tol=tol)
+    with refused:
+        ode_solve(_linear_ivp(), 65, tol)
+    members, limit, lane_slopes = _damped_ivp_family()
+    with refused:
+        ode_sequence_harness(members, limit, (1, 2), CSeqProbeConfig(TWO_PROBES, horizon=30),
+                             grid_pts=65, tol=tol, lane_slopes=lane_slopes)
+
+
 # ----------------------------------------------------------- ODE families
 
 
@@ -338,15 +363,16 @@ def test_ode_sequence_harness_forcing_family_decays_linearly():
     )
     cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=60)
     log: dict = {}
-    cache: dict = {}
-    report = ode_sequence_harness(
-        members, limit, (8, 16), cfg, distance_log=log, solution_cache=cache
-    )
+    report = ode_sequence_harness(members, limit, (8, 16), cfg, distance_log=log)
     assert report.verdict
     # variation of constants: the gap to the limit solution scales as 1/n
     assert 1.8 <= log[8].first / log[16].first <= 2.2
     n = 8
-    sol = cache[n]
+    cert = _family_certificate(ode_certify(members(1)), ode_certify(limit), limit.center)
+    sol = ode_solve(members(n), certificate=cert)
+    u = ode_solve(limit, certificate=cert)
+    space = BieleckiPairSpace(cert.lo, cert.hi, 257, cert.tau)
+    assert space.distance((sol.y, sol.z), (u.y, u.z)) == log[n]
     nodes = sol.nodes
     oracle = np.exp(-nodes) + (np.cos(nodes) + np.sin(nodes) - np.exp(-nodes)) / (2.0 * n)
     assert float(np.max(np.abs(sol.y - oracle))) < 1e-5
@@ -375,17 +401,18 @@ def test_ode_sequence_rows_are_measured_in_the_exported_space(with_lanes):
     members, limit, lane_slopes = _damped_ivp_family()
     grid_pts, tol = 65, 1e-10
     cfg = CSeqProbeConfig.default(R2Elem, horizon=200)
-    cache: dict = {}
     log: dict = {}
     report = ode_sequence_harness(
         members, limit, (1, 2, 5, 10, 50, 200), cfg, grid_pts=grid_pts, tol=tol,
-        solution_cache=cache, distance_log=log,
-        lane_slopes=lane_slopes if with_lanes else None)
+        distance_log=log, lane_slopes=lane_slopes if with_lanes else None)
     cert = _family_certificate(ode_certify(members(1)), ode_certify(limit), limit.center)
     space = BieleckiPairSpace(cert.lo, cert.hi, grid_pts, cert.tau)
     u = ode_solve(limit, grid_pts, tol, certificate=cert)
-    want = {n: space.distance((sol.y, sol.z), (u.y, u.z)) for n, sol in cache.items()}
-    assert sorted(want) == sorted(log) == list(range(1, 201))
+    want = {}
+    for n in range(1, 201):
+        sol = ode_solve(members(n), grid_pts, tol, certificate=cert)
+        want[n] = space.distance((sol.y, sol.z), (u.y, u.z))
+    assert sorted(log) == list(range(1, 201))
     for n, d in zip(report.indices, report.dists):
         assert _bits((d.first, d.second)) == _bits((want[n].first, want[n].second)), n
     for n, d in log.items():
@@ -434,27 +461,20 @@ def test_ode_lanes_match_ode_solve_for_every_member(grid_pts, monkeypatch):
     members, limit, lane_slopes = _damped_ivp_family()
     cfg = CSeqProbeConfig.default(R2Elem, horizon=1000)
     indices = (1, 2, 10, 1000)
-    scalar_cache: dict = {}
+    scalar_log: dict = {}
     scalar = ode_sequence_harness(members, limit, indices, cfg, grid_pts=grid_pts,
-                                  solution_cache=scalar_cache)
+                                  distance_log=scalar_log)
     calls = _counting_ode_solve(monkeypatch)
-    lane_cache: dict = {}
+    lane_log: dict = {}
     lanes = ode_sequence_harness(members, limit, indices, cfg, grid_pts=grid_pts,
-                                 solution_cache=lane_cache, lane_slopes=lane_slopes)
+                                 distance_log=lane_log, lane_slopes=lane_slopes)
     assert calls == [limit]  # every member came from the lanes
-    assert lanes.to_jsonable() == scalar.to_jsonable()
-    assert sorted(lane_cache) == sorted(scalar_cache) == list(range(1, 1001))
+    assert lanes == scalar
+    assert sorted(lane_log) == sorted(scalar_log) == list(range(1, 1001))
     for n in range(1, 1001):
-        got, want = lane_cache[n], scalar_cache[n]
-        assert _bits(got.nodes) == _bits(want.nodes)
-        for a, b in ((got.y, want.y), (got.z, want.z)):
-            assert _bits(a) == _bits(b), n
-            assert not a.flags.writeable and not b.flags.writeable
-        assert got.iterations == want.iterations, n
-        assert type(got.delta_history[0]) is R2Elem
-        assert ([_bits((d.first, d.second)) for d in got.delta_history]
-                == [_bits((d.first, d.second)) for d in want.delta_history]), n
-        assert _bits(got.ratio_history) == _bits(want.ratio_history), n
+        got, want = lane_log[n], scalar_log[n]
+        assert type(got) is R2Elem
+        assert _bits((got.first, got.second)) == _bits((want.first, want.second)), n
 
 
 def _raised(fn):
@@ -537,24 +557,25 @@ def test_ode_lanes_stop_rule_edges(monkeypatch):
     # stops only on an exactly zero step
     members, limit, lane_slopes = _restless_member_family(2)
     cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=30)
-    first: dict = {}
-    ode_sequence_harness(members, limit, (2,), cfg, grid_pts=65, tol=1.0,
-                         solution_cache=first)
-    step = first[2].delta_history[0]
+    cert = _family_certificate(ode_certify(members(1)), ode_certify(limit), limit.center)
+    step = ode_solve(members(2), 65, 1.0, certificate=cert).delta_history[0]
     assert step.second == 0.0
     for tol in (step.first, 5e-324):
+        assert ode_solve(members(2), 65, tol, certificate=cert).iterations == (
+            2 if tol == step.first else 16)
         want: dict = {}
         ode_sequence_harness(members, limit, (2,), cfg, grid_pts=65, tol=tol,
-                             solution_cache=want)
+                             distance_log=want)
         calls = _counting_ode_solve(monkeypatch)
         got: dict = {}
         ode_sequence_harness(members, limit, (2,), cfg, grid_pts=65, tol=tol,
-                             solution_cache=got, lane_slopes=lane_slopes)
+                             distance_log=got, lane_slopes=lane_slopes)
         monkeypatch.undo()
         assert calls == [limit]
-        assert want[2].iterations == (2 if tol == step.first else 16)
-        assert {n: s.iterations for n, s in got.items()} == {
-            n: s.iterations for n, s in want.items()}
+        assert sorted(got) == sorted(want) == list(range(1, 31))
+        for n in got:
+            assert (_bits((got[n].first, got[n].second))
+                    == _bits((want[n].first, want[n].second))), n
 
 
 @pytest.mark.parametrize("broken", [
@@ -573,7 +594,7 @@ def test_ode_lanes_drop_a_block_whose_slopes_fail(broken, monkeypatch):
     got_log: dict = {}
     got = ode_sequence_harness(members, limit, (1, 5, 60), cfg, grid_pts=65,
                                distance_log=got_log, lane_slopes=broken)
-    assert got.to_jsonable() == want.to_jsonable()
+    assert got == want
     assert got_log == want_log
     assert len(calls) == 1 + 60  # the limit, then every member through ode_solve
 
