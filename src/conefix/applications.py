@@ -105,15 +105,17 @@ class CouplingCheckReport:
 
 
 _DEFAULT_BOX = BoxDomain((-8.0, -8.0), (8.0, 8.0))
+# the triples of points verify_condition samples
+_CONDITION_SAMPLES = 2000
 
 
 def verify_condition(
     system: CoupledSystem,
     box: BoxDomain | None = None,
-    samples: int = 2000,
     seed: int = 0,
 ) -> CouplingCheckReport:
-    """Sample the declared dissipation condition over a box.
+    """Sample the declared dissipation condition over a box, at
+    _CONDITION_SAMPLES point triples.
 
     Each sample perturbs one coordinate while holding the other, matching
     the condition as stated; cross dependence between the equations is
@@ -122,6 +124,7 @@ def verify_condition(
     """
     box = box if box is not None else _DEFAULT_BOX
     rng = np.random.default_rng(seed)
+    samples = _CONDITION_SAMPLES
     pts = box.sample(rng, 3 * samples)
     violations = 0
     worst = 0.0
@@ -149,7 +152,6 @@ class CoupledRoot:
 def coupled_solve(
     system: CoupledSystem,
     tol: float = 1e-10,
-    max_iter: int = 100_000,
     check_condition: bool = True,
     box: BoxDomain | None = None,
     seed: int = 0,
@@ -171,7 +173,7 @@ def coupled_solve(
                 f"{report.samples} samples (worst excess {report.worst_excess:.3e})"
             )
     space = PlaneR2Space()
-    result = picard_solve(system.as_contraction(), space, (0.0, 0.0), tol, max_iter)
+    result = picard_solve(system.as_contraction(), space, (0.0, 0.0), tol)
     x, y = result.point
     residual = R2Elem(abs(system.f(x, y)), abs(system.g(x, y)))
     allowed = tol * (1.0 + system.lip) / (1.0 - system.lip)
@@ -364,6 +366,10 @@ class OdeSolution:
     delta_history: tuple
 
 
+# the most sweeps ode_solve and the lane solver run before giving up
+_MAX_SWEEPS = 200
+
+
 def _tube_slack(radius):
     return 1e-9 * (1.0 + radius)
 
@@ -412,7 +418,6 @@ def ode_solve(
     problem: OdeProblem,
     grid_pts: int = 257,
     tol: float = 1e-10,
-    max_iter: int = 200,
     certificate: OdeCertificate | None = None,
 ) -> OdeSolution:
     """Integral Picard iteration for both equations on a shared grid.
@@ -422,8 +427,8 @@ def ode_solve(
     anchored there.  Every iterate is checked against the certified tube
     (LeftInvariantSet on escape, and on a value that is not finite).
     Iteration stops when the weighted step distance certifies tol accuracy
-    at the contraction rate (see _stop_rule), and raises NoConvergence at
-    max_iter.
+    at the contraction rate (see _stop_rule), and raises NoConvergence
+    after _MAX_SWEEPS sweeps.
     """
     cert = certificate if certificate is not None else ode_certify(problem)
     grid = _ode_grid(cert, grid_pts, tol)
@@ -431,7 +436,7 @@ def ode_solve(
     y = np.full(grid_pts, float(problem.y_init))
     z = np.full(grid_pts, float(problem.z_init))
     deltas: list[R2Elem] = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_SWEEPS + 1):
         y_next = problem.y_init + grid.integral(problem.f(nodes, y))
         z_next = problem.z_init + grid.integral(problem.g(nodes, z))
         y_exc = _tube_excess(y_next, problem.y_init, problem.y_radius)
@@ -452,7 +457,7 @@ def ode_solve(
             y.flags.writeable = False
             z.flags.writeable = False
             return OdeSolution(nodes, y, z, it, tuple(deltas))
-    raise NoConvergence(f"no settled solution within {max_iter} sweeps (tol {tol})")
+    raise NoConvergence(f"no settled solution within {_MAX_SWEEPS} sweeps (tol {tol})")
 
 
 # float64 entries per (lanes x grid) block of the lane solver, so 128 lanes
@@ -461,8 +466,8 @@ def ode_solve(
 _ODE_BLOCK = 1 << 15
 
 
-def _ode_lane_block(members, lane_slopes, grid: _OdeGrid, max_iter: int, block,
-                    u_y, u_z, dists: dict) -> None:
+def _ode_lane_block(members, lane_slopes, grid: _OdeGrid, block, u_y, u_z,
+                    dists: dict) -> None:
     """ode_solve for the members in block, as numpy lanes.
 
     Each lane is one row of (lanes x grid) float64 arrays and runs
@@ -472,7 +477,7 @@ def _ode_lane_block(members, lane_slopes, grid: _OdeGrid, max_iter: int, block,
     the shared stop rule.  A finished lane puts its weighted distance to
     the limit solution (u_y, u_z) into dists.  A lane that ode_solve would
     raise on (a member that cannot be built, an escape from the tube or a
-    value that is not finite, no convergence within max_iter) is left out,
+    value that is not finite, no convergence within _MAX_SWEEPS) is left out,
     and so is a member whose initial values and radii are not all floats.
     The whole block is left out if lane_slopes raises or returns anything
     but two float64 arrays of the lanes' shape.  The lazy ode_solve then
@@ -501,7 +506,7 @@ def _ode_lane_block(members, lane_slopes, grid: _OdeGrid, max_iter: int, block,
             y = np.repeat(y0, nodes.size, axis=1)
             z = np.repeat(z0, nodes.size, axis=1)
             done_lane, done_d1, done_d2 = [], [], []
-            for _ in range(max_iter):
+            for _ in range(_MAX_SWEEPS):
                 if not lane.size:
                     break
                 fy, gz = lane_slopes(idx, nodes, y, z)
@@ -563,7 +568,6 @@ def ode_sequence_harness(
     cfg: CSeqProbeConfig,
     grid_pts: int = 257,
     tol: float = 1e-10,
-    max_iter: int = 200,
     distance_log: dict | None = None,
     lane_slopes: Callable | None = None,
 ) -> ConvergenceReport:
@@ -606,7 +610,7 @@ def ode_sequence_harness(
     grid = _ode_grid(cert, grid_pts, tol)
     inv = neumann_inverse_e_minus(cert.alpha)
 
-    limit_sol = ode_solve(limit, grid_pts, tol, max_iter, cert)
+    limit_sol = ode_solve(limit, grid_pts, tol, cert)
     u_y, u_z = limit_sol.y, limit_sol.z
 
     memo: dict = {}  # n -> distance to the limit solution
@@ -615,13 +619,12 @@ def ode_sequence_harness(
         todo = [n for n in dict.fromkeys(want) if type(n) is int]
         lanes = max(1, _ODE_BLOCK // (grid_pts - 1))
         for i in range(0, len(todo), lanes):
-            _ode_lane_block(members, lane_slopes, grid, max_iter, todo[i:i + lanes],
-                            u_y, u_z, memo)
+            _ode_lane_block(members, lane_slopes, grid, todo[i:i + lanes], u_y, u_z, memo)
 
     def distance_to_limit(n: int) -> R2Elem:
         d = memo.get(n)
         if d is None:
-            sol = ode_solve(members(n), grid_pts, tol, max_iter, cert)
+            sol = ode_solve(members(n), grid_pts, tol, cert)
             d1, d2, _ = grid.space.distances((sol.y, sol.z), (u_y, u_z))
             d = memo[n] = R2Elem(float(d1), float(d2))
         if distance_log is not None:

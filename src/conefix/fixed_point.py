@@ -78,6 +78,8 @@ __all__ = [
 ]
 
 _EPS = 2.0 ** -52
+# the most iterations picard_solve and the lane solver run before giving up
+_MAX_ITER = 100_000
 
 
 @dataclass
@@ -251,15 +253,15 @@ def picard_solve(
     space,
     x0,
     tol: float = 1e-10,
-    max_iter: int = 10_000,
 ) -> FixedPointResult:
     """Iterate x <- T(x) until the step distance certifies tol accuracy
     (see _stop_rule).
 
     Raises ValueError unless tol is positive and finite,
-    IterateEscapedDomain if an iterate leaves the declared domain and
-    NoConvergence if max_iter is reached first.  A start already at the
-    fixed point returns after one application with residual theta.
+    IterateEscapedDomain if the start or an iterate is outside the declared
+    domain and NoConvergence if _MAX_ITER iterations pass first.  A start
+    already at the fixed point returns after one application with residual
+    theta.
     """
     threshold, first_weight = map(
         float, _stop_rule(tol, spectral_radius(T.alpha), T.alpha.second))
@@ -267,7 +269,7 @@ def picard_solve(
     if domain is not None and not domain.contains(x0):
         raise IterateEscapedDomain(f"start point {x0!r} is outside the declared domain")
     x = x0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         x_next = T.map(x)
         if domain is not None and not domain.contains(x_next):
             raise IterateEscapedDomain(
@@ -279,7 +281,7 @@ def picard_solve(
         if step + first_weight * delta.first < threshold or step == 0.0:
             residual = space.distance(T.map(x), x)
             return FixedPointResult(x, it, residual)
-    raise NoConvergence(f"no fixed point within {max_iter} iterations (tol {tol})")
+    raise NoConvergence(f"no fixed point within {_MAX_ITER} iterations (tol {tol})")
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +399,11 @@ def check_uniform_convergence(
     lane_map has its sups computed as numpy lanes over the index x grid
     product, with each index's adversarial points folded into its lane; a
     witness outside that domain sends the judge back to the scalar sup,
-    which raises WitnessOutsideDomain at its index.
+    which raises WitnessOutsideDomain at its index.  ValueError unless
+    grid_count >= 1.
     """
+    if not grid_count >= 1:
+        raise ValueError(f"grid_count must be >= 1, got {grid_count!r}")
     domain = family.limit.domain if family.limit.domain is not None else space.carrier
     base_points = dense_sample(domain, grid_count)
     limit_map = family.limit.map
@@ -604,7 +609,7 @@ def _require_inside(domain, y, what: str) -> None:
 _LANE_BLOCK = 1024
 # a lane whose step has not shrunk over this many iterations is left to
 # picard_solve; one lane that never settles would otherwise keep its whole
-# block iterating up to max_iter, at numpy's per-call cost per iteration
+# block iterating up to _MAX_ITER, at numpy's per-call cost per iteration
 _LANE_STALL = 64
 
 
@@ -712,34 +717,36 @@ def _lane_members(family, space, cfg: CSeqProbeConfig):
         return None
 
 
-def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
-    """picard_solve for the members in block, as numpy lanes.
+def _lane_block(family, space, dim, start, tol, block, cache) -> None:
+    """picard_solve from start for the members in block, as numpy lanes.
 
     Each lane runs picard_solve's steps on float64 columns: its own stop
     rule, picard_solve's formulas in the same IEEE operations and so the
     same bits, then per iteration the domain test, the carrier test and
     the stop rule.  A lane that would raise in picard_solve (a member that
-    cannot be built, a start of another form, an escape from the domain or
-    the carrier, no convergence within max_iter) is left out of the cache,
-    as is the whole block if lane_map fails or the stop rule refuses tol,
-    so that the lazy scalar solve raises exactly what picard_solve raises.
-    So is a lane whose step stalls for _LANE_STALL iterations, which
-    picard_solve then settles or gives up on at scalar cost.
+    cannot be built, an escape from the domain or the carrier, no
+    convergence within _MAX_ITER) is left out of the cache, as is the whole
+    block if start is not of the lanes' form, lane_map fails or the stop
+    rule refuses tol, so that the lazy scalar solve raises exactly what
+    picard_solve raises.  So is a lane whose step stalls for _LANE_STALL
+    iterations, which picard_solve then settles or gives up on at scalar
+    cost.
     """
-    ns, starts, rates, seconds, axes = [], [], [], [], []
+    x0 = _lane_start(start, dim)
+    if x0 is None:
+        return
+    ns, rates, seconds, axes = [], [], [], []
     for n in block:
         try:
             member = family.member(n)
             rate = spectral_radius(member.alpha)
             second = member.alpha.second
-            x0 = _lane_start(start(n), dim)
             lane_axes = _domain_axes(member.domain, dim)
         except Exception:
             continue
-        if x0 is None or lane_axes is None:
+        if lane_axes is None:
             continue
         ns.append(n)
-        starts.append(x0)
         rates.append(rate)
         seconds.append(second)
         axes.append(lane_axes)
@@ -756,14 +763,14 @@ def _lane_block(family, space, dim, start, tol, max_iter, block, cache) -> None:
             thr, wt = _stop_rule(tol, np.asarray(rates, dtype=np.float64),
                                  np.asarray(seconds, dtype=np.float64))
             bounds = np.asarray(axes, dtype=np.float64)  # lane x axis x 4
-            x = [np.asarray(c, dtype=np.float64) for c in zip(*starts)]
+            x = [np.full(len(ns), c) for c in x0]
             keep = _inside_axes(bounds, x)
             lane, idx, thr, wt, bounds = lane[keep], idx[keep], thr[keep], wt[keep], bounds[keep]
             x = [c[keep] for c in x]
             stall_ref = np.full(lane.size, np.inf)  # step at the last stall check
             done_lane, done_iter = [], []
             done_x: list[list[np.ndarray]] = [[] for _ in range(dim)]
-            for it in range(1, max_iter + 1):
+            for it in range(1, _MAX_ITER + 1):
                 if not lane.size:
                     break
                 x_next = step(idx, x)
@@ -806,11 +813,10 @@ def _solve_members(
     space,
     start,
     tol: float,
-    max_iter: int,
     cache: dict | None,
     want=(),
 ):
-    """A memoised n -> picard_solve(family.member(n), space, start(n), ...),
+    """A memoised n -> picard_solve(family.member(n), space, start, tol),
     returned with its cache of results.
 
     want names the indices the caller will fetch.  When the family has a
@@ -823,30 +829,24 @@ def _solve_members(
         dim = _space_dim(space)
         todo = list(dict.fromkeys(n for n in want if type(n) is int and n not in cache))
         for i in range(0, len(todo), _LANE_BLOCK):
-            _lane_block(family, space, dim, start, tol, max_iter,
-                        todo[i:i + _LANE_BLOCK], cache)
+            _lane_block(family, space, dim, start, tol, todo[i:i + _LANE_BLOCK], cache)
 
     def solved(n: int) -> FixedPointResult:
         got = cache.get(n)
         if got is None:
-            got = picard_solve(family.member(n), space, start(n), tol, max_iter)
+            got = picard_solve(family.member(n), space, start, tol)
             cache[n] = got
         return got
 
     return solved, cache
 
 
-def _start_fn(start):
-    """start as a callable n -> x0: itself, or the single point everywhere."""
-    return start if callable(start) else (lambda n: start)
-
-
-def _family_report(family, space, cfg: CSeqProbeConfig, indices, start_fn,
-                   tol, max_iter, fp_cache, target, bound) -> ConvergenceReport:
+def _family_report(family, space, cfg: CSeqProbeConfig, indices, start,
+                   tol, fp_cache, target, bound) -> ConvergenceReport:
     """The skeleton of the fixed point harnesses.
 
-    Solves the members the rows and the probe need, then the limit point
-    x_star = target(); per index n the row is (d(x_n, x_star),
+    Solves the members the rows and the probe need from start, then the
+    limit point x_star = target(); per index n the row is (d(x_n, x_star),
     bound(n, x_n, x_star)) with x_n the member fixed point; last comes the
     probe of n -> d(x_n, x_star).  With lanes the probe reads its entries
     as columns from the cache of solved members; an index missing from it
@@ -854,7 +854,7 @@ def _family_report(family, space, cfg: CSeqProbeConfig, indices, start_fn,
     raises what picard_solve raises.
     """
     indices = tuple(indices)
-    solved, cache = _solve_members(family, space, start_fn, tol, max_iter, fp_cache,
+    solved, cache = _solve_members(family, space, start, tol, fp_cache,
                                    (*indices, *range(cfg.start, cfg.horizon + 1)))
     x_star = target()
     rows = []
@@ -882,8 +882,6 @@ def uniform_limit_harness(
     indices,
     start,
     tol: float = 1e-12,
-    max_iter: int = 100_000,
-    fp_cache: dict | None = None,
 ) -> ConvergenceReport:
     """Distance of member fixed points to the limit fixed point, with the
     bound driven by the limit map's displacement at each member's point.
@@ -892,11 +890,11 @@ def uniform_limit_harness(
 
         inverse(e - alpha) * d(T_n x_n, T x_n)
 
-    with alpha the limit coefficient.  start may be a callable n -> x0 or a
-    single point used everywhere; the limit map is solved from start(1).
+    with alpha the limit coefficient.  Every member and the limit map are
+    solved from the one point start, which must lie in every member domain
+    and in the limit domain; picard_solve raises IterateEscapedDomain where
+    it does not.
     """
-    start_fn = _start_fn(start)
-    limit_start = start_fn(1)
     limit = family.limit
     inv = neumann_inverse_e_minus(limit.alpha)
 
@@ -904,8 +902,8 @@ def uniform_limit_harness(
         return _padded_bound(inv, space.distance(family.member(n).map(x_n), limit.map(x_n)))
 
     return _family_report(
-        family, space, cfg, indices, start_fn, tol, max_iter, fp_cache,
-        lambda: picard_solve(limit, space, limit_start, tol, max_iter).point, bound,
+        family, space, cfg, indices, start, tol, None,
+        lambda: picard_solve(limit, space, start, tol).point, bound,
     )
 
 
@@ -916,19 +914,16 @@ def pointwise_limit_harness(
     indices,
     start,
     tol: float = 1e-12,
-    max_iter: int = 100_000,
-    fp_cache: dict | None = None,
 ) -> ConvergenceReport:
-    """Same distances as the uniform-limit harness, but the bound is driven
-    by the members' displacement at the limit fixed point,
+    """Same distances as the uniform-limit harness, every member and the
+    limit solved from start as there, but the bound is driven by the
+    members' displacement at the limit fixed point,
 
         inverse(e - M) * d(T_n x_star, T x_star)
 
     where M dominates every member coefficient (family.coefficient_bound,
     falling back to the limit coefficient for families with a shared one).
     """
-    start_fn = _start_fn(start)
-    limit_start = start_fn(1)
     inv = neumann_inverse_e_minus(family.bound_coefficient)
     limit = family.limit
 
@@ -937,8 +932,8 @@ def pointwise_limit_harness(
             inv, space.distance(family.member(n).map(x_star), limit.map(x_star)))
 
     return _family_report(
-        family, space, cfg, indices, start_fn, tol, max_iter, fp_cache,
-        lambda: picard_solve(limit, space, limit_start, tol, max_iter).point, bound,
+        family, space, cfg, indices, start, tol, None,
+        lambda: picard_solve(limit, space, start, tol).point, bound,
     )
 
 
@@ -952,11 +947,12 @@ def subdomain_limit_harness(
     witness: Callable[[int], object] | None = None,
     responder: Callable[[int], object] | None = None,
     tol: float = 1e-12,
-    max_iter: int = 100_000,
     fp_cache: dict | None = None,
 ) -> ConvergenceReport:
     """Fixed point convergence bounds for members living on moving
-    sub-domains, measured against the limit fixed point x_inf.  Exactly one
+    sub-domains, measured against the limit fixed point x_inf.  Every
+    member is solved from start, which must lie in every member domain;
+    picard_solve raises IterateEscapedDomain where it does not.  Exactly one
     of witness and responder is given, and it picks the form of the bound.
 
     Witness form: per index n, with y_n = witness(n) a point of the member
@@ -995,8 +991,7 @@ def subdomain_limit_harness(
         return _padded_bound(inv, displacement)
 
     return _family_report(
-        family, space, cfg, indices, _start_fn(start), tol, max_iter, fp_cache,
-        lambda: x_inf, bound,
+        family, space, cfg, indices, start, tol, fp_cache, lambda: x_inf, bound,
     )
 
 
@@ -1024,24 +1019,23 @@ def fixed_point_cluster_check(
     indices,
     start,
     tol: float = 1e-4,
-    max_iter: int = 100_000,
     fp_cache: dict | None = None,
 ) -> ClusterCheckReport:
     """Test whether member fixed points settle, and if so whether the
     settling value is fixed by the limit map.
 
-    Members are solved to _CLUSTER_SOLVER_TOL.  The last quarter of the
-    solved fixed points must sit inside a ball of radius 10 * tol around
-    their final value; otherwise the report says not convergent and draws
-    no conclusion.  On a cluster, the candidate is polished by iterating
-    the limit map until the float iteration reaches an exact fixed point or
-    _POLISH_CAP applications pass, and the residual d(y, T y) at the
-    polished point is reported, acceptable when its norm is at most
-    10 * tol.
+    Members are solved to _CLUSTER_SOLVER_TOL from start, which must lie in
+    every member domain; picard_solve raises IterateEscapedDomain where it
+    does not.  The last quarter of the solved fixed points must sit inside
+    a ball of radius 10 * tol around their final value; otherwise the
+    report says not convergent and draws no conclusion.  On a cluster, the
+    candidate is polished by iterating the limit map until the float
+    iteration reaches an exact fixed point or _POLISH_CAP applications
+    pass, and the residual d(y, T y) at the polished point is reported,
+    acceptable when its norm is at most 10 * tol.
     """
     indices = tuple(indices)
-    solved, _ = _solve_members(family, space, _start_fn(start), _CLUSTER_SOLVER_TOL, max_iter,
-                               fp_cache, indices)
+    solved, _ = _solve_members(family, space, start, _CLUSTER_SOLVER_TOL, fp_cache, indices)
     points = [solved(n).point for n in indices]
     quarter = points[-max(1, len(points) // 4):]
     anchor = quarter[-1]

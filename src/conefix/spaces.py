@@ -78,7 +78,7 @@ class IntervalDomain:
     open_hi: bool = False
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
+        if not self.lo <= self.hi:  # NaN endpoints fail too
             raise ValueError("interval must have lo <= hi")
         if self.lo == self.hi and (self.open_lo or self.open_hi):
             raise ValueError("a single-point interval must be closed at both ends")
@@ -165,7 +165,8 @@ class PlaneR2Space:
     """Rectangle in the plane; distance is the componentwise absolute gap.
 
     The carrier box may be unbounded; sampling then falls back to the
-    sample_box window, which must be finite.
+    sample_box window, which must be finite and must overlap the carrier
+    box in a rectangle with lo < hi in both coordinates.
     """
 
     lo: tuple[float, float] = (-math.inf, -math.inf)
@@ -177,6 +178,12 @@ class PlaneR2Space:
     def __post_init__(self) -> None:
         if not all(math.isfinite(c) for corner in self.sample_box for c in corner):
             raise ValueError(f"sample_box must be finite, got {self.sample_box!r}")
+        lo, hi = self._sampling_corners()
+        if not (lo[0] < hi[0] and lo[1] < hi[1]):
+            raise ValueError(
+                f"carrier box lo={self.lo!r}, hi={self.hi!r} does not meet "
+                f"sample_box {self.sample_box!r}"
+            )
 
     def contains(self, p: tuple[float, float]) -> bool:
         x, y = p
@@ -184,19 +191,19 @@ class PlaneR2Space:
             return self.lo[0] <= x < self.hi[0] and self.lo[1] <= y < self.hi[1]
         return self.lo[0] <= x <= self.hi[0] and self.lo[1] <= y <= self.hi[1]
 
-    def _sampling_domain(self) -> BoxDomain:
+    def _sampling_corners(self):
         lo = (max(self.lo[0], self.sample_box[0][0]), max(self.lo[1], self.sample_box[0][1]))
         hi = (min(self.hi[0], self.sample_box[1][0]), min(self.hi[1], self.sample_box[1][1]))
-        return BoxDomain(lo, hi, open_hi=self.open_hi)
+        return lo, hi
 
     @property
     def carrier(self) -> BoxDomain:
         # the samplable stand-in for the carrier: the box itself when finite,
         # clipped to the sample window when unbounded
-        return self._sampling_domain()
+        return BoxDomain(*self._sampling_corners(), open_hi=self.open_hi)
 
     def sample(self, rng: np.random.Generator, count: int) -> list[tuple[float, float]]:
-        return self._sampling_domain().sample(rng, count)
+        return self.carrier.sample(rng, count)
 
     def distance(self, p: tuple[float, float], q: tuple[float, float]) -> R2Elem:
         if not (self.contains(p) and self.contains(q)):
@@ -413,8 +420,8 @@ class CSeqProbeConfig:
                 raise ValueError("probes must lie strictly inside the cone")
 
     @classmethod
-    def default(cls, kind, horizon: int = 10_000, tail_required: int = 16) -> "CSeqProbeConfig":
-        return cls(default_probes(kind), horizon, tail_required)
+    def default(cls, kind, horizon: int = 10_000) -> "CSeqProbeConfig":
+        return cls(default_probes(kind), horizon)
 
 
 @dataclass(frozen=True)
@@ -458,8 +465,8 @@ def _column_entries(columns, cfg: CSeqProbeConfig):
 def is_c_sequence(seq, cfg: CSeqProbeConfig, columns=None) -> CSeqProbeReport:
     """Probe whether a cone sequence gets eventually small, empirically.
 
-    seq is either a callable on integer indices or an indexable sequence;
-    indices cfg.start .. cfg.horizon inclusive are fetched once, in order.
+    seq is a callable on integer indices; indices cfg.start .. cfg.horizon
+    inclusive are fetched once, in order.
     Every entry must lie in the cone; MemberOutsideCone is raised at the
     first entry that does not, before any later index is fetched.
 
@@ -493,11 +500,10 @@ def is_c_sequence(seq, cfg: CSeqProbeConfig, columns=None) -> CSeqProbeReport:
     if got is not None:
         a, b = got
     else:
-        fetch = seq if callable(seq) else seq.__getitem__
         firsts = array("d")
         seconds = array("d")
         for n in range(cfg.start, cfg.horizon + 1):
-            v = fetch(n)
+            v = seq(n)
             if not in_cone(v):
                 raise MemberOutsideCone(f"entry at index {n} left the cone: {v!r}")
             kinds[type(v)] = v

@@ -230,14 +230,9 @@ def test_criterion_06_fixed_points_track_uniform_limits():
     )
     space = IntervalUT2Space(2.0)
     cfg = CSeqProbeConfig.default(UT2Elem, horizon=10_000)
-    cache: dict = {}
     indices = range(1, 1001)
-    uniform = uniform_limit_harness(
-        family, space, cfg, indices, 0.0, tol=1e-14, fp_cache=cache
-    )
-    pointwise = pointwise_limit_harness(
-        family, space, cfg, indices, 0.0, tol=1e-14, fp_cache=cache
-    )
+    uniform = uniform_limit_harness(family, space, cfg, indices, 0.0, tol=1e-14)
+    pointwise = pointwise_limit_harness(family, space, cfg, indices, 0.0, tol=1e-14)
     assert uniform.verdict and pointwise.verdict
     assert all(uniform.respected) and all(pointwise.respected)
     assert uniform.probe.passed and pointwise.probe.passed
@@ -299,7 +294,7 @@ def test_criterion_08_coupled_system_family():
     # each row measures the root the solver reaches from the origin
     space = PlaneR2Space()
     root = lambda system: picard_solve(
-        system.as_contraction(), space, (0.0, 0.0), 1e-14, 100_000).point
+        system.as_contraction(), space, (0.0, 0.0), 1e-14).point
     limit_root = root(limit)
     worst = max(abs(limit_root[0] - 0.5), abs(limit_root[1] - 0.25))
     for n, dist in zip(range(1, 1001), report.dists):

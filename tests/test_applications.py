@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import conefix.applications as applications
+import conefix.fixed_point as fixed_point
 from conefix.algebra import R2Elem, UT2Elem, norm, zero
 from conefix.applications import (
     CoupledSystem,
@@ -91,16 +93,18 @@ def test_coupled_solve_crossed_matches_linear_oracle():
     assert abs(root.y - oracle[1]) < 1e-8
 
 
-def test_coupled_condition_gate():
+def test_coupled_condition_gate(monkeypatch):
     steep = CoupledSystem(lambda x, y: -2.0 * x + 1.0, lambda x, y: -0.5 * y, 0.5)
-    report = verify_condition(steep, samples=200, seed=3)
-    assert report.violations > 0
+    monkeypatch.setattr(applications, "_CONDITION_SAMPLES", 200)
+    report = verify_condition(steep, seed=3)
+    assert report.samples == 200 and report.violations > 0
     with pytest.raises(ConditionViolated):
         coupled_solve(steep)
     # bypassing the gate just exposes the oscillation to the iteration cap
-    with pytest.raises(NoConvergence):
-        coupled_solve(steep, check_condition=False, max_iter=50)
-    assert verify_condition(_crossed_system(), samples=200).violations == 0
+    monkeypatch.setattr(fixed_point, "_MAX_ITER", 50)
+    with pytest.raises(NoConvergence, match=r"^no fixed point within 50 iterations"):
+        coupled_solve(steep, check_condition=False)
+    assert verify_condition(_crossed_system()).violations == 0
 
 
 def test_coupled_solve_rejects_sloppy_stop():
@@ -307,9 +311,10 @@ def test_ode_solve_refuses_a_sweep_that_is_not_finite():
         ode_solve(problem, grid_pts=257, certificate=ode_certify(_linear_ivp()))
 
 
-def test_ode_solve_iteration_budget():
-    with pytest.raises(NoConvergence):
-        ode_solve(_linear_ivp(), grid_pts=65, max_iter=1)
+def test_ode_solve_iteration_budget(monkeypatch):
+    monkeypatch.setattr(applications, "_MAX_SWEEPS", 1)
+    with pytest.raises(NoConvergence, match=r"^no settled solution within 1 sweeps"):
+        ode_solve(_linear_ivp(), grid_pts=65)
 
 
 @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
@@ -443,8 +448,6 @@ def _bits(values) -> list:
 
 
 def _counting_ode_solve(monkeypatch) -> list:
-    import conefix.applications as applications
-
     calls = []
     original = applications.ode_solve
 
@@ -507,7 +510,7 @@ def _nan_member_family(k: int):
 
 def _restless_member_family(k: int):
     # the limit and every member but k have zero slopes and settle in one
-    # sweep; member k needs more, so max_iter=1 stops it
+    # sweep; member k needs more, so a cap of one sweep stops it
     flat = dataclasses.replace(_linear_ivp(), f=lambda x, y: 0.0 * y,
                                g=lambda x, z: 0.0 * z)
     members = lambda n: dataclasses.replace(flat, f=lambda x, y, n=n: -1.0 * (n == k) * y)
@@ -516,16 +519,17 @@ def _restless_member_family(k: int):
 
 
 @pytest.mark.parametrize("k", [3, 7])
-@pytest.mark.parametrize("make, max_iter, error", [
+@pytest.mark.parametrize("make, sweeps, error", [
     (_leaky_member_family, 200, LeftInvariantSet),
     (_nan_member_family, 200, LeftInvariantSet),
     (_restless_member_family, 1, NoConvergence),
 ])
-def test_ode_lanes_leave_failing_members_to_ode_solve(k, make, max_iter, error):
+def test_ode_lanes_leave_failing_members_to_ode_solve(k, make, sweeps, error, monkeypatch):
+    monkeypatch.setattr(applications, "_MAX_SWEEPS", sweeps)
     members, limit, lane_slopes = make(k)
     cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=30)
     run = lambda **lanes: ode_sequence_harness(
-        members, limit, (1, 2, 5, 10), cfg, grid_pts=65, max_iter=max_iter, **lanes)
+        members, limit, (1, 2, 5, 10), cfg, grid_pts=65, **lanes)
     want = _raised(run)
     assert want[0] is error
     assert _raised(lambda: run(lane_slopes=lane_slopes)) == want

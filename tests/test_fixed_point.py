@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conefix.fixed_point as fixed_point
 from conefix.algebra import R2Elem, UT2Elem, norm, zero
 from conefix.errors import (
     ConefixError,
@@ -122,10 +123,11 @@ def test_picard_domain_escapes():
         picard_solve(_half_plus(0.25, UNIT_INTERVAL), space, 1.5)
 
 
-def test_picard_iteration_budget():
+def test_picard_iteration_budget(monkeypatch):
     space = IntervalUT2Space(1.0)
-    with pytest.raises(NoConvergence):
-        picard_solve(_half_plus(0.0), space, 1.0, tol=1e-12, max_iter=2)
+    monkeypatch.setattr(fixed_point, "_MAX_ITER", 2)
+    with pytest.raises(NoConvergence, match=r"^no fixed point within 2 iterations \(tol 1e-12\)$"):
+        picard_solve(_half_plus(0.0), space, 1.0, tol=1e-12)
     with pytest.raises(ValueError):
         picard_solve(_half_plus(0.0), space, 1.0, tol=0.0)
 
@@ -275,6 +277,22 @@ def test_uniform_convergence_rejects_stray_witness():
     cfg = CSeqProbeConfig.default(R2Elem, horizon=50)
     with pytest.raises(WitnessOutsideDomain):
         check_uniform_convergence(family, PlaneR2Space(), cfg, grid_count=4)
+
+
+@pytest.mark.parametrize("lanes", [False, True])
+@pytest.mark.parametrize("grid_count", [0, -1])
+def test_uniform_convergence_refuses_an_empty_grid(grid_count, lanes):
+    # an empty grid used to end in max() of an empty sequence, after the
+    # columnar sup divided by a grid size of zero
+    step = lambda n, x: x / n
+    family = MapFamily(
+        lambda n: PlainMap(lambda x, n=n: step(n, x), UNIT_INTERVAL),
+        PlainMap(lambda x: 0.0, UNIT_INTERVAL),
+        lane_map=step if lanes else None,
+    )
+    cfg = CSeqProbeConfig.default(UT2Elem, horizon=50)
+    with pytest.raises(ValueError, match=rf"^grid_count must be >= 1, got {grid_count}$"):
+        check_uniform_convergence(family, IntervalUT2Space(1.0), cfg, grid_count=grid_count)
 
 
 def test_equicontinuity_finds_unit_scale_for_mild_families():
@@ -454,7 +472,7 @@ def _ray_bound(harness: str, kind, k, direction):
     space = _RaySpace(kind, direction)
     family = MapFamily(lambda n: ContractionMap(lambda x: 1.0, k),
                        ContractionMap(lambda x: 0.0, k))
-    cfg = CSeqProbeConfig.default(kind, horizon=2, tail_required=1)
+    cfg = CSeqProbeConfig(default_probes(kind), horizon=2, tail_required=1)
     if harness == "uniform":
         report = uniform_limit_harness(family, space, cfg, (1,), start=0.5)
     elif harness == "pointwise":
@@ -710,11 +728,11 @@ def _same_result(got, ref) -> bool:
 def test_lanes_match_picard_on_shipped_families(name):
     family, space, x0, tol = _shipped_lane_families()[name]
     cache: dict = {}
-    _solve_members(family, space, lambda n: x0, tol, 100_000, cache, range(1, 10_001))
+    _solve_members(family, space, x0, tol, cache, range(1, 10_001))
     # every member was solved by the lanes, before any lazy scalar solve
     assert sorted(cache) == list(range(1, 10_001))
     for n in range(1, 10_001):
-        ref = picard_solve(family.member(n), space, x0, tol, 100_000)
+        ref = picard_solve(family.member(n), space, x0, tol)
         assert _same_result(cache[n], ref), n
 
 
@@ -752,14 +770,16 @@ def test_lanes_match_picard_on_random_affine_families(
         lane_map=step,
     )
     cache: dict = {}
-    _solve_members(family, space, lambda n: start, tol, 400, cache, range(1, 25))
-    for n in range(1, 25):
-        try:
-            ref = picard_solve(family.member(n), space, start, tol, 400)
-        except ConefixError:
-            assert n not in cache
-        else:
-            assert _same_result(cache[n], ref), n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fixed_point, "_MAX_ITER", 400)
+        _solve_members(family, space, start, tol, cache, range(1, 25))
+        for n in range(1, 25):
+            try:
+                ref = picard_solve(family.member(n), space, start, tol)
+            except ConefixError:
+                assert n not in cache
+            else:
+                assert _same_result(cache[n], ref), n
 
 
 @pytest.mark.parametrize("jump, tol, iterations", [
@@ -780,13 +800,13 @@ def test_lane_stop_rule_edges_match_picard(jump, tol, iterations):
     )
     space = IntervalUT2Space(1.0)
     cache: dict = {}
-    _solve_members(family, space, lambda n: 0.0, tol, 100, cache, (1, 2))
+    _solve_members(family, space, 0.0, tol, cache, (1, 2))
     if iterations is None:
         with pytest.raises(PointOutsideCarrier):
-            picard_solve(family.member(1), space, 0.0, tol, 100)
+            picard_solve(family.member(1), space, 0.0, tol)
         assert cache == {}
         return
-    ref = picard_solve(family.member(1), space, 0.0, tol, 100)
+    ref = picard_solve(family.member(1), space, 0.0, tol)
     assert ref.iterations == iterations
     assert _same_result(cache[1], ref)
 
@@ -808,22 +828,22 @@ def test_lanes_leave_a_stalled_lane_to_picard():
     family = MapFamily(members, _half_plus(0.0), lane_map=step)
     space = IntervalUT2Space(1.0)
     cache: dict = {}
-    _solve_members(family, space, lambda n: 0.25, 1e-12, 100_000, cache, range(1, 9))
-    # the stuck lane is dropped at the second stall check, not at max_iter
+    _solve_members(family, space, 0.25, 1e-12, cache, range(1, 9))
+    # the stuck lane is dropped at the second stall check, not at _MAX_ITER
     assert calls.index(7) == 2 * _LANE_STALL
     assert sorted(cache) == [1, 2, 4, 5, 6, 7, 8]
     for n in sorted(cache):
-        ref = picard_solve(family.member(n), space, 0.25, 1e-12, 100_000)
+        ref = picard_solve(family.member(n), space, 0.25, 1e-12)
         assert ref.iterations > 2 * _LANE_STALL
         assert _same_result(cache[n], ref)
     with pytest.raises(NoConvergence):
-        picard_solve(family.member(3), space, 0.25, 1e-12, 100_000)
+        picard_solve(family.member(3), space, 0.25, 1e-12)
 
 
 def _faulty_family(case: str, k: int, lanes: bool) -> MapFamily:
     """Halving members except member k, which breaks picard_solve by
-    escaping its domain, leaving the carrier, never settling, or failing to
-    be built at all."""
+    escaping its domain, leaving the carrier, never settling ("max_iter":
+    it runs into the iteration cap), or failing to be built at all."""
     domain = None if case == "carrier" else UNIT_INTERVAL
 
     def bad(x):
@@ -846,14 +866,14 @@ def _faulty_family(case: str, k: int, lanes: bool) -> MapFamily:
 
 _HARNESS_CALLS = {
     "uniform": lambda fam, space, cfg: uniform_limit_harness(
-        fam, space, cfg, (1, 2, 3, 10), start=0.25, max_iter=300),
+        fam, space, cfg, (1, 2, 3, 10), start=0.25),
     "pointwise": lambda fam, space, cfg: pointwise_limit_harness(
-        fam, space, cfg, (1, 2, 3, 10), start=0.25, max_iter=300),
+        fam, space, cfg, (1, 2, 3, 10), start=0.25),
     "subdomain": lambda fam, space, cfg: subdomain_limit_harness(
         fam, space, cfg, (1, 2, 3, 10), start=0.25, x_inf=0.0,
-        witness=lambda n: 0.5, max_iter=300),
+        witness=lambda n: 0.5),
     "cluster": lambda fam, space, cfg: fixed_point_cluster_check(
-        fam, space, range(1, cfg.horizon + 1), start=0.25, max_iter=300),
+        fam, space, range(1, cfg.horizon + 1), start=0.25),
 }
 
 
@@ -865,7 +885,8 @@ _HARNESS_CALLS = {
     ("construction", ValueError),
 ])
 @pytest.mark.parametrize("k", [3, 7])
-def test_lane_failures_raise_what_picard_raises(harness, case, raised, k):
+def test_lane_failures_raise_what_picard_raises(harness, case, raised, k, monkeypatch):
+    monkeypatch.setattr(fixed_point, "_MAX_ITER", 300)
     space = IntervalUT2Space(1.0)
     cfg = CSeqProbeConfig(probes=(UT2Elem(0.5, 0.5),), horizon=30)
     caught = []
@@ -879,7 +900,6 @@ def test_lane_failures_raise_what_picard_raises(harness, case, raised, k):
 def test_lane_family_makes_no_member_picard_solves(monkeypatch):
     # a silent fall back to scalar solves would keep every payload and lose
     # the speed, so count the solves: only the limit map is solved by picard
-    from conefix import fixed_point
     from conefix.scenarios import _interval_ut2_family
 
     calls = []

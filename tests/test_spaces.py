@@ -51,6 +51,13 @@ def test_interval_domain():
         IntervalDomain(1.0, 1.0, open_hi=True)
 
 
+def test_interval_domain_refuses_nan_endpoints():
+    # such a domain used to construct, contain nothing and sample NaN
+    for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match="interval must have lo <= hi"):
+            IntervalDomain(lo, hi)
+
+
 def test_interval_domain_sampling_respects_open_end():
     dom = IntervalDomain(0.0, 1.0, open_hi=True)
     rng = np.random.default_rng(0)
@@ -137,6 +144,24 @@ def test_plane_r2_distance_literals():
     for bad in (((-math.inf, -math.inf), (math.inf, math.inf)), ((0.0, math.nan), (1.0, 1.0))):
         with pytest.raises(ValueError, match="sample_box must be finite"):
             PlaneR2Space(sample_box=bad)
+
+
+def test_plane_r2_refuses_a_carrier_that_misses_the_sample_box():
+    # such a space used to construct and fail only when sampled, with a
+    # BoxDomain message that named neither argument
+    refused = r"^carrier box lo=\(10\.0, 10\.0\), hi=\(20\.0, 20\.0\) does not meet sample_box "
+    with pytest.raises(ValueError, match=refused):
+        PlaneR2Space(lo=(10.0, 10.0), hi=(20.0, 20.0))
+    for lo, hi, window in (
+        ((8.0, 0.0), (9.0, 1.0), ((-8.0, -8.0), (8.0, 8.0))),  # meets at an edge only
+        ((0.0, 0.0), (1.0, 1.0), ((2.0, 0.0), (3.0, 1.0))),
+        ((-math.inf, 0.0), (math.inf, 1.0), ((0.0, 5.0), (1.0, 6.0))),
+    ):
+        with pytest.raises(ValueError, match="does not meet sample_box"):
+            PlaneR2Space(lo=lo, hi=hi, sample_box=window)
+    inside = PlaneR2Space(lo=(10.0, 10.0), hi=(20.0, 20.0),
+                          sample_box=((0.0, 0.0), (15.0, 30.0)))
+    assert inside.carrier == BoxDomain((10.0, 10.0), (15.0, 20.0))
 
 
 _EDGE_COORDS = st.sampled_from(
@@ -298,12 +323,15 @@ def test_sequence_must_stay_in_cone():
 
 
 def test_indexable_sequence_accepted():
+    # a list is judged through its __getitem__; the judge takes callables only
     horizon = 100
     entries = [zero(R2Elem)] + [R2Elem(1.0 / n, 1.0 / n) for n in range(1, horizon + 1)]
     cfg = CSeqProbeConfig(probes=(R2Elem(0.05, 0.05),), horizon=horizon)
-    report = is_c_sequence(entries, cfg)
+    report = is_c_sequence(entries.__getitem__, cfg)
     assert report.passed
     assert report.outcomes[0].n_found == 21
+    with pytest.raises(TypeError, match="not callable"):
+        is_c_sequence(entries, cfg)
 
 
 def test_larger_probes_are_cleared_no_later():
@@ -343,7 +371,7 @@ def test_powers_of_contractive_cone_element_are_small():
         for _ in range(horizon - 1):
             powers.append(mul(powers[-1], k))
         cfg = CSeqProbeConfig.default(type(k), horizon=horizon)
-        assert is_c_sequence(powers, cfg).passed
+        assert is_c_sequence(powers.__getitem__, cfg).passed
 
 
 # ------------------------------------------------- judge against an oracle
@@ -351,10 +379,9 @@ def test_powers_of_contractive_cone_element_are_small():
 
 def _reference_judge(seq, cfg):
     """The scalar judge: one cone_compare per entry and probe."""
-    fetch = seq if callable(seq) else seq.__getitem__
     entries = []
     for n in range(cfg.start, cfg.horizon + 1):
-        v = fetch(n)
+        v = seq(n)
         if not in_cone(v):
             raise MemberOutsideCone(f"entry at index {n} left the cone: {v!r}")
         entries.append(v)
@@ -409,8 +436,7 @@ def _judge_cases(draw):
         )
         for n in range(horizon + 1)
     ]
-    seq = entries.__getitem__ if draw(st.booleans()) else entries
-    return seq, cfg
+    return entries.__getitem__, cfg
 
 
 @settings(max_examples=400, deadline=None)
