@@ -191,7 +191,7 @@ def coupled_sequence_harness(
     indices,
     cfg: CSeqProbeConfig,
     tol: float = 1e-12,
-    lane_map: Callable | None = None,
+    lanes: bool = False,
 ) -> ConvergenceReport:
     """Roots of a system family against the limit system's root, every
     system solved from the origin, with the varying-coefficient fixed point
@@ -199,16 +199,16 @@ def coupled_sequence_harness(
     coefficient bound is the largest lip of the limit and of the members at
     indices, so it dominates the coefficient of every member a row reads.
 
-    lane_map, when given, is the members' operator on numpy lanes (see
-    MapFamily); for systems whose equations are array-safe it is
-    lambda ns, p: members(ns).operator(p).
+    lanes=True declares that members, called with an int64 index column,
+    is the family's lane form under MapFamily's contract; the lane member
+    is then members(ns).as_contraction().
     """
     indices = tuple(indices)
     family = MapFamily(
         lambda n: members(n).as_contraction(),
         limit.as_contraction(),
         coefficient_bound=R2Elem(max([limit.lip, *(members(n).lip for n in indices)]), 0.0),
-        lane_map=lane_map,
+        lanes=lanes,
     )
     return pointwise_limit_harness(
         family, PlaneR2Space(), cfg, indices, (0.0, 0.0), tol=tol
@@ -466,53 +466,46 @@ def ode_solve(
 _ODE_BLOCK = 1 << 15
 
 
-def _ode_lane_block(members, lane_slopes, grid: _OdeGrid, block, u_y, u_z,
-                    dists: dict) -> None:
-    """ode_solve for the members in block, as numpy lanes.
+def _ode_lane_block(members, grid: _OdeGrid, block, u_y, u_z, dists: dict) -> None:
+    """ode_solve for the members in block, as numpy lanes of the lane
+    member members(idx) (see ode_sequence_harness), with idx the (lanes, 1)
+    column of block's indices; it is rebuilt as lanes finish.
 
     Each lane is one row of (lanes x grid) float64 arrays and runs
-    ode_solve's sweep in the same IEEE operations, so to the same bits:
-    slopes from lane_slopes, the row-wise trapezoid integral, the tube test
-    against the lane's own initial values and radii, the weighted step and
-    the shared stop rule.  A finished lane puts its weighted distance to
-    the limit solution (u_y, u_z) into dists.  A lane that ode_solve would
-    raise on (a member that cannot be built, an escape from the tube or a
-    value that is not finite, no convergence within _MAX_SWEEPS) is left out,
-    and so is a member whose initial values and radii are not all floats.
-    The whole block is left out if lane_slopes raises or returns anything
-    but two float64 arrays of the lanes' shape.  The lazy ode_solve then
-    raises exactly what it raises.
+    ode_solve's sweep in the same IEEE operations, so to the same bits: the
+    slopes, the row-wise trapezoid integral, the tube test against the
+    lane's own initial values and radii, the weighted step and the shared
+    stop rule.  A finished lane puts its weighted distance to the limit
+    solution (u_y, u_z) into dists.  A lane that ode_solve would raise on
+    (an escape from the tube or a value that is not finite, no convergence
+    within _MAX_SWEEPS) is left out, and so is the whole block if its lane
+    member cannot be built, has initial values or radii that are not
+    float64, or slopes that are not two float64 arrays of the lanes' shape.
+    The lazy ode_solve then raises exactly what it raises.
     """
-    ns, params = [], []
-    for n in block:
-        try:
-            p = members(n)
-        except Exception:
-            continue
-        vals = (p.y_init, p.z_init, p.y_radius, p.z_radius)
-        if all(type(v) is float for v in vals):
-            ns.append(n)
-            params.append(vals)
-    if not ns:
-        return
     nodes = grid.space.nodes
+    idx = np.asarray(block, dtype=np.int64)[:, None]
     try:
         with np.errstate(all="ignore"):
-            cols = np.asarray(params, dtype=np.float64)
-            y0, z0 = cols[:, 0:1], cols[:, 1:2]
-            ry, rz = cols[:, 2], cols[:, 3]
-            lane = np.arange(len(ns))
-            idx = np.asarray(ns, dtype=np.int64)[:, None]
+            p, built = members(idx), idx.size  # built: the lanes p is for
+            y0, z0, ry, rz = cols = [np.broadcast_to(np.asarray(v), idx.shape)
+                                     for v in (p.y_init, p.z_init, p.y_radius, p.z_radius)]
+            if any(c.dtype != np.float64 for c in cols):
+                return
+            ry, rz = ry[:, 0], rz[:, 0]
+            lane = np.arange(idx.size)
             y = np.repeat(y0, nodes.size, axis=1)
             z = np.repeat(z0, nodes.size, axis=1)
             done_lane, done_d1, done_d2 = [], [], []
             for _ in range(_MAX_SWEEPS):
                 if not lane.size:
                     break
-                fy, gz = lane_slopes(idx, nodes, y, z)
+                if idx.size != built:  # lanes only ever drop out
+                    p, built = members(idx), idx.size
+                fy, gz = p.f(nodes, y), p.g(nodes, z)
                 if not all(isinstance(v, np.ndarray) and v.dtype == np.float64
                            and v.shape == y.shape for v in (fy, gz)):
-                    raise TypeError("lane_slopes must return two float64 arrays "
+                    raise TypeError("lane slopes must be two float64 arrays "
                                     "of shape (lanes, grid_pts)")
                 # y0 + integral as in ode_solve, in place: IEEE addition commutes
                 y_next = grid.integral(fy)
@@ -541,7 +534,7 @@ def _ode_lane_block(members, lane_slopes, grid: _OdeGrid, block, u_y, u_z,
     lanes = np.concatenate(done_lane).tolist()
     gaps = zip(np.concatenate(done_d1).tolist(), np.concatenate(done_d2).tolist())
     for i, (a, b) in zip(lanes, gaps):
-        dists[ns[i]] = R2Elem(a, b)
+        dists[block[i]] = R2Elem(a, b)
 
 
 def _family_certificate(
@@ -569,7 +562,7 @@ def ode_sequence_harness(
     grid_pts: int = 257,
     tol: float = 1e-10,
     distance_log: dict | None = None,
-    lane_slopes: Callable | None = None,
+    lanes: bool = False,
 ) -> ConvergenceReport:
     """Solutions of a problem family against the limit problem's solution.
 
@@ -587,15 +580,14 @@ def ode_sequence_harness(
     covers the two solver stops, each certified within tol of its exact
     fixed point in every weighted component.
 
-    lane_slopes(ns, x, y, z) -> (f values, g values), when given, is the
-    members' slope pair on numpy lanes: ns an int64 column of member
-    indices, x the grid nodes, y and z float64 arrays of shape
-    (lanes, grid_pts), one row per member.  Every member the rows and the
-    probe fetch is then solved up front in blocks of lanes, each to the
-    values ode_solve reaches, bit for bit.  Write the slopes once with
-    + - * / only so that one expression serves both forms (the ode_sequence
-    scenario does).  A member the lanes cannot settle is left to ode_solve,
-    which raises as before.
+    lanes=True declares that members, called with an int64 index column
+    of shape (lanes, 1), is the family's lane form under MapFamily's
+    contract: its f and g map the nodes and (lanes x grid_pts) arrays of
+    values, one row per member, to slopes of that shape, and its initial
+    values and radii are float64 columns or shared scalars.  Every member
+    the rows and the probe fetch is then solved up front in blocks of
+    lanes, bit for bit as ode_solve solves it; a member the lanes cannot
+    settle is left to ode_solve, which raises as before.
 
     Only distances are kept per index.  When a distance_log dict is
     supplied, every index the probe or the rows touch is recorded there as
@@ -614,12 +606,12 @@ def ode_sequence_harness(
     u_y, u_z = limit_sol.y, limit_sol.z
 
     memo: dict = {}  # n -> distance to the limit solution
-    if lane_slopes is not None:
+    if lanes:
         want = (*indices, *range(cfg.start, cfg.horizon + 1))
         todo = [n for n in dict.fromkeys(want) if type(n) is int]
-        lanes = max(1, _ODE_BLOCK // (grid_pts - 1))
-        for i in range(0, len(todo), lanes):
-            _ode_lane_block(members, lane_slopes, grid, todo[i:i + lanes], u_y, u_z, memo)
+        rows = max(1, _ODE_BLOCK // (grid_pts - 1))
+        for i in range(0, len(todo), rows):
+            _ode_lane_block(members, grid, todo[i:i + rows], u_y, u_z, memo)
 
     def distance_to_limit(n: int) -> R2Elem:
         d = memo.get(n)

@@ -12,9 +12,9 @@ scale.  Each harness computes, per index n, the distance between a member
 fixed point and the limit fixed point together with the theorem's certified
 upper bound for that distance, and reports whether the cone inequality held
 and whether the distance sequence passes the smallness probe.  A family that
-declares a lane_map has all the members a harness needs solved together as
-numpy lanes, each lane stopping on its own stop rule, with fixed points,
-iteration counts and residuals bit for bit those of picard_solve.
+declares lanes (see MapFamily) has all the members a harness needs solved
+together as numpy lanes, each lane stopping on its own stop rule, with fixed
+points, iteration counts and residuals bit for bit those of picard_solve.
 
 Bounds are outward rounded: the inverse (e - k)^-1 is the closed form
 rounded upward, which dominates the exact inverse, but the product
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -86,10 +85,11 @@ _MAX_ITER = 100_000
 class ContractionMap:
     """A self map with a declared cone Lipschitz coefficient.
 
-    The coefficient's spectral radius must be below 1 and both of its
-    coordinates finite at construction.  Constructing a map does not prove
-    the declared coefficient, it only sanity checks it; verify_contraction
-    samples it.
+    At construction the coefficient must be finite, have spectral radius
+    below 1 and lie in the cone P, as the fixed point theorems over Banach
+    algebras require, in every lane for a lane member (see MapFamily).
+    That does not prove the declared coefficient, it only sanity checks
+    it; verify_contraction samples it.
     """
 
     map: Callable
@@ -97,13 +97,19 @@ class ContractionMap:
     domain: object | None = None
 
     def __post_init__(self) -> None:
-        rho = spectral_radius(self.alpha)
-        if not rho < 1.0:
-            raise ValueError(
-                f"declared coefficient has spectral radius {rho}, needs < 1"
-            )
-        if not (math.isfinite(self.alpha.first) and math.isfinite(self.alpha.second)):
+        first, second = self.alpha.first, self.alpha.second
+        rho = np.abs(first)
+        if not np.all(rho < 1.0):
+            raise ValueError(f"declared coefficient has spectral radius {np.max(rho)}, needs < 1")
+        if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
             raise ValueError(f"declared coefficient must be finite, got {self.alpha!r}")
+        _require_cone(self.alpha, "declared coefficient")
+
+
+def _require_cone(k, what: str) -> None:
+    """ValueError unless both coordinates of k, in every lane, are >= 0."""
+    if not (np.all(k.first >= 0.0) and np.all(k.second >= 0.0)):
+        raise ValueError(f"{what} must lie in the cone (both coordinates >= 0), got {k!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,27 +133,29 @@ class MapFamily:
     memoised because harnesses and probes revisit the same indices.  For
     the pointwise, uniform and equicontinuity checkers, members and limit
     may be PlainMaps instead; the fixed point harnesses need coefficients.
-    coefficient_bound, when given, must dominate every member coefficient
-    in the cone order (used by the pointwise-limit bound).  adversarial,
-    when given, maps n to extra domain points the uniform checker must
-    include for that index.
+    coefficient_bound, when given, must lie in the cone and dominate every
+    member coefficient in the cone order (used by the pointwise-limit
+    bound).  adversarial, when given, maps n to extra domain points the
+    uniform checker must include for that index.
 
-    lane_map, when given, is the member map evaluated for many indices at
-    once: lane_map(ns, xs) with ns an int64 array and xs the matching
-    points, a float64 array on the interval space or a pair of float64
-    coordinate columns (xs, ys) on the plane space, returning the images
-    in the same form.  Lane i must equal member(ns[i]).map at that point
-    bit for bit, which holds when both are written once with + - * / and
-    abs only, on floats (IEEE exact in numpy and in Python alike; int64
-    products of indices could wrap where Python ints grow).  Where a numpy
-    ufunc rounds otherwise than the scalar operator (numpy's power against
-    Python's float ** int), a lane function may apply the scalar operator
-    lane by lane instead.  Its input columns may be read-only broadcast
-    views, so it must not write into them.  With it the harnesses solve all
-    the members they need together as numpy lanes, and the convergence
-    checkers, the uniform one with its adversarial points included, and the
-    harness probes hand the probe judge whole columns of distances instead
-    of one entry per index.
+    lanes=True declares that members is also the family's lane form:
+    members(ns), with ns an int64 index column, is one map whose map takes
+    the points of all lanes at once (a float64 column on the interval
+    space, a pair of coordinate columns (xs, ys) on the plane) and returns
+    the images in the same form, and whose alpha coordinates and domain
+    endpoints are float64 columns or scalars shared by every lane.  Lane i
+    must equal members(ns[i]) bit for bit, which holds when each expression
+    is written once with + - * / and abs only, on floats (IEEE exact in
+    numpy and in Python alike; int64 products of indices could wrap where
+    Python ints grow).  Where a numpy ufunc rounds otherwise than the
+    scalar operator (numpy's power against Python's float ** int), the
+    member may apply the scalar operator lane by lane when its index is an
+    array.  The map must not write into its input columns, which may be
+    read-only broadcast views.  With lanes the harnesses solve the members
+    they need together as numpy lanes, and the convergence checkers and
+    harness probes hand the probe judge whole columns of distances.  A
+    lane member that fails to build sends its block or checker back to
+    member(n), index by index.
     """
 
     def __init__(
@@ -156,13 +164,15 @@ class MapFamily:
         limit: ContractionMap,
         coefficient_bound=None,
         adversarial: Callable[[int], list] | None = None,
-        lane_map: Callable | None = None,
+        lanes: bool = False,
     ) -> None:
+        if coefficient_bound is not None:
+            _require_cone(coefficient_bound, "coefficient_bound")
         self._members = members
         self.limit = limit
         self.coefficient_bound = coefficient_bound
         self.adversarial = adversarial
-        self.lane_map = lane_map
+        self.lanes = lanes
         self._cache: dict[int, ContractionMap] = {}
 
     def member(self, n: int) -> ContractionMap:
@@ -322,20 +332,20 @@ def check_pointwise_convergence(
 ) -> PointwiseReport:
     """Probe d(T_n x, T x) separately at each supplied point.
 
-    A family with a lane_map has every index at a point evaluated at once,
-    as numpy lanes against the scalar limit image.
+    A family with lanes has every index at a point evaluated at once, as
+    numpy lanes against the scalar limit image.
     """
     reports = []
     limit_map = family.limit.map
-    lanes = _lane_members(family, space, cfg) is not None
+    member = _lane_member(family, space, _probe_column(cfg))
     dim = _space_dim(space)
     for x in points:
         fx = limit_map(x)
         columns = None
-        if lanes:
+        if member is not None:
             def fn(ns, x=x, fx=fx):
                 at = _pack(_constant(x, dim, ns.shape), dim)
-                images = _lane_columns(family.lane_map(ns, at), dim, ns.shape)
+                images = _lane_columns(member.map(at), dim, ns.shape)
                 limits = _constant(fx, dim, ns.shape)
                 return space.distances(_pack(images, dim), _pack(limits, dim))
 
@@ -395,8 +405,8 @@ def check_uniform_convergence(
     sample is the dense grid plus any adversarial points the family
     supplies for that n, so a family can be convicted by witnesses that
     travel with n.  The sample is drawn from the limit map's domain, or
-    from the space's carrier when the limit declares none.  A family with a
-    lane_map has its sups computed as numpy lanes over the index x grid
+    from the space's carrier when the limit declares none.  A family with
+    lanes has its sups computed as numpy lanes over the index x grid
     product, with each index's adversarial points folded into its lane; a
     witness outside that domain sends the judge back to the scalar sup,
     which raises WitnessOutsideDomain at its index.  ValueError unless
@@ -408,11 +418,11 @@ def check_uniform_convergence(
     base_points = dense_sample(domain, grid_count)
     limit_map = family.limit.map
     columns = None
-    if _lane_members(family, space, cfg) is not None:
+    if _lane_member(family, space, _probe_column(cfg)) is not None:
         dim = _space_dim(space)
 
         def distances(lane_ns, at, lim):
-            images = _lane_columns(family.lane_map(lane_ns, _pack(at, dim)), dim,
+            images = _lane_columns(family._members(lane_ns).map(_pack(at, dim)), dim,
                                    lane_ns.shape)
             return space.distances(_pack(images, dim), _pack(lim, dim))
 
@@ -613,20 +623,31 @@ _LANE_BLOCK = 1024
 _LANE_STALL = 64
 
 
-def _domain_axes(domain, dim: int):
-    """Per-axis (lo, hi, open_lo, open_hi) of a member domain, or None if the
-    domain has no such form for points of this dimension.
+def _domain_axes(domain, dim: int, lanes: int):
+    """The lanes x axis x 4 array of per-axis (lo, hi, open_lo, open_hi) of
+    a lane member's domain, whose endpoints are columns of lanes entries or
+    scalars shared by every lane, or None if the domain has no such form
+    for points of this dimension.
 
     No domain reads as the whole line per axis.  That also rejects NaN,
     which only drops a lane the carrier would reject anyway.
     """
     if domain is None:
-        return ((-math.inf, math.inf, False, False),) * dim
-    if dim == 1 and isinstance(domain, IntervalDomain):
-        return ((domain.lo, domain.hi, domain.open_lo, domain.open_hi),)
-    if dim == 2 and isinstance(domain, BoxDomain):
-        return tuple((domain.lo[i], domain.hi[i], False, domain.open_hi) for i in (0, 1))
-    return None
+        rows = ((-math.inf, math.inf, False, False),) * dim
+    elif dim == 1 and isinstance(domain, IntervalDomain):
+        rows = ((domain.lo, domain.hi, domain.open_lo, domain.open_hi),)
+    elif dim == 2 and isinstance(domain, BoxDomain):
+        rows = tuple((domain.lo[i], domain.hi[i], False, domain.open_hi) for i in (0, 1))
+    else:
+        return None
+    bounds = np.empty((lanes, dim, 4))
+    try:
+        for a, row in enumerate(rows):
+            for j, v in enumerate(row):
+                bounds[:, a, j] = v
+    except (TypeError, ValueError):  # an endpoint of another shape or type
+        return None
+    return bounds
 
 
 def _inside_axes(bounds, cols) -> np.ndarray:
@@ -641,21 +662,22 @@ def _inside_axes(bounds, cols) -> np.ndarray:
 
 
 def _lane_start(x0, dim: int):
-    """The start as a tuple of dim floats, or None if it is not of that form."""
-    if dim == 1:
-        return (x0,) if type(x0) is float else None
-    if type(x0) is tuple and len(x0) == 2 and all(type(c) is float for c in x0):
-        return x0
-    return None
+    """The start as a tuple of dim floats, or None unless each coordinate is
+    a float, a numpy float64, or an int or numpy integer that converts to
+    float exactly (a NaN start, which no lane would keep, gives None too)."""
+    coords = (x0,) if dim == 1 else x0 if type(x0) is tuple and len(x0) == 2 else ()
+    exact = tuple(int(c) if isinstance(c, np.integer) else c for c in coords)
+    if not exact or not all(type(c) in (float, np.float64) or isinstance(c, int) for c in exact):
+        return None
+    try:
+        floats = tuple(map(float, exact))
+    except OverflowError:
+        return None
+    return floats if floats == exact else None
 
 
 def _space_dim(space) -> int:
     return 2 if isinstance(space, PlaneR2Space) else 1
-
-
-def _has_lanes(family, space) -> bool:
-    """Whether family's members can be evaluated as numpy lanes on space."""
-    return getattr(family, "lane_map", None) is not None and hasattr(space, "distances")
 
 
 def _pack(cols, dim: int):
@@ -702,78 +724,67 @@ def _constant(x, dim: int, shape) -> tuple:
     return tuple(np.broadcast_to(c[0], shape) for c in _point_columns((x,), dim, 1))
 
 
-def _lane_members(family, space, cfg: CSeqProbeConfig):
-    """The members cfg.start .. cfg.horizon, built through the memo, when a
-    checker may read the family as numpy lanes on space.
+def _probe_column(cfg: CSeqProbeConfig) -> np.ndarray:
+    """The int64 index column the probe judge hands a columnar source."""
+    return np.arange(cfg.start, cfg.horizon + 1, dtype=np.int64)
 
-    None without lanes, and also when a member fails to build: the checker
-    then fetches entry by entry, which raises that failure at its index.
-    """
-    if not _has_lanes(family, space):
+
+def _lane_member(family, space, ns):
+    """family's members callable applied to the index column ns, the map
+    whose lanes are the members at ns (see MapFamily); None without lanes,
+    without a batch distances on space, or when the build raises: the
+    caller then fetches member by member, which raises at its index."""
+    if not (family.lanes and hasattr(space, "distances")):
         return None
     try:
-        return [family.member(n) for n in range(cfg.start, cfg.horizon + 1)]
+        return family._members(ns)
     except Exception:
         return None
 
 
-def _lane_block(family, space, dim, start, tol, block, cache) -> None:
-    """picard_solve from start for the members in block, as numpy lanes.
+def _lane_block(family, space, dim, x0, tol, block, cache) -> None:
+    """picard_solve from the point x0, a tuple of dim floats, for the
+    members in block, as numpy lanes.
 
     Each lane runs picard_solve's steps on float64 columns: its own stop
     rule, picard_solve's formulas in the same IEEE operations and so the
     same bits, then per iteration the domain test, the carrier test and
-    the stop rule.  A lane that would raise in picard_solve (a member that
-    cannot be built, an escape from the domain or the carrier, no
-    convergence within _MAX_ITER) is left out of the cache, as is the whole
-    block if start is not of the lanes' form, lane_map fails or the stop
-    rule refuses tol, so that the lazy scalar solve raises exactly what
-    picard_solve raises.  So is a lane whose step stalls for _LANE_STALL
-    iterations, which picard_solve then settles or gives up on at scalar
-    cost.
+    the stop rule.  Rate, b and domain bounds are columns of one lane
+    member, rebuilt as lanes finish.  A lane that would raise in
+    picard_solve (an escape from the domain or the carrier, no convergence
+    within _MAX_ITER) is left out of the cache, as is the whole block if
+    its lane member cannot be built or applied, its domain has no lane form
+    or the stop rule refuses tol, so that the lazy scalar solve raises
+    exactly what picard_solve raises.  So is a lane whose step stalls for
+    _LANE_STALL iterations, which picard_solve then settles or gives up on
+    at scalar cost.
     """
-    x0 = _lane_start(start, dim)
-    if x0 is None:
+    ns = np.asarray(block, dtype=np.int64)
+    member = _lane_member(family, space, ns)
+    if member is None:
         return
-    ns, rates, seconds, axes = [], [], [], []
-    for n in block:
-        try:
-            member = family.member(n)
-            rate = spectral_radius(member.alpha)
-            second = member.alpha.second
-            lane_axes = _domain_axes(member.domain, dim)
-        except Exception:
-            continue
-        if lane_axes is None:
-            continue
-        ns.append(n)
-        rates.append(rate)
-        seconds.append(second)
-        axes.append(lane_axes)
-    if not ns:
-        return
-
-    def step(idx, cols):
-        return _lane_columns(family.lane_map(idx, _pack(cols, dim)), dim, idx.shape)
-
     try:
         with np.errstate(all="ignore"):
-            lane = np.arange(len(ns))
-            idx = all_idx = np.asarray(ns, dtype=np.int64)
-            thr, wt = _stop_rule(tol, np.asarray(rates, dtype=np.float64),
-                                 np.asarray(seconds, dtype=np.float64))
-            bounds = np.asarray(axes, dtype=np.float64)  # lane x axis x 4
-            x = [np.full(len(ns), c) for c in x0]
+            bounds = _domain_axes(member.domain, dim, ns.size)  # lane x axis x 4
+            if bounds is None:
+                return
+            thr, wt = (np.broadcast_to(v, ns.shape) for v in _stop_rule(
+                tol, np.abs(member.alpha.first), member.alpha.second))
+            x = [np.full(ns.size, c) for c in x0]
             keep = _inside_axes(bounds, x)
-            lane, idx, thr, wt, bounds = lane[keep], idx[keep], thr[keep], wt[keep], bounds[keep]
+            lane, idx, thr, wt, bounds = (
+                np.flatnonzero(keep), ns[keep], thr[keep], wt[keep], bounds[keep])
             x = [c[keep] for c in x]
+            built = ns.size  # the lanes member was built for
             stall_ref = np.full(lane.size, np.inf)  # step at the last stall check
             done_lane, done_iter = [], []
             done_x: list[list[np.ndarray]] = [[] for _ in range(dim)]
             for it in range(1, _MAX_ITER + 1):
                 if not lane.size:
                     break
-                x_next = step(idx, x)
+                if idx.size != built:  # lanes only ever drop out
+                    member, built = family._members(idx), idx.size
+                x_next = _lane_columns(member.map(_pack(x, dim)), dim, idx.shape)
                 d1, d2, outside = space.distances(_pack(x_next, dim), _pack(x, dim))
                 delta = np.abs(d1) + np.abs(d2)
                 ok = _inside_axes(bounds, x_next) & ~outside
@@ -794,7 +805,8 @@ def _lane_block(family, space, dim, start, tol, block, cache) -> None:
                 return
             lane = np.concatenate(done_lane)
             x = [np.concatenate(c) for c in done_x]
-            images = step(all_idx[lane], x)
+            images = _lane_columns(family._members(ns[lane]).map(_pack(x, dim)), dim,
+                                   lane.shape)
             r1, r2, outside = space.distances(_pack(images, dim), _pack(x, dim))
     except Exception:
         return
@@ -805,7 +817,7 @@ def _lane_block(family, space, dim, start, tol, block, cache) -> None:
         points, r1.tolist(), r2.tolist(), outside.tolist(),
     ):
         if not out:
-            cache[ns[i]] = FixedPointResult(p, it, kind.of(a, b))
+            cache[block[i]] = FixedPointResult(p, it, kind.of(a, b))
 
 
 def _solve_members(
@@ -819,17 +831,19 @@ def _solve_members(
     """A memoised n -> picard_solve(family.member(n), space, start, tol),
     returned with its cache of results.
 
-    want names the indices the caller will fetch.  When the family has a
-    lane_map and the space a batch distances, they are solved up front as
-    numpy lanes, with results bit for bit those of picard_solve; anything
-    the lanes leave out is solved lazily by picard_solve itself.
+    want names the indices the caller will fetch.  When the family has
+    lanes, the space a batch distances and start a lane form (_lane_start),
+    they are solved up front as numpy lanes, with results bit for bit those
+    of picard_solve; anything the lanes leave out is solved lazily by
+    picard_solve itself.
     """
     cache = cache if cache is not None else {}
-    if _has_lanes(family, space) and isinstance(tol, float):
-        dim = _space_dim(space)
+    dim = _space_dim(space)
+    x0 = _lane_start(start, dim)
+    if family.lanes and x0 is not None and isinstance(tol, float):
         todo = list(dict.fromkeys(n for n in want if type(n) is int and n not in cache))
         for i in range(0, len(todo), _LANE_BLOCK):
-            _lane_block(family, space, dim, start, tol, todo[i:i + _LANE_BLOCK], cache)
+            _lane_block(family, space, dim, x0, tol, todo[i:i + _LANE_BLOCK], cache)
 
     def solved(n: int) -> FixedPointResult:
         got = cache.get(n)
@@ -862,7 +876,7 @@ def _family_report(family, space, cfg: CSeqProbeConfig, indices, start,
         x_n = solved(n).point
         rows.append((space.distance(x_n, x_star), bound(n, x_n, x_star)))
     columns = None
-    if _has_lanes(family, space):
+    if family.lanes:
         dim = _space_dim(space)
 
         def fn(ns):
@@ -1090,23 +1104,15 @@ def property_g_check(
 
     lane_witness, when given, is the witness on numpy lanes: lane_witness(x)
     maps an int64 index column ns to the points witness(x)(n), n in ns, bit
-    for bit, in the form lane_map takes.  With it and a lane_map both probes
-    at a point are evaluated as lanes, against member-domain columns built
-    once per call.
+    for bit, in the form a lane member's map takes.  With it and a family
+    with lanes both probes at a point are evaluated as lanes, against the
+    member-domain columns of one lane member built per call.
     """
     limit_map = family.limit.map
     dim = _space_dim(space)
-    bounds = None
-    members = _lane_members(family, space, cfg) if lane_witness is not None else None
-    if members is not None:
-        # streamed into one array, with no list of per-member tuples left
-        # to fragment the heap
-        axes = chain.from_iterable(chain.from_iterable(
-            _domain_axes(m.domain, dim) for m in members))
-        try:
-            bounds = np.fromiter(axes, np.float64, 4 * dim * len(members)).reshape(-1, dim, 4)
-        except TypeError:  # a member domain of another form: no lanes
-            pass
+    ns = _probe_column(cfg)
+    member = _lane_member(family, space, ns) if lane_witness is not None else None
+    bounds = _domain_axes(member.domain, dim, ns.size) if member is not None else None
     reports = []
     for x in points:
         seq = witness(x)
@@ -1124,7 +1130,7 @@ def property_g_check(
                 ys = _lane_columns(lane_witness(x)(ns), dim, ns.shape)
                 at, target = ys, x
                 if image:
-                    at = _lane_columns(family.lane_map(ns, _pack(ys, dim)), dim, ns.shape)
+                    at = _lane_columns(member.map(_pack(ys, dim)), dim, ns.shape)
                     target = fx
                 targets = _constant(target, dim, ns.shape)
                 d1, d2, out = space.distances(_pack(at, dim), _pack(targets, dim))

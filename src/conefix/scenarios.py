@@ -183,22 +183,25 @@ def _run_example_2_6(knobs: dict):
 # scenario: pointwise convergence without uniform convergence
 
 
-# lanes per list handed to Python's pow in _power_lanes: bounds the
-# temporaries of a long column
+# lanes per list handed to Python's pow in _power: bounds the temporaries
+# of a long column
 _POW_CHUNK = 4096
 
 
-def _power_lanes(ns, p):
-    """(x ** (n * n), y ** n) for the lanes of ns and p = (xs, ys), with
-    Python's own float ** int: numpy's power rounds differently from it in
-    a few per cent of these values."""
+def _power(n, p):
+    """(x ** (n * n), y ** n) at p = (x, y), with Python's own float ** int,
+    lane by lane when n is an index column and p a pair of coordinate
+    columns: numpy's power rounds differently from it in a few per cent of
+    these values."""
+    if not isinstance(n, np.ndarray):
+        return (p[0] ** (n * n), p[1] ** n)
     xs, ys = p
-    first, second = np.empty(ns.shape), np.empty(ns.shape)
-    for i in range(0, ns.size, _POW_CHUNK):
+    first, second = np.empty(n.shape), np.empty(n.shape)
+    for i in range(0, n.size, _POW_CHUNK):
         chunk = slice(i, i + _POW_CHUNK)
-        n_list = ns[chunk].tolist()
-        first[chunk] = [x ** (n * n) for n, x in zip(n_list, xs[chunk].tolist())]
-        second[chunk] = [y ** n for n, y in zip(n_list, ys[chunk].tolist())]
+        n_list = n[chunk].tolist()
+        first[chunk] = [x ** (m * m) for m, x in zip(n_list, xs[chunk].tolist())]
+        second[chunk] = [y ** m for m, y in zip(n_list, ys[chunk].tolist())]
     return first, second
 
 
@@ -209,10 +212,10 @@ def _power_family() -> tuple[PlaneR2Space, MapFamily]:
     space = PlaneR2Space((0.0, 0.0), (1.0, 1.0), open_hi=True,
                          sample_box=((0.05, 0.05), (0.95, 0.95)))
     family = MapFamily(
-        lambda n: PlainMap(lambda p, n=n: (p[0] ** (n * n), p[1] ** n), box),
+        lambda n: PlainMap(lambda p: _power(n, p), box),
         PlainMap(lambda p: (0.0, 0.0), box),
         adversarial=lambda n: [(5.0 ** (-1.0 / (n * n)), 3.0 ** (-1.0 / n))],
-        lane_map=_power_lanes,
+        lanes=True,
     )
     return space, family
 
@@ -253,15 +256,14 @@ def _run_example_2_8(knobs: dict):
 def _interval_ut2_family(member_shift: Callable[[int], float],
                          member_rate: Callable[[int], float],
                          coefficient_bound=None) -> MapFamily:
-    # the member map is written once, array-safe with + - * / only, so the
-    # same expression serves one member on floats and many as numpy lanes
-    step = lambda n, x: member_rate(n) * x + member_shift(n)
+    # the member is written once, array-safe with + - * / only, so the same
+    # expressions serve one member on floats and many as numpy lanes
     dom = IntervalDomain(0.0, 1.0)
     members = lambda n: ContractionMap(
-        lambda x, n=n: step(n, x), UT2Elem(member_rate(n), 0.0), dom
+        lambda x: member_rate(n) * x + member_shift(n), UT2Elem(member_rate(n), 0.0), dom
     )
     limit = ContractionMap(lambda x: 0.5 * x, UT2Elem(0.5, 0.0), dom)
-    return MapFamily(members, limit, coefficient_bound, lane_map=step)
+    return MapFamily(members, limit, coefficient_bound, lanes=True)
 
 
 def _run_thm_2_9(knobs: dict):
@@ -315,16 +317,15 @@ def _run_thm_2_10(knobs: dict):
 def _subinterval_family() -> MapFamily:
     # member n lives on [1/n, 1] with fixed point exactly 1/n: halving in
     # binary commutes with rounding, so 0.5 * (1/n) + 1/(2n) lands on the
-    # stored 1/n bit for bit and the lower edge is never crossed; the map is
-    # written once, array-safe, for floats and numpy lanes alike
-    step = lambda n, x: 0.5 * x + 1.0 / (2.0 * n)
+    # stored 1/n bit for bit and the lower edge is never crossed; the member
+    # is written once, array-safe, for floats and numpy lanes alike
     members = lambda n: ContractionMap(
-        lambda x, n=n: step(n, x), UT2Elem(0.5, 0.0), IntervalDomain(1.0 / n, 1.0)
+        lambda x: 0.5 * x + 1.0 / (2.0 * n), UT2Elem(0.5, 0.0), IntervalDomain(1.0 / n, 1.0)
     )
     limit = ContractionMap(
         lambda x: 0.5 * x, UT2Elem(0.5, 0.0), IntervalDomain(0.0, 1.0)
     )
-    return MapFamily(members, limit, lane_map=step)
+    return MapFamily(members, limit, lanes=True)
 
 
 def _run_thm_3_6(knobs: dict):
@@ -411,9 +412,9 @@ def _run_thm_3_10(knobs: dict):
 
 def _system_family():
     # the equations are array-safe with + - * / only, so members(ns) for an
-    # index array is the whole family's operator on numpy lanes
+    # index column is the whole family on numpy lanes
     members = lambda n: CoupledSystem(
-        lambda x, y, n=n: -0.5 * x + 0.25 + 1.0 / n,
+        lambda x, y: -0.5 * x + 0.25 + 1.0 / n,
         lambda x, y: -0.5 * y + 0.125,
         lip=0.5,
     )
@@ -449,10 +450,7 @@ def _run_thm_4_1(knobs: dict):
     members, limit = _system_family()
     cfg = CSeqProbeConfig.default(R2Elem, horizon=horizon)
     indices = _display_indices(min(horizon, 1000))
-    report = coupled_sequence_harness(
-        members, limit, indices, cfg, tol=tol,
-        lane_map=lambda ns, p: members(ns).operator(p),
-    )
+    report = coupled_sequence_harness(members, limit, indices, cfg, tol=tol, lanes=True)
     verdict = aligned_ok and cross_ok and report.verdict
     notes = [
         f"aligned system root ({root_a.x!r}, {root_a.y!r}) in {root_a.iterations} steps",
@@ -521,31 +519,30 @@ def _run_ode_linear(knobs: dict):
 
 
 def _damped_ivp_family():
-    """(members, limit, lane_slopes) of ode_sequence: y' = -(1 + 1/n) y
-    against the linear pair, the second equation shared."""
+    """(members, limit) of ode_sequence: y' = -(1 + 1/n) y against the
+    linear pair, the second equation shared."""
     limit = _linear_ivp()
-    # the member slope is written once, array-safe with + - * / only, so the
-    # same expression serves one member and an int64 column of them as lanes
-    slope = lambda n, x, y: -(1.0 + 1.0 / n) * y
+    # the member is written once, array-safe with + - * / only, so the same
+    # expressions serve one member and an int64 column of them as lanes
     members = lambda n: OdeProblem(
-        f=lambda x, y, n=n: slope(n, x, y),
+        f=lambda x, y: -(1.0 + 1.0 / n) * y,
         g=limit.g,
         center=0.0, y_init=1.0, z_init=1.0,
         x_radius=0.5, y_radius=1.0, z_radius=1.0,
         lip_f=1.0 + 1.0 / n, lip_g=2.0,
     )
-    return members, limit, lambda ns, x, y, z: (slope(ns, x, y), limit.g(x, z))
+    return members, limit
 
 
 def _run_ode_sequence(knobs: dict):
     tol, horizon, grid_pts = knobs["tol"], knobs["horizon"], knobs["grid_pts"]
-    members, limit, lane_slopes = _damped_ivp_family()
+    members, limit = _damped_ivp_family()
     cfg = CSeqProbeConfig.default(R2Elem, horizon=horizon)
     indices = _display_indices(min(horizon, 1000))
     log: dict[int, R2Elem] = {}
     report = ode_sequence_harness(
         members, limit, indices, cfg, grid_pts=grid_pts, tol=tol, distance_log=log,
-        lane_slopes=lane_slopes,
+        lanes=True,
     )
     lo_n, hi_n = 10, min(horizon, 1000)
     monotone = all(

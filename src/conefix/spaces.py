@@ -69,7 +69,9 @@ class IntervalDomain:
     """Closed interval on the line, optionally open at either end.
 
     A single point (lo == hi with both ends closed) is a valid degenerate
-    interval; families of shrinking sub-domains start from one.
+    interval; families of shrinking sub-domains start from one.  The
+    domain of a lane member (see MapFamily) may have float64 columns of
+    endpoints, one entry per lane, which are checked in every lane.
     """
 
     lo: float
@@ -78,9 +80,9 @@ class IntervalDomain:
     open_hi: bool = False
 
     def __post_init__(self) -> None:
-        if not self.lo <= self.hi:  # NaN endpoints fail too
+        if not np.all(self.lo <= self.hi):  # NaN endpoints fail too
             raise ValueError("interval must have lo <= hi")
-        if self.lo == self.hi and (self.open_lo or self.open_hi):
+        if (self.open_lo or self.open_hi) and np.any(self.lo == self.hi):
             raise ValueError("a single-point interval must be closed at both ends")
 
     def contains(self, x: float) -> bool:

@@ -322,10 +322,9 @@ def test_solvers_refuse_a_tol_that_is_not_positive_and_finite(tol):
     # the stop rule certifies nothing at such a tol: a NaN one is never met,
     # so the loops ran on to a zero step, and an infinite one is met at once
     refused = pytest.raises(ValueError, match="tol must be positive and finite")
-    step = lambda n, x: 0.5 * x + 0.25 / n
     family = MapFamily(
-        lambda n: ContractionMap(lambda x, n=n: step(n, x), UT2Elem(0.5, 0.0)),
-        ContractionMap(lambda x: 0.5 * x, UT2Elem(0.5, 0.0)), lane_map=step)
+        lambda n: ContractionMap(lambda x: 0.5 * x + 0.25 / n, UT2Elem(0.5, 0.0)),
+        ContractionMap(lambda x: 0.5 * x, UT2Elem(0.5, 0.0)), lanes=True)
     with refused:
         picard_solve(family.limit, IntervalUT2Space(1.0), 0.0, tol)
     with refused:  # the lane blocks meet the error and leave it to picard_solve
@@ -334,10 +333,10 @@ def test_solvers_refuse_a_tol_that_is_not_positive_and_finite(tol):
                               (1, 2), 0.0, tol=tol)
     with refused:
         ode_solve(_linear_ivp(), 65, tol)
-    members, limit, lane_slopes = _damped_ivp_family()
+    members, limit = _damped_ivp_family()
     with refused:
         ode_sequence_harness(members, limit, (1, 2), CSeqProbeConfig(TWO_PROBES, horizon=30),
-                             grid_pts=65, tol=tol, lane_slopes=lane_slopes)
+                             grid_pts=65, tol=tol, lanes=True)
 
 
 # ----------------------------------------------------------- ODE families
@@ -403,13 +402,13 @@ def test_ode_sequence_harness_generator_indices():
 
 @pytest.mark.parametrize("with_lanes", [False, True])
 def test_ode_sequence_rows_are_measured_in_the_exported_space(with_lanes):
-    members, limit, lane_slopes = _damped_ivp_family()
+    members, limit = _damped_ivp_family()
     grid_pts, tol = 65, 1e-10
     cfg = CSeqProbeConfig.default(R2Elem, horizon=200)
     log: dict = {}
     report = ode_sequence_harness(
         members, limit, (1, 2, 5, 10, 50, 200), cfg, grid_pts=grid_pts, tol=tol,
-        distance_log=log, lane_slopes=lane_slopes if with_lanes else None)
+        distance_log=log, lanes=with_lanes)
     cert = _family_certificate(ode_certify(members(1)), ode_certify(limit), limit.center)
     space = BieleckiPairSpace(cert.lo, cert.hi, grid_pts, cert.tau)
     u = ode_solve(limit, grid_pts, tol, certificate=cert)
@@ -461,7 +460,7 @@ def _counting_ode_solve(monkeypatch) -> list:
 
 @pytest.mark.parametrize("grid_pts", [257, 2049])
 def test_ode_lanes_match_ode_solve_for_every_member(grid_pts, monkeypatch):
-    members, limit, lane_slopes = _damped_ivp_family()
+    members, limit = _damped_ivp_family()
     cfg = CSeqProbeConfig.default(R2Elem, horizon=1000)
     indices = (1, 2, 10, 1000)
     scalar_log: dict = {}
@@ -470,7 +469,7 @@ def test_ode_lanes_match_ode_solve_for_every_member(grid_pts, monkeypatch):
     calls = _counting_ode_solve(monkeypatch)
     lane_log: dict = {}
     lanes = ode_sequence_harness(members, limit, indices, cfg, grid_pts=grid_pts,
-                                 distance_log=lane_log, lane_slopes=lane_slopes)
+                                 distance_log=lane_log, lanes=True)
     assert calls == [limit]  # every member came from the lanes
     assert lanes == scalar
     assert sorted(lane_log) == sorted(scalar_log) == list(range(1, 1001))
@@ -486,26 +485,33 @@ def _raised(fn):
     return type(exc.value), str(exc.value)
 
 
+def _where(cond, a, b):
+    """np.where, with a Python float where every operand is a scalar, so
+    that a member written with it has the same form on one index as
+    before and is its own lane form on an index column."""
+    out = np.where(cond, a, b)
+    return out.item() if out.ndim == 0 else out
+
+
 def _leaky_member_family(k: int):
-    # member k keeps the family's slopes but a tube too narrow for them
-    members, limit, lane_slopes = _damped_ivp_family()
-    narrowed = lambda n: (dataclasses.replace(members(n), y_radius=0.05)
-                          if n == k else members(n))
-    return narrowed, limit, lane_slopes
+    # member k keeps the family's slopes but a tube too narrow for them;
+    # its lane builds, and the lanes meet the escape
+    members, limit = _damped_ivp_family()
+    narrowed = lambda n: dataclasses.replace(members(n), y_radius=_where(n == k, 0.05, 1.0))
+    return narrowed, limit
 
 
 def _nan_member_family(k: int):
-    # member k's y slope is NaN right of 0.2, in its scalar form and in its
-    # lane; the certificate samples only member 1 and the limit
-    members, limit, lane_slopes = _damped_ivp_family()
-    poisoned = lambda n: (dataclasses.replace(members(n), f=_nan_right_of(0.2))
-                          if n == k else members(n))
+    # member k's y slope is NaN right of 0.2, on one index and in its lane;
+    # the certificate samples only member 1 and the limit
+    members, limit = _damped_ivp_family()
 
-    def poisoned_lanes(ns, x, y, z):
-        fy, gz = lane_slopes(ns, x, y, z)
-        return fy + np.where((ns == k) & (x > 0.2), np.nan, 0.0), gz
+    def poisoned(n):
+        base = members(n)
+        return dataclasses.replace(
+            base, f=lambda x, y: base.f(x, y) + np.where((n == k) & (x > 0.2), np.nan, 0.0))
 
-    return poisoned, limit, poisoned_lanes
+    return poisoned, limit
 
 
 def _restless_member_family(k: int):
@@ -513,9 +519,8 @@ def _restless_member_family(k: int):
     # sweep; member k needs more, so a cap of one sweep stops it
     flat = dataclasses.replace(_linear_ivp(), f=lambda x, y: 0.0 * y,
                                g=lambda x, z: 0.0 * z)
-    members = lambda n: dataclasses.replace(flat, f=lambda x, y, n=n: -1.0 * (n == k) * y)
-    lane_slopes = lambda ns, x, y, z: (-1.0 * (ns == k) * y, 0.0 * z)
-    return members, flat, lane_slopes
+    members = lambda n: dataclasses.replace(flat, f=lambda x, y: -1.0 * (n == k) * y)
+    return members, flat
 
 
 @pytest.mark.parametrize("k", [3, 7])
@@ -526,40 +531,44 @@ def _restless_member_family(k: int):
 ])
 def test_ode_lanes_leave_failing_members_to_ode_solve(k, make, sweeps, error, monkeypatch):
     monkeypatch.setattr(applications, "_MAX_SWEEPS", sweeps)
-    members, limit, lane_slopes = make(k)
+    members, limit = make(k)
     cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=30)
-    run = lambda **lanes: ode_sequence_harness(
-        members, limit, (1, 2, 5, 10), cfg, grid_pts=65, **lanes)
-    want = _raised(run)
+    run = lambda lanes: ode_sequence_harness(
+        members, limit, (1, 2, 5, 10), cfg, grid_pts=65, lanes=lanes)
+    want = _raised(lambda: run(False))
     assert want[0] is error
-    assert _raised(lambda: run(lane_slopes=lane_slopes)) == want
+    calls = _counting_ode_solve(monkeypatch)
+    assert _raised(lambda: run(True)) == want
+    # the lane member built, and the lanes met the fault: only the limit and
+    # member k reached ode_solve
+    assert len(calls) == 2
 
 
 def test_ode_lanes_leave_members_that_cannot_be_built_to_ode_solve():
-    # no member from 7 on can be built, and member 2 leaves its tube, which
-    # the rows meet first: the lanes must not raise for member 10 before
-    # that.  At grid 2049 a block holds 16 lanes, so members 17..32 form a
-    # block in which no member can be built at all.
-    members, limit, lane_slopes = _leaky_member_family(2)
+    # no member from 7 on can be built, so no lane block that holds one
+    # builds, and member 2 leaves its tube, which the rows meet first: the
+    # lanes must not raise for member 10 before that.  At grid 2049 a block
+    # holds 16 lanes, so every block holds a member from 7 on.
+    members, limit = _leaky_member_family(2)
 
     def faulty(n):
-        if n >= 7:
+        if np.any(n >= 7):
             raise ValueError(f"member {n} cannot be built")
         return members(n)
 
     cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=60)
-    run = lambda **lanes: ode_sequence_harness(
-        faulty, limit, (1, 2, 5, 10), cfg, grid_pts=2049, **lanes)
-    want = _raised(run)
+    run = lambda lanes: ode_sequence_harness(
+        faulty, limit, (1, 2, 5, 10), cfg, grid_pts=2049, lanes=lanes)
+    want = _raised(lambda: run(False))
     assert want[0] is LeftInvariantSet
-    assert _raised(lambda: run(lane_slopes=lane_slopes)) == want
+    assert _raised(lambda: run(True)) == want
 
 
 def test_ode_lanes_stop_rule_edges(monkeypatch):
     # the family's rate is 1/2, so the stop threshold is tol itself: a step
     # equal to tol must not stop, and a tol whose threshold underflows to 0
     # stops only on an exactly zero step
-    members, limit, lane_slopes = _restless_member_family(2)
+    members, limit = _restless_member_family(2)
     cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=30)
     cert = _family_certificate(ode_certify(members(1)), ode_certify(limit), limit.center)
     step = ode_solve(members(2), 65, 1.0, certificate=cert).delta_history[0]
@@ -573,7 +582,7 @@ def test_ode_lanes_stop_rule_edges(monkeypatch):
         calls = _counting_ode_solve(monkeypatch)
         got: dict = {}
         ode_sequence_harness(members, limit, (2,), cfg, grid_pts=65, tol=tol,
-                             distance_log=got, lane_slopes=lane_slopes)
+                             distance_log=got, lanes=True)
         monkeypatch.undo()
         assert calls == [limit]
         assert sorted(got) == sorted(want) == list(range(1, 31))
@@ -582,22 +591,24 @@ def test_ode_lanes_stop_rule_edges(monkeypatch):
                     == _bits((want[n].first, want[n].second))), n
 
 
+# each breaks the slopes of a lane member, and of no member on one index
 @pytest.mark.parametrize("broken", [
-    lambda ns, x, y, z: 1 / 0,
-    lambda ns, x, y, z: (y[:, :-1], z),
-    lambda ns, x, y, z: (y.astype(np.float32), z),
-    lambda ns, x, y, z: (-(1.0 + 1.0 / ns) * y,),
+    lambda p: dataclasses.replace(p, f=lambda x, y: 1 / 0),
+    lambda p: dataclasses.replace(p, f=lambda x, y: p.f(x, y)[:, :-1]),
+    lambda p: dataclasses.replace(p, f=lambda x, y: p.f(x, y).astype(np.float32)),
+    lambda p: dataclasses.replace(p, g=lambda x, z: 0.0),
 ])
 def test_ode_lanes_drop_a_block_whose_slopes_fail(broken, monkeypatch):
-    members, limit, _ = _damped_ivp_family()
+    members, limit = _damped_ivp_family()
+    faulty = lambda n: broken(members(n)) if isinstance(n, np.ndarray) else members(n)
     cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=60)
     want_log: dict = {}
     want = ode_sequence_harness(members, limit, (1, 5, 60), cfg, grid_pts=65,
                                 distance_log=want_log)
     calls = _counting_ode_solve(monkeypatch)
     got_log: dict = {}
-    got = ode_sequence_harness(members, limit, (1, 5, 60), cfg, grid_pts=65,
-                               distance_log=got_log, lane_slopes=broken)
+    got = ode_sequence_harness(faulty, limit, (1, 5, 60), cfg, grid_pts=65,
+                               distance_log=got_log, lanes=True)
     assert got == want
     assert got_log == want_log
     assert len(calls) == 1 + 60  # the limit, then every member through ode_solve

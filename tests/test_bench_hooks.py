@@ -5,12 +5,20 @@ outside src/.  A renamed function would make its span silently read 0, and
 a method that a class only inherits, instead of defining in its own body,
 makes every traced run raise KeyError, since the patch saves the original
 from the class's own vars().
+
+The hooks also change what the library may do under trace: the wrapper of
+spectral_radius hashes its argument, and the member counter puts each index
+in a set.  A lane column handed to either fails there, and the lanes then
+fall back to scalar solves without a word, which the last test would see.
 """
 
 import importlib
 import sys
 
+import pytest
+
 import conefix  # noqa: F401  (imports every module the hooks patch)
+from conefix.scenarios import run_scenario
 from perfbench.layers import SPANS, LayerTrace
 
 _SITES = tuple(site for sites in SPANS.values() for site in sites) + (
@@ -69,3 +77,27 @@ def test_install_then_uninstall_restores_every_original():
     assert after.keys() == before.keys()
     moved = [key for key in before if after[key] is not before[key]]
     assert moved == []
+
+
+@pytest.mark.parametrize("name, picard_calls, harnesses", [
+    ("thm_2_9", 1, 1),  # the limit map
+    ("thm_2_10", 1, 1),
+    ("thm_3_6", 0, 2),  # the witness and responder forms
+    ("thm_4_1", 3, 1),  # the aligned, crossed and limit systems
+    ("example_2_8", 0, 1),  # the printed uniform sups
+    # the swinging family of thm_3_10 is not array-safe and stays scalar:
+    # each of its 100 members is looked up once, by its picard_solve
+    ("thm_3_10", 100, None),
+])
+def test_traced_lane_families_solve_and_build_as_untraced(name, picard_calls, harnesses):
+    trace = LayerTrace()
+    trace.install()
+    try:
+        run = run_scenario(name)
+    finally:
+        trace.uninstall()
+    counts = trace.snapshot()
+    assert counts["fixed_point.picard_solve.calls"] == picard_calls
+    # lane families build members one by one only for the printed rows
+    cap = 100 if harnesses is None else harnesses * len(run.table.indices)
+    assert counts["fixed_point.member_memo.lookups"] <= cap

@@ -1,6 +1,6 @@
 """Columnar sequence sources: the checkers and harness probes that hand the
 probe judge whole float64 columns must report exactly what the same family
-without a lane_map reports, and raise what it raises."""
+without lanes reports, and raise what it raises."""
 
 from decimal import Decimal
 from pathlib import Path
@@ -45,6 +45,14 @@ UNIT_INTERVAL = IntervalDomain(0.0, 1.0)
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
+def _where(cond, a, b):
+    """np.where, with a Python float where every operand is a scalar, so
+    that a member written with it is a plain member on one index and its
+    own lane form on an index column."""
+    out = np.where(cond, a, b)
+    return out.item() if out.ndim == 0 else out
+
+
 def _outcome(call):
     """The report a call returns, or the type and message of what it raises."""
     try:
@@ -58,8 +66,7 @@ def _systems_family() -> MapFamily:
     members, limit = _system_family()
     return MapFamily(
         lambda n: members(n).as_contraction(), limit.as_contraction(),
-        coefficient_bound=R2Elem(0.5, 0.0),
-        lane_map=lambda ns, p: members(ns).operator(p),
+        coefficient_bound=R2Elem(0.5, 0.0), lanes=True,
     )
 
 
@@ -111,7 +118,7 @@ def _producers(space, start, witness, lane_witness, points, cfg, lanes):
 
 
 def _scalar_twin(family: MapFamily) -> MapFamily:
-    family.lane_map = None
+    family.lanes = False
     return family
 
 
@@ -163,10 +170,10 @@ def test_producers_match_the_scalar_family_on_random_affine_families(
 
     def make(lanes: bool) -> MapFamily:
         return MapFamily(
-            lambda n: ContractionMap(lambda x, n=n: step(n, x), kind.of(r(n), 0.0), domain),
+            lambda n: ContractionMap(lambda x: step(n, x), kind.of(r(n), 0.0), domain),
             ContractionMap(lambda x: step(10**6, x), kind.of(rate, 0.0), domain),
             coefficient_bound=kind.of(rate, 0.0),
-            lane_map=step if lanes else None,
+            lanes=lanes,
         )
 
     cfg = CSeqProbeConfig(tuple(kind.of(s, s) for s in (0.5, 0.05)), horizon=horizon)
@@ -181,22 +188,21 @@ def test_producers_match_the_scalar_family_on_random_affine_families(
 
 def _faulty_family(case: str, k: int, lanes: bool) -> MapFamily:
     """Halving members except member k, which cannot be built, maps out of
-    the carrier, or lives on a domain the witness misses."""
+    the carrier, or lives on a domain the witness misses.  The members are
+    array-safe, so every lane member but the one of "construction" builds,
+    and the lanes meet the fault."""
 
     def members(n):
-        if n == k and case == "construction":
-            return ContractionMap(lambda x: x, UT2Elem(1.5, 0.0))
-        if n == k and case == "carrier":
-            return ContractionMap(lambda x: x + 0.75, UT2Elem(0.5, 0.0))
-        dom = IntervalDomain(0.5, 1.0) if n == k and case == "domain" else UNIT_INTERVAL
-        return ContractionMap(lambda x: 0.5 * x + 0.125, UT2Elem(0.5, 0.0), dom)
-
-    def lane_map(ns, xs):
-        good = 0.5 * xs + 0.125
-        return np.where(ns == k, xs + 0.75, good) if case == "carrier" else good
+        hit = n == k
+        rate = _where(hit, 1.5, 0.5) if case == "construction" else 0.5
+        shift = _where(hit, 0.75, 0.125) if case == "carrier" else 0.125
+        scale = _where(hit, 1.0, 0.5) if case == "carrier" else 0.5
+        lo = _where(hit, 0.5, 0.0) if case == "domain" else 0.0
+        return ContractionMap(lambda x: scale * x + shift, UT2Elem(rate, 0.0),
+                              IntervalDomain(lo, 1.0))
 
     limit = ContractionMap(lambda x: 0.5 * x + 0.125, UT2Elem(0.5, 0.0), UNIT_INTERVAL)
-    return MapFamily(members, limit, lane_map=lane_map if lanes else None)
+    return MapFamily(members, limit, lanes=lanes)
 
 
 _CHECKER_CALLS = {
@@ -222,12 +228,16 @@ def test_columnar_checkers_raise_the_first_scalar_error(checker, case, raised, k
     cfg = CSeqProbeConfig(probes=(UT2Elem(0.5, 0.5),), horizon=30)
     caught = []
     for lanes in (False, True):
+        family = _faulty_family(case, k, lanes)
         with pytest.raises(raised) as info:
-            _CHECKER_CALLS[checker](_faulty_family(case, k, lanes), space, cfg)
+            _CHECKER_CALLS[checker](family, space, cfg)
         caught.append((type(info.value), str(info.value)))
     assert caught[0] == caught[1]
     if case == "domain":
         assert f"index {k}" in caught[0][1]
+    # the lanes, not a failed build, meet every fault but the construction
+    built = fixed_point._lane_member(family, space, np.arange(1, 31))
+    assert (built is None) is (case == "construction")
 
 
 def test_premises_make_no_scalar_distance_call(monkeypatch):
@@ -291,10 +301,10 @@ def test_uniform_check_keeps_adversarial_points_with_lanes():
 
     def make(lanes: bool) -> MapFamily:
         return MapFamily(
-            lambda n: PlainMap(lambda x, n=n: step(n, x), UNIT_INTERVAL),
+            lambda n: PlainMap(lambda x: step(n, x), UNIT_INTERVAL),
             PlainMap(lambda x: 0.5 * x, UNIT_INTERVAL),
             adversarial=lambda n: [c],
-            lane_map=step if lanes else None,
+            lanes=lanes,
         )
 
     cfg = CSeqProbeConfig(probes=(UT2Elem(0.1, 0.1),), horizon=200)
@@ -307,13 +317,17 @@ def test_uniform_check_keeps_adversarial_points_with_lanes():
 def test_points_that_are_not_floats_take_the_scalar_path():
     # a Decimal point: the scalar distance raises TypeError, and the lanes,
     # which would read it as a float, must not judge it
-    family = _FAMILIES["thm_2_9"][0]
     space = IntervalUT2Space(2.0)
     cfg = CSeqProbeConfig.default(UT2Elem, horizon=100)
-    identity = lambda fam: MapFamily(fam.member, PlainMap(lambda x: x), lane_map=fam.lane_map)
+
+    def identity_limit() -> MapFamily:
+        family = _FAMILIES["thm_2_9"][0]()
+        family.limit = PlainMap(lambda x: x)
+        return family
+
     outcomes = [
         _outcome(lambda: property_g_check(
-            identity(family()), space, lambda x: (lambda n: 0.5), cfg, [Decimal("0.5")],
+            identity_limit(), space, lambda x: (lambda n: 0.5), cfg, [Decimal("0.5")],
             lane_witness=lane_witness))
         for lane_witness in (None, lambda x: (lambda ns: np.full(ns.shape, 0.5)))
     ]
@@ -358,12 +372,12 @@ def _bits(values) -> bytes:
 
 
 def _assert_power_lanes_match(family, ns, points):
-    """lane_map on every (n, point) pair of ns x points against the member
-    maps, bit for bit; returns the lane images."""
+    """The lane member's map on every (n, point) pair of ns x points against
+    the member maps, bit for bit; returns the lane images."""
     lane_ns = np.repeat(ns, len(points))
     xs = np.tile([p[0] for p in points], ns.size)
     ys = np.tile([p[1] for p in points], ns.size)
-    got = family.lane_map(lane_ns, (xs, ys))
+    got = fixed_point._lane_member(family, PlaneR2Space(), lane_ns).map((xs, ys))
     want = [family.member(n).map(p) for n in ns.tolist() for p in points]
     assert _bits(got[0]) == _bits([w[0] for w in want])
     assert _bits(got[1]) == _bits([w[1] for w in want])
@@ -405,7 +419,7 @@ def _bump_step(n, x):
 
 
 def _nan_at_bump(n, x):
-    return np.where(x == _BUMP_C, np.nan, 0.5 * x)
+    return _where(x == _BUMP_C, np.nan, 0.5 * x)
 
 
 def _refuse_index_5(n):
@@ -414,29 +428,27 @@ def _refuse_index_5(n):
     return [_BUMP_C]
 
 
-# (scalar member map, lane_map, adversarial)
+# (member map, array-safe, adversarial)
 _ADVERSARIAL_CASES = {
     "witness outside the domain at index 7": (
-        _bump_step, _bump_step, lambda n: [1.0] if n == 7 else [_BUMP_C]),
-    "adversarial raises": (_bump_step, _bump_step, _refuse_index_5),
+        _bump_step, lambda n: [1.0] if n == 7 else [_BUMP_C]),
+    "adversarial raises": (_bump_step, _refuse_index_5),
     "0, 1 or 2 witnesses per index": (
-        _bump_step, _bump_step, lambda n: [_BUMP_C, 0.7][: n % 3]),
+        _bump_step, lambda n: [_BUMP_C, 0.7][: n % 3]),
     "witnesses from a generator": (
-        _bump_step, _bump_step, lambda n: (p for p in [_BUMP_C])),
-    "NaN image at the witness": (
-        lambda n, x: float("nan") if x == _BUMP_C else 0.5 * x, _nan_at_bump,
-        lambda n: [_BUMP_C]),
+        _bump_step, lambda n: (p for p in [_BUMP_C])),
+    "NaN image at the witness": (_nan_at_bump, lambda n: [_BUMP_C]),
 }
 
 
 def _uniform_adversarial(case: str, lanes: bool):
     """check_uniform_convergence on the family of an adversarial case."""
-    step, lane_map, adversarial = _ADVERSARIAL_CASES[case]
+    step, adversarial = _ADVERSARIAL_CASES[case]
     family = MapFamily(
-        lambda n: PlainMap(lambda x, n=n: step(n, x), HALF_OPEN),
+        lambda n: PlainMap(lambda x: step(n, x), HALF_OPEN),
         PlainMap(lambda x: 0.5 * x, HALF_OPEN),
         adversarial=adversarial,
-        lane_map=lane_map if lanes else None,
+        lanes=lanes,
     )
     cfg = CSeqProbeConfig(probes=(UT2Elem(0.1, 0.1),), horizon=200)
     return check_uniform_convergence(family, IntervalUT2Space(1.0), cfg, grid_count=33)

@@ -50,6 +50,14 @@ from conefix.spaces import (
 UNIT_INTERVAL = IntervalDomain(0.0, 1.0)
 
 
+def _where(cond, a, b):
+    """np.where, with a Python float where every operand is a scalar, so
+    that a member written with it is a plain member on one index and its
+    own lane form on an index column."""
+    out = np.where(cond, a, b)
+    return out.item() if out.ndim == 0 else out
+
+
 def _half_plus(shift: float, domain=None) -> ContractionMap:
     return ContractionMap(lambda x: 0.5 * x + shift, UT2Elem(0.5, 0.0), domain)
 
@@ -150,10 +158,38 @@ def test_picard_solve_is_within_tol_of_the_exact_fixed_point():
 
 
 def test_contraction_map_coefficient_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^declared coefficient has spectral radius 1\.0, "):
         ContractionMap(lambda x: x, UT2Elem(1.0, 0.0))
     # nilpotent coefficient has radius zero no matter the second entry
     ContractionMap(lambda x: x, UT2Elem(0.0, 5.0))
+
+
+@pytest.mark.parametrize("kind", [R2Elem, UT2Elem])
+@pytest.mark.parametrize("first, second", [(0.5, -0.4), (-0.5, 0.0), (-0.0, -1e-300)])
+def test_coefficients_outside_the_cone_are_refused(kind, first, second):
+    # (e - k)^-1 of a k outside the cone is outside it too, so multiplying by
+    # it does not keep the cone order: with k = (0.5, -0.4) and the members
+    # x -> 0.3 x + 0.5 / n on IntervalUT2Space(2.0), verify_contraction
+    # passed and uniform_limit_harness printed "certified" rows that failed
+    # 4 of 4, (0.714, 1.429) against (1.0, 1.2) at n = 1
+    k = kind(first, second)
+    with pytest.raises(ValueError, match="must lie in the cone"):
+        ContractionMap(lambda x: 0.3 * x, k)
+    with pytest.raises(ValueError, match="^coefficient_bound must lie in the cone"):
+        MapFamily(lambda n: _half_plus(0.5 / n), _half_plus(0.0), coefficient_bound=k)
+
+
+def test_a_lane_coefficient_is_checked_in_every_lane():
+    ns = np.arange(1, 6)
+    ContractionMap(lambda x: x, UT2Elem(0.5 - 0.1 / ns, 0.0), UNIT_INTERVAL)
+    with pytest.raises(ValueError, match="must lie in the cone"):
+        ContractionMap(lambda x: x, UT2Elem(0.5, np.where(ns == 4, -0.1, 0.0)))
+    with pytest.raises(ValueError, match="spectral radius 1.5, needs < 1"):
+        ContractionMap(lambda x: x, UT2Elem(np.where(ns == 2, 1.5, 0.5), 0.0))
+    with pytest.raises(ValueError, match="must be finite"):
+        ContractionMap(lambda x: x, UT2Elem(0.5, np.where(ns == 3, np.inf, 0.0)))
+    with pytest.raises(ValueError, match="lo <= hi"):
+        IntervalDomain(1.0 / ns, np.where(ns == 5, 0.1, 1.0))
 
 
 @pytest.mark.parametrize("kind", [R2Elem, UT2Elem])
@@ -284,11 +320,10 @@ def test_uniform_convergence_rejects_stray_witness():
 def test_uniform_convergence_refuses_an_empty_grid(grid_count, lanes):
     # an empty grid used to end in max() of an empty sequence, after the
     # columnar sup divided by a grid size of zero
-    step = lambda n, x: x / n
     family = MapFamily(
-        lambda n: PlainMap(lambda x, n=n: step(n, x), UNIT_INTERVAL),
+        lambda n: PlainMap(lambda x: x / n, UNIT_INTERVAL),
         PlainMap(lambda x: 0.0, UNIT_INTERVAL),
-        lane_map=step if lanes else None,
+        lanes=lanes,
     )
     cfg = CSeqProbeConfig.default(UT2Elem, horizon=50)
     with pytest.raises(ValueError, match=rf"^grid_count must be >= 1, got {grid_count}$"):
@@ -688,15 +723,14 @@ def test_equicontinuous_pointwise_composition():
 
 
 def _shipped_lane_families():
-    """The scenario families that declare a lane_map, with the space, start
-    and tolerance their scenarios solve them at."""
+    """The scenario families that declare lanes, with the space, start and
+    tolerance their scenarios solve them at."""
     from conefix.scenarios import _interval_ut2_family, _subinterval_family, _system_family
 
     # the system family as coupled_sequence_harness builds it for thm_4_1
     members, limit = _system_family()
     systems = MapFamily(
-        lambda n: members(n).as_contraction(), limit.as_contraction(),
-        lane_map=lambda ns, p: members(ns).operator(p),
+        lambda n: members(n).as_contraction(), limit.as_contraction(), lanes=True,
     )
     return {
         "thm_2_9": (
@@ -765,9 +799,9 @@ def test_lanes_match_picard_on_random_affine_families(
         kind, space, start = UT2Elem, IntervalUT2Space(2.0), x0
         domain = IntervalDomain(0.0, 1.0, open_lo=True) if bounded else None
     family = MapFamily(
-        lambda n: ContractionMap(lambda x, n=n: step(n, x), kind.of(r(n), second), domain),
+        lambda n: ContractionMap(lambda x: step(n, x), kind.of(r(n), second), domain),
         ContractionMap(lambda x: x, kind.of(0.5, 0.0)),
-        lane_map=step,
+        lanes=True,
     )
     cache: dict = {}
     with pytest.MonkeyPatch.context() as mp:
@@ -793,10 +827,10 @@ def test_lanes_match_picard_on_random_affine_families(
     (2.0, 0.1, None),
 ])
 def test_lane_stop_rule_edges_match_picard(jump, tol, iterations):
-    step = lambda n, x: 0.5 * x + 0.25 + (x >= 0.46) * jump
     family = MapFamily(
-        lambda n: ContractionMap(lambda x, n=n: step(n, x), UT2Elem(0.5, 0.0)),
-        _half_plus(0.0), lane_map=step,
+        lambda n: ContractionMap(lambda x: 0.5 * x + 0.25 + (x >= 0.46) * jump,
+                                 UT2Elem(0.5, 0.0)),
+        _half_plus(0.0), lanes=True,
     )
     space = IntervalUT2Space(1.0)
     cache: dict = {}
@@ -816,16 +850,16 @@ def test_lanes_leave_a_stalled_lane_to_picard():
     # rate 0.99, over some 2500 iterations, so their steps keep shrinking
     calls = []
 
-    def step(ns, xs):
-        calls.append(len(ns))
-        return np.where(ns == 3, 1.0 - xs, 0.99 * xs + 0.005)
-
     def members(n):
-        if n == 3:
-            return ContractionMap(lambda x: 1.0 - x, UT2Elem(0.5, 0.0), UNIT_INTERVAL)
-        return ContractionMap(lambda x: 0.99 * x + 0.005, UT2Elem(0.99, 0.0), UNIT_INTERVAL)
+        stuck = n == 3
 
-    family = MapFamily(members, _half_plus(0.0), lane_map=step)
+        def step(x):
+            calls.append(np.size(x))
+            return _where(stuck, 1.0 - x, 0.99 * x + 0.005)
+
+        return ContractionMap(step, UT2Elem(_where(stuck, 0.5, 0.99), 0.0), UNIT_INTERVAL)
+
+    family = MapFamily(members, _half_plus(0.0), lanes=True)
     space = IntervalUT2Space(1.0)
     cache: dict = {}
     _solve_members(family, space, 0.25, 1e-12, cache, range(1, 9))
@@ -843,25 +877,23 @@ def test_lanes_leave_a_stalled_lane_to_picard():
 def _faulty_family(case: str, k: int, lanes: bool) -> MapFamily:
     """Halving members except member k, which breaks picard_solve by
     escaping its domain, leaving the carrier, never settling ("max_iter":
-    it runs into the iteration cap), or failing to be built at all."""
+    it runs into the iteration cap), or failing to be built at all.  The
+    members are array-safe, so every lane member but the one of
+    "construction" builds, and the lanes meet the fault."""
     domain = None if case == "carrier" else UNIT_INTERVAL
 
     def bad(x):
         return 1.0 - x if case == "max_iter" else x + 0.75
 
     def members(n):
-        if n == k and case == "construction":
-            return ContractionMap(lambda x: x, UT2Elem(1.5, 0.0), domain)
-        if n == k:
-            return ContractionMap(bad, UT2Elem(0.5, 0.0), domain)
-        return ContractionMap(lambda x: 0.5 * x + 0.125, UT2Elem(0.5, 0.0), domain)
+        hit = n == k
+        if case == "construction":
+            return ContractionMap(lambda x: 0.5 * x + 0.125,
+                                  UT2Elem(_where(hit, 1.5, 0.5), 0.0), domain)
+        return ContractionMap(lambda x: _where(hit, bad(x), 0.5 * x + 0.125),
+                              UT2Elem(0.5, 0.0), domain)
 
-    def lane_map(ns, xs):
-        good = 0.5 * xs + 0.125
-        return good if case == "construction" else np.where(ns == k, bad(xs), good)
-
-    return MapFamily(members, _half_plus(0.0, UNIT_INTERVAL),
-                     lane_map=lane_map if lanes else None)
+    return MapFamily(members, _half_plus(0.0, UNIT_INTERVAL), lanes=lanes)
 
 
 _HARNESS_CALLS = {
@@ -891,17 +923,19 @@ def test_lane_failures_raise_what_picard_raises(harness, case, raised, k, monkey
     cfg = CSeqProbeConfig(probes=(UT2Elem(0.5, 0.5),), horizon=30)
     caught = []
     for lanes in (False, True):
+        calls = _counting_picard(monkeypatch)
         with pytest.raises(raised) as info:
             _HARNESS_CALLS[harness](_faulty_family(case, k, lanes), space, cfg)
         caught.append((type(info.value), str(info.value)))
     assert caught[0] == caught[1]
+    if case != "construction":
+        # the lanes met the fault: picard_solve saw at most the limit and
+        # member k
+        assert len(calls) <= 2
 
 
-def test_lane_family_makes_no_member_picard_solves(monkeypatch):
-    # a silent fall back to scalar solves would keep every payload and lose
-    # the speed, so count the solves: only the limit map is solved by picard
-    from conefix.scenarios import _interval_ut2_family
-
+def _counting_picard(monkeypatch) -> list:
+    """Patch picard_solve to record the map of every call; returns the list."""
     calls = []
     real = fixed_point.picard_solve
 
@@ -910,6 +944,15 @@ def test_lane_family_makes_no_member_picard_solves(monkeypatch):
         return real(T, *args, **kwargs)
 
     monkeypatch.setattr(fixed_point, "picard_solve", counting)
+    return calls
+
+
+def test_lane_family_makes_no_member_picard_solves(monkeypatch):
+    # a silent fall back to scalar solves would keep every payload and lose
+    # the speed, so count the solves: only the limit map is solved by picard
+    from conefix.scenarios import _interval_ut2_family
+
+    calls = _counting_picard(monkeypatch)
     family = _interval_ut2_family(lambda n: 1.0 / (n + 2.0), lambda n: 0.5)
     cfg = CSeqProbeConfig.default(UT2Elem, horizon=10_000)
     report = uniform_limit_harness(
@@ -921,30 +964,28 @@ def test_lane_family_makes_no_member_picard_solves(monkeypatch):
 
 def _thm_2_9_with_fault(case: str, lanes: bool) -> MapFamily:
     """The thm_2_9 family with a fault that the lane solver must leave to
-    picard_solve: member 7 cannot be built (after member 2, which escapes
-    its domain, in the "escape" case), the lane map raises, or every member
-    lives on a box, a domain the interval lanes cannot test."""
+    picard_solve: member 7 cannot be built, so neither can the lane member
+    of its block (after member 2, which escapes its domain, in the "escape"
+    case), the lane member's map raises ("lane_map"), or every member lives
+    on a box, a domain the interval lanes cannot test."""
     from conefix.scenarios import _interval_ut2_family
 
     base = _interval_ut2_family(lambda n: 1.0 / (n + 2.0), lambda n: 0.5)
     box = BoxDomain((0.0, 0.0), (1.0, 1.0))
-    escape = lambda x: x + 0.75
+
+    def step(n, x):
+        if case == "lane_map" and isinstance(x, np.ndarray):
+            raise RuntimeError("lane map failed")
+        good = 0.5 * x + 1.0 / (n + 2.0)
+        return _where(n == 2, x + 0.75, good) if case == "escape" else good
 
     def members(n):
-        if case in ("member", "escape") and n == 7:
+        if case in ("member", "escape") and np.any(n == 7):
             raise ValueError("member 7 cannot be built")
-        m = base.member(n)
-        if case == "escape" and n == 2:
-            return ContractionMap(escape, m.alpha, m.domain)
-        return ContractionMap(m.map, m.alpha, box) if case == "box" else m
+        return ContractionMap(lambda x: step(n, x), UT2Elem(0.5, 0.0),
+                              box if case == "box" else UNIT_INTERVAL)
 
-    def lane_map(ns, xs):
-        if case == "lane_map":
-            raise RuntimeError("lane map failed")
-        images = base.lane_map(ns, xs)
-        return np.where(ns == 2, escape(xs), images) if case == "escape" else images
-
-    return MapFamily(members, base.limit, lane_map=lane_map if lanes else None)
+    return MapFamily(members, base.limit, lanes=lanes)
 
 
 @pytest.mark.parametrize("case, start, raised", [
@@ -952,14 +993,16 @@ def _thm_2_9_with_fault(case: str, lanes: bool) -> MapFamily:
     # the rows meet member 2 first, so the lanes must not raise for member 7
     ("escape", 0.0, IterateEscapedDomain),
     ("lane_map", 0.0, None),
-    ("int start", 0, None),  # not a float: no lane can take it, every block is empty
+    # an int converts to float exactly, so the lanes take it as 0.0
+    ("int start", 0, None),
     ("box", 0.0, TypeError),  # the box cannot unpack an interval point
 ])
-def test_lane_fallbacks_match_the_scalar_harness(case, start, raised):
+def test_lane_fallbacks_match_the_scalar_harness(case, start, raised, monkeypatch):
     space = IntervalUT2Space(2.0)
     cfg = CSeqProbeConfig.default(UT2Elem, horizon=200)
     outcomes = []
     for lanes in (False, True):
+        calls = _counting_picard(monkeypatch)
         family = _thm_2_9_with_fault(case, lanes)
         try:
             report = uniform_limit_harness(family, space, cfg, (1, 2, 7, 50, 200), start)
@@ -969,19 +1012,33 @@ def test_lane_fallbacks_match_the_scalar_harness(case, start, raised):
             outcomes.append((None, report.dists, report.bounds, report.probe))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] is raised
+    if case == "int start":
+        assert len(calls) == 1  # the limit; the lanes solved every member
 
 
-def test_plane_lane_fallback_for_a_start_of_integers():
+def test_plane_lane_fallback_for_a_start_of_integers(monkeypatch):
     # the thm_4_1 system family on the plane, started from an integer pair,
-    # which no lane can take
+    # which converts to floats exactly, so the lanes take it as (0.0, 0.0)
     from conefix.scenarios import _system_family
 
     members, limit = _system_family()
     cfg = CSeqProbeConfig.default(R2Elem, horizon=200)
     reports = []
-    for lane_map in (None, lambda ns, p: members(ns).operator(p)):
+    for lanes in (False, True):
+        calls = _counting_picard(monkeypatch)
         family = MapFamily(lambda n: members(n).as_contraction(), limit.as_contraction(),
-                           lane_map=lane_map)
+                           lanes=lanes)
         report = uniform_limit_harness(family, PlaneR2Space(), cfg, (1, 2, 50, 200), (0, 0))
         reports.append((report.dists, report.bounds, report.probe))
     assert reports[0] == reports[1]
+    assert len(calls) == 1  # the limit; the lanes solved every member
+
+
+@pytest.mark.parametrize("start, lanes_take_it", [
+    (0, True), (np.int64(0), True), (np.float64(0.0), True), (2 ** 53 + 1, False),
+    (np.int64(2 ** 53 + 1), False), (np.float32(0.0), False), (True, True),
+])
+def test_lane_start_keeps_lanes_for_starts_that_convert_exactly(start, lanes_take_it):
+    assert (fixed_point._lane_start(start, 1) is not None) is lanes_take_it
+    assert (fixed_point._lane_start((0.5, start), 2) is not None) is lanes_take_it
+    assert fixed_point._lane_start([0.5, 0.5], 2) is None

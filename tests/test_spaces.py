@@ -82,7 +82,7 @@ def test_box_domain():
 
 def _ode_sequence_space() -> BieleckiPairSpace:
     """The space the ode_sequence scenario measures its rows in."""
-    members, limit, _ = _damped_ivp_family()
+    members, limit = _damped_ivp_family()
     cert = _family_certificate(ode_certify(members(1)), ode_certify(limit), limit.center)
     return _ode_grid(cert, 257, 1e-10).space
 
