@@ -75,6 +75,9 @@ class CoupledSystem:
 
         |F(x1, y) - F(x2, y) + (x1 - x2)| <= lip * |x1 - x2|
         |G(x, y1) - G(x, y2) + (y1 - y2)| <= lip * |y1 - y2|
+
+    In a family's lane form (see coupled_sequence_harness) lip may be a
+    float64 column, one rate per lane, each checked.
     """
 
     f: Callable[[float, float], float]
@@ -82,7 +85,7 @@ class CoupledSystem:
     lip: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.lip < 1.0:
+        if not np.all((0.0 <= self.lip) & (self.lip < 1.0)):  # NaN fails too
             raise ValueError(f"lip must be in [0, 1), got {self.lip}")
 
     def operator(self, p):

@@ -140,22 +140,24 @@ class MapFamily:
 
     lanes=True declares that members is also the family's lane form:
     members(ns), with ns an int64 index column, is one map whose map takes
-    the points of all lanes at once (a float64 column on the interval
-    space, a pair of coordinate columns (xs, ys) on the plane) and returns
-    the images in the same form, and whose alpha coordinates and domain
-    endpoints are float64 columns or scalars shared by every lane.  Lane i
-    must equal members(ns[i]) bit for bit, which holds when each expression
-    is written once with + - * / and abs only, on floats (IEEE exact in
-    numpy and in Python alike; int64 products of indices could wrap where
-    Python ints grow).  Where a numpy ufunc rounds otherwise than the
-    scalar operator (numpy's power against Python's float ** int), the
-    member may apply the scalar operator lane by lane when its index is an
-    array.  The map must not write into its input columns, which may be
-    read-only broadcast views.  With lanes the harnesses solve the members
-    they need together as numpy lanes, and the convergence checkers and
-    harness probes hand the probe judge whole columns of distances.  A
-    lane member that fails to build sends its block or checker back to
-    member(n), index by index.
+    the points of all lanes at once (a float64 column on the interval space,
+    a pair of coordinate columns (xs, ys) on the plane) and returns the
+    images in the same form, and whose alpha coordinates and domain
+    endpoints are float64 columns or scalars shared by every lane (a
+    domain's open_lo and open_hi are shared by every lane); its domain's
+    contains answers for those points, one bool per lane, as
+    IntervalDomain's and BoxDomain's do.  Lane i must equal members(ns[i])
+    bit for bit, which holds when each expression is written once with
+    + - * / and abs only, on floats (IEEE exact in numpy and in Python alike;
+    int64 products of indices could wrap where Python ints grow).  Where a
+    numpy ufunc rounds otherwise than the scalar operator (numpy's power
+    against Python's float ** int), the member may apply the scalar operator
+    lane by lane when its index is an array.  The map must not write into
+    its input columns, which may be read-only broadcast views.  With lanes
+    the harnesses solve the members they need together as numpy lanes, and
+    the convergence checkers and harness probes hand the probe judge whole
+    columns of distances.  A lane member that fails to build sends its block
+    or checker back to member(n), index by index.
     """
 
     def __init__(
@@ -392,6 +394,53 @@ def _uniform_sup(family, space, domain, points, n: int):
     return space.kind.of(max(v.first for v in values), max(v.second for v in values))
 
 
+def _uniform_sups(family, space, domain, points, ns):
+    """_uniform_sup at each index of the int64 column ns, from the family's
+    lane form (see MapFamily), as the (first, second, bad) columns of
+    space.distances: bad[i] marks an index whose scalar sup would raise.
+    An adversarial point outside domain raises here, at its index."""
+    dim = _space_dim(space)
+    limit_map = family.limit.map
+
+    def distances(lane_ns, at, lim):
+        images = _lane_columns(family._members(lane_ns).map(_pack(at, dim)), dim,
+                               lane_ns.shape)
+        return space.distances(_pack(images, dim), _pack(lim, dim))
+
+    # index x grid products in blocks of at most _SUP_BLOCK values, each
+    # reduced to its componentwise max along the grid axis; a NaN image
+    # makes a NaN sup, which the judge rejects, so max folds in the
+    # adversarial points exactly as the scalar max does
+    size = len(points)
+    grid = _point_columns(points, dim, size)
+    limits = _point_columns(map(limit_map, points), dim, size)
+    rows = max(1, _SUP_BLOCK // size)
+    first, second = np.empty(ns.shape), np.empty(ns.shape)
+    bad = np.empty(ns.shape, dtype=bool)
+    for i in range(0, ns.size, rows):
+        block = ns[i:i + rows]
+        at = tuple(np.tile(c, block.size) for c in grid)
+        lim = tuple(np.tile(c, block.size) for c in limits)
+        d1, d2, out = distances(np.repeat(block, size), at, lim)
+        first[i:i + rows] = d1.reshape(block.size, size).max(axis=1)
+        second[i:i + rows] = d2.reshape(block.size, size).max(axis=1)
+        bad[i:i + rows] = out.reshape(block.size, size).any(axis=1)
+        owners, extra = [], []
+        for lane, n in enumerate(block.tolist(), start=i):
+            witnesses = _adversarial_points(family, domain, n)
+            owners += [lane] * len(witnesses)
+            extra += witnesses
+        if extra:
+            owner = np.array(owners, dtype=np.intp)
+            at = _point_columns(extra, dim, len(extra))
+            lim = _point_columns(map(limit_map, extra), dim, len(extra))
+            d1, d2, out = distances(ns[owner], at, lim)
+            np.maximum.at(first, owner, d1)
+            np.maximum.at(second, owner, d2)
+            np.logical_or.at(bad, owner, out)
+    return first, second, bad
+
+
 def check_uniform_convergence(
     family: MapFamily,
     space,
@@ -416,51 +465,9 @@ def check_uniform_convergence(
         raise ValueError(f"grid_count must be >= 1, got {grid_count!r}")
     domain = family.limit.domain if family.limit.domain is not None else space.carrier
     base_points = dense_sample(domain, grid_count)
-    limit_map = family.limit.map
     columns = None
     if _lane_member(family, space, _probe_column(cfg)) is not None:
-        dim = _space_dim(space)
-
-        def distances(lane_ns, at, lim):
-            images = _lane_columns(family._members(lane_ns).map(_pack(at, dim)), dim,
-                                   lane_ns.shape)
-            return space.distances(_pack(images, dim), _pack(lim, dim))
-
-        def fn(ns):
-            # index x grid products in blocks of at most _SUP_BLOCK values,
-            # each reduced to its componentwise max along the grid axis; a
-            # NaN image makes a NaN sup, which the judge rejects, so max
-            # folds in the adversarial points exactly as the scalar max does
-            size = len(base_points)
-            grid = _point_columns(base_points, dim, size)
-            limits = _point_columns(map(limit_map, base_points), dim, size)
-            rows = max(1, _SUP_BLOCK // size)
-            first, second = np.empty(ns.shape), np.empty(ns.shape)
-            bad = np.empty(ns.shape, dtype=bool)
-            for i in range(0, ns.size, rows):
-                block = ns[i:i + rows]
-                at = tuple(np.tile(c, block.size) for c in grid)
-                lim = tuple(np.tile(c, block.size) for c in limits)
-                d1, d2, out = distances(np.repeat(block, size), at, lim)
-                first[i:i + rows] = d1.reshape(block.size, size).max(axis=1)
-                second[i:i + rows] = d2.reshape(block.size, size).max(axis=1)
-                bad[i:i + rows] = out.reshape(block.size, size).any(axis=1)
-                owners, extra = [], []
-                for lane, n in enumerate(block.tolist(), start=i):
-                    witnesses = _adversarial_points(family, domain, n)
-                    owners += [lane] * len(witnesses)
-                    extra += witnesses
-                if extra:
-                    owner = np.array(owners, dtype=np.intp)
-                    at = _point_columns(extra, dim, len(extra))
-                    lim = _point_columns(map(limit_map, extra), dim, len(extra))
-                    d1, d2, out = distances(ns[owner], at, lim)
-                    np.maximum.at(first, owner, d1)
-                    np.maximum.at(second, owner, d2)
-                    np.logical_or.at(bad, owner, out)
-            return first, second, bad
-
-        columns = (space.kind, fn)
+        columns = (space.kind, partial(_uniform_sups, family, space, domain, base_points))
     report = is_c_sequence(partial(_uniform_sup, family, space, domain, base_points),
                            cfg, columns)
     return UniformReport(report, len(base_points), report.passed)
@@ -623,41 +630,15 @@ _LANE_BLOCK = 1024
 _LANE_STALL = 64
 
 
-def _domain_axes(domain, dim: int, lanes: int):
-    """The lanes x axis x 4 array of per-axis (lo, hi, open_lo, open_hi) of
-    a lane member's domain, whose endpoints are columns of lanes entries or
-    scalars shared by every lane, or None if the domain has no such form
-    for points of this dimension.
-
-    No domain reads as the whole line per axis.  That also rejects NaN,
-    which only drops a lane the carrier would reject anyway.
-    """
+def _inside(domain, cols, dim: int) -> np.ndarray:
+    """Per lane, whether the point in the dim columns cols lies in domain
+    (None: every lane does); TypeError unless domain.contains answers with
+    one bool per lane, as a domain that tests single points only does not."""
     if domain is None:
-        rows = ((-math.inf, math.inf, False, False),) * dim
-    elif dim == 1 and isinstance(domain, IntervalDomain):
-        rows = ((domain.lo, domain.hi, domain.open_lo, domain.open_hi),)
-    elif dim == 2 and isinstance(domain, BoxDomain):
-        rows = tuple((domain.lo[i], domain.hi[i], False, domain.open_hi) for i in (0, 1))
-    else:
-        return None
-    bounds = np.empty((lanes, dim, 4))
-    try:
-        for a, row in enumerate(rows):
-            for j, v in enumerate(row):
-                bounds[:, a, j] = v
-    except (TypeError, ValueError):  # an endpoint of another shape or type
-        return None
-    return bounds
-
-
-def _inside_axes(bounds, cols) -> np.ndarray:
-    """Per lane, whether the point in cols lies in the lane's domain, with
-    bounds a lane x axis x 4 array of _domain_axes rows."""
-    ok = np.ones(cols[0].shape, dtype=bool)
-    for a, c in enumerate(cols):
-        lo, hi, open_lo, open_hi = bounds[:, a].T
-        ok &= np.where(open_lo != 0.0, c > lo, c >= lo)
-        ok &= np.where(open_hi != 0.0, c < hi, c <= hi)
+        return np.ones(cols[0].shape, dtype=bool)
+    ok = domain.contains(_pack(cols, dim))
+    if type(ok) is not np.ndarray or ok.dtype != bool or ok.shape != cols[0].shape:
+        raise TypeError("a lane member's domain must answer one bool per lane")
     return ok
 
 
@@ -748,16 +729,17 @@ def _lane_block(family, space, dim, x0, tol, block, cache) -> None:
 
     Each lane runs picard_solve's steps on float64 columns: its own stop
     rule, picard_solve's formulas in the same IEEE operations and so the
-    same bits, then per iteration the domain test, the carrier test and
-    the stop rule.  Rate, b and domain bounds are columns of one lane
-    member, rebuilt as lanes finish.  A lane that would raise in
-    picard_solve (an escape from the domain or the carrier, no convergence
-    within _MAX_ITER) is left out of the cache, as is the whole block if
-    its lane member cannot be built or applied, its domain has no lane form
-    or the stop rule refuses tol, so that the lazy scalar solve raises
-    exactly what picard_solve raises.  So is a lane whose step stalls for
-    _LANE_STALL iterations, which picard_solve then settles or gives up on
-    at scalar cost.
+    same bits, then per iteration the domain test, the carrier test and the
+    stop rule.  The start and each iterate are tested by the contains of the
+    lane member's domain, and rate and b are columns of the lane member; it
+    is rebuilt as lanes finish.  A lane that would raise in picard_solve (an
+    escape from the domain or the carrier, no convergence within _MAX_ITER)
+    is left out of the cache, as is the whole block if its lane member
+    cannot be built or applied, its domain does not answer for lanes (see
+    _inside) or the stop rule refuses tol, so that the lazy scalar solve
+    raises exactly what picard_solve raises.  So is a lane whose step stalls
+    for _LANE_STALL iterations, which picard_solve then settles or gives up
+    on at scalar cost.
     """
     ns = np.asarray(block, dtype=np.int64)
     member = _lane_member(family, space, ns)
@@ -765,15 +747,11 @@ def _lane_block(family, space, dim, x0, tol, block, cache) -> None:
         return
     try:
         with np.errstate(all="ignore"):
-            bounds = _domain_axes(member.domain, dim, ns.size)  # lane x axis x 4
-            if bounds is None:
-                return
             thr, wt = (np.broadcast_to(v, ns.shape) for v in _stop_rule(
                 tol, np.abs(member.alpha.first), member.alpha.second))
             x = [np.full(ns.size, c) for c in x0]
-            keep = _inside_axes(bounds, x)
-            lane, idx, thr, wt, bounds = (
-                np.flatnonzero(keep), ns[keep], thr[keep], wt[keep], bounds[keep])
+            keep = _inside(member.domain, x, dim)
+            lane, idx, thr, wt = np.flatnonzero(keep), ns[keep], thr[keep], wt[keep]
             x = [c[keep] for c in x]
             built = ns.size  # the lanes member was built for
             stall_ref = np.full(lane.size, np.inf)  # step at the last stall check
@@ -787,7 +765,7 @@ def _lane_block(family, space, dim, x0, tol, block, cache) -> None:
                 x_next = _lane_columns(member.map(_pack(x, dim)), dim, idx.shape)
                 d1, d2, outside = space.distances(_pack(x_next, dim), _pack(x, dim))
                 delta = np.abs(d1) + np.abs(d2)
-                ok = _inside_axes(bounds, x_next) & ~outside
+                ok = _inside(member.domain, x_next, dim) & ~outside
                 done = ok & ((delta + wt * d1 < thr) | (delta == 0.0))
                 done_lane.append(lane[done])
                 done_iter.append(np.full(int(done.sum()), it))
@@ -797,8 +775,7 @@ def _lane_block(family, space, dim, x0, tol, block, cache) -> None:
                 if it % _LANE_STALL == 0:
                     keep &= delta < stall_ref
                     stall_ref = delta
-                lane, idx, thr, wt, bounds = (
-                    lane[keep], idx[keep], thr[keep], wt[keep], bounds[keep])
+                lane, idx, thr, wt = lane[keep], idx[keep], thr[keep], wt[keep]
                 stall_ref = stall_ref[keep]
                 x = [c[keep] for c in x_next]
             if not done_lane:
@@ -1105,14 +1082,15 @@ def property_g_check(
     lane_witness, when given, is the witness on numpy lanes: lane_witness(x)
     maps an int64 index column ns to the points witness(x)(n), n in ns, bit
     for bit, in the form a lane member's map takes.  With it and a family
-    with lanes both probes at a point are evaluated as lanes, against the
-    member-domain columns of one lane member built per call.
+    with lanes both probes at a point are evaluated as lanes: one lane
+    member is built per call, and its domain's contains tests every
+    witness point at once.  A domain that does not answer for lanes (see
+    _inside) sends both probes to the scalar fetch.
     """
     limit_map = family.limit.map
     dim = _space_dim(space)
     ns = _probe_column(cfg)
     member = _lane_member(family, space, ns) if lane_witness is not None else None
-    bounds = _domain_axes(member.domain, dim, ns.size) if member is not None else None
     reports = []
     for x in points:
         seq = witness(x)
@@ -1125,7 +1103,7 @@ def property_g_check(
 
         fx = limit_map(x)
         dist_columns = image_columns = None
-        if bounds is not None:
+        if member is not None:
             def lanes(ns, image, x=x, fx=fx):
                 ys = _lane_columns(lane_witness(x)(ns), dim, ns.shape)
                 at, target = ys, x
@@ -1134,7 +1112,7 @@ def property_g_check(
                     target = fx
                 targets = _constant(target, dim, ns.shape)
                 d1, d2, out = space.distances(_pack(at, dim), _pack(targets, dim))
-                return d1, d2, out | ~_inside_axes(bounds, ys)
+                return d1, d2, out | ~_inside(member.domain, ys, dim)
 
             dist_columns = (space.kind, partial(lanes, image=False))
             image_columns = (space.kind, partial(lanes, image=True))

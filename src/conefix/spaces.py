@@ -69,7 +69,8 @@ class IntervalDomain:
     """Closed interval on the line, optionally open at either end.
 
     A single point (lo == hi with both ends closed) is a valid degenerate
-    interval; families of shrinking sub-domains start from one.  The
+    interval; families of shrinking sub-domains start from one.  contains
+    answers a point with a bool and a float64 column with one per lane.  The
     domain of a lane member (see MapFamily) may have float64 columns of
     endpoints, one entry per lane, which are checked in every lane.
     """
@@ -85,33 +86,44 @@ class IntervalDomain:
         if (self.open_lo or self.open_hi) and np.any(self.lo == self.hi):
             raise ValueError("a single-point interval must be closed at both ends")
 
-    def contains(self, x: float) -> bool:
+    def contains(self, x):
         above = x > self.lo if self.open_lo else x >= self.lo
         below = x < self.hi if self.open_hi else x <= self.hi
-        return above and below
+        return above & below
 
     def sample(self, rng: np.random.Generator, count: int) -> list[float]:
         return [float(v) for v in
                 _lattice_draw(rng, self.lo, self.hi, count, self.open_hi)]
 
 
+def _in_box(lo, hi, open_hi: bool, p):
+    """Whether p = (x, y) lies in the box [lo, hi], open at the top when
+    open_hi; one bool per lane when the coordinates or corners are columns."""
+    x, y = p
+    if open_hi:
+        return (lo[0] <= x) & (x < hi[0]) & (lo[1] <= y) & (y < hi[1])
+    return (lo[0] <= x) & (x <= hi[0]) & (lo[1] <= y) & (y <= hi[1])
+
+
 @dataclass(frozen=True)
 class BoxDomain:
-    """Axis-aligned rectangle in the plane, optionally open at the top."""
+    """Axis-aligned rectangle in the plane, optionally open at the top.
+
+    contains answers a point (x, y) with a bool and a pair of float64
+    coordinate columns with one per lane; corners may be columns, as
+    IntervalDomain's endpoints may.
+    """
 
     lo: tuple[float, float]
     hi: tuple[float, float]
     open_hi: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.lo[0] < self.hi[0] and self.lo[1] < self.hi[1]):
+        if not np.all((self.lo[0] < self.hi[0]) & (self.lo[1] < self.hi[1])):
             raise ValueError("box must have lo < hi in both coordinates")
 
-    def contains(self, p: tuple[float, float]) -> bool:
-        x, y = p
-        if self.open_hi:
-            return self.lo[0] <= x < self.hi[0] and self.lo[1] <= y < self.hi[1]
-        return self.lo[0] <= x <= self.hi[0] and self.lo[1] <= y <= self.hi[1]
+    def contains(self, p):
+        return _in_box(self.lo, self.hi, self.open_hi, p)
 
     def sample(self, rng: np.random.Generator, count: int) -> list[tuple[float, float]]:
         xs = _lattice_draw(rng, self.lo[0], self.hi[0], count, self.open_hi)
@@ -138,8 +150,8 @@ class IntervalUT2Space:
     def carrier(self) -> IntervalDomain:
         return IntervalDomain(0.0, 1.0)
 
-    def contains(self, x: float) -> bool:
-        return 0.0 <= x <= 1.0
+    def contains(self, x):
+        return (0.0 <= x) & (x <= 1.0)
 
     def sample(self, rng: np.random.Generator, count: int) -> list[float]:
         return self.carrier.sample(rng, count)
@@ -158,8 +170,7 @@ class IntervalUT2Space:
         distance would raise PointOutsideCarrier instead.
         """
         m = np.abs(xs - ys)
-        inside = (0.0 <= xs) & (xs <= 1.0) & (0.0 <= ys) & (ys <= 1.0)
-        return m, self.scale_param * m, ~inside
+        return m, self.scale_param * m, ~(self.contains(xs) & self.contains(ys))
 
 
 @dataclass(frozen=True)
@@ -187,11 +198,8 @@ class PlaneR2Space:
                 f"sample_box {self.sample_box!r}"
             )
 
-    def contains(self, p: tuple[float, float]) -> bool:
-        x, y = p
-        if self.open_hi:
-            return self.lo[0] <= x < self.hi[0] and self.lo[1] <= y < self.hi[1]
-        return self.lo[0] <= x <= self.hi[0] and self.lo[1] <= y <= self.hi[1]
+    def contains(self, p):
+        return _in_box(self.lo, self.hi, self.open_hi, p)
 
     def _sampling_corners(self):
         lo = (max(self.lo[0], self.sample_box[0][0]), max(self.lo[1], self.sample_box[0][1]))
@@ -212,13 +220,6 @@ class PlaneR2Space:
             raise PointOutsideCarrier(f"point outside carrier box: {p!r}, {q!r}")
         return R2Elem(abs(p[0] - q[0]), abs(p[1] - q[1]))
 
-    def _contains_columns(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        if self.open_hi:
-            return ((self.lo[0] <= xs) & (xs < self.hi[0])
-                    & (self.lo[1] <= ys) & (ys < self.hi[1]))
-        return ((self.lo[0] <= xs) & (xs <= self.hi[0])
-                & (self.lo[1] <= ys) & (ys <= self.hi[1]))
-
     def distances(self, ps: tuple[np.ndarray, np.ndarray], qs: tuple[np.ndarray, np.ndarray]):
         """distance for points given as pairs of coordinate columns.
 
@@ -227,7 +228,7 @@ class PlaneR2Space:
         would return, bit for bit; outside[i] marks the lanes where distance
         would raise PointOutsideCarrier instead.
         """
-        inside = self._contains_columns(*ps) & self._contains_columns(*qs)
+        inside = self.contains(ps) & self.contains(qs)
         return np.abs(ps[0] - qs[0]), np.abs(ps[1] - qs[1]), ~inside
 
 
@@ -398,7 +399,8 @@ class CSeqProbeConfig:
     """Probe set and horizon for the empirical smallness check.
 
     tail_required is the number of consecutive passing indices demanded at
-    the end of the horizon before a probe verdict counts as a pass.
+    the end of the horizon before a probe verdict counts as a pass; the
+    judged window start .. horizon must hold at least that many.
     """
 
     probes: tuple
@@ -417,6 +419,9 @@ class CSeqProbeConfig:
             )
         if self.start < 0:
             raise ValueError("start must be >= 0")
+        if self.horizon - self.start + 1 < self.tail_required:
+            raise ValueError(f"the window {self.start} .. {self.horizon} is shorter "
+                             f"than tail_required ({self.tail_required})")
         for c in self.probes:
             if not (c.first > 0.0 and c.second > 0.0):
                 raise ValueError("probes must lie strictly inside the cone")

@@ -172,6 +172,33 @@ def test_coupled_sequence_harness_bounds_members_with_a_larger_rate():
     assert report.respected == (True, True, True, True)
 
 
+def test_coupled_lanes_keep_a_lip_that_varies_with_n(monkeypatch):
+    # the lane member's lip is the column 0.5 - 0.1 / ns; checked with plain
+    # comparisons it could not be built, and all 2,000 members went to
+    # picard_solve one by one
+    members = lambda n: CoupledSystem(
+        lambda x, y: -(0.5 + 0.1 / n) * x + 0.25 + 1.0 / n,
+        lambda x, y: -0.5 * y + 0.125,
+        0.5 - 0.1 / n,
+    )
+    cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=2000)
+    real, calls = fixed_point.picard_solve, []
+
+    def counting(T, *args, **kwargs):
+        calls.append(T)
+        return real(T, *args, **kwargs)
+
+    monkeypatch.setattr(fixed_point, "picard_solve", counting)
+    reports, solves = [], []
+    for lanes in (False, True):
+        calls.clear()
+        reports.append(coupled_sequence_harness(
+            members, _aligned_system(), (1, 2, 10, 2000), cfg, lanes=lanes))
+        solves.append(len(calls))
+    assert reports[0] == reports[1]
+    assert solves == [2001, 1]  # with lanes, only the limit
+
+
 # ------------------------------------------------------------ certificates
 
 

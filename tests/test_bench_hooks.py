@@ -85,9 +85,9 @@ def test_install_then_uninstall_restores_every_original():
     ("thm_3_6", 0, 2),  # the witness and responder forms
     ("thm_4_1", 3, 1),  # the aligned, crossed and limit systems
     ("example_2_8", 0, 1),  # the printed uniform sups
-    # the swinging family of thm_3_10 is not array-safe and stays scalar:
-    # each of its 100 members is looked up once, by its picard_solve
-    ("thm_3_10", 100, None),
+    # both cluster checks of thm_3_10 solve their families as lanes, and
+    # its rows read the solved points, so no member is built one by one
+    ("thm_3_10", 0, 0),
 ])
 def test_traced_lane_families_solve_and_build_as_untraced(name, picard_calls, harnesses):
     trace = LayerTrace()
@@ -99,5 +99,17 @@ def test_traced_lane_families_solve_and_build_as_untraced(name, picard_calls, ha
     counts = trace.snapshot()
     assert counts["fixed_point.picard_solve.calls"] == picard_calls
     # lane families build members one by one only for the printed rows
-    cap = 100 if harnesses is None else harnesses * len(run.table.indices)
-    assert counts["fixed_point.member_memo.lookups"] <= cap
+    assert counts["fixed_point.member_memo.lookups"] <= harnesses * len(run.table.indices)
+
+
+def test_traced_example_2_8_sups_make_no_scalar_distances():
+    # example_2_8's pointwise and uniform checks and its printed sups all
+    # read lane columns; a scalar fallback would call distance thousands
+    # of times
+    trace = LayerTrace()
+    trace.install()
+    try:
+        run_scenario("example_2_8")
+    finally:
+        trace.uninstall()
+    assert trace.snapshot()["spaces.distance.calls"] == 0

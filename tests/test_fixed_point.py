@@ -1034,6 +1034,65 @@ def test_plane_lane_fallback_for_a_start_of_integers(monkeypatch):
     assert len(calls) == 1  # the limit; the lanes solved every member
 
 
+class _PointwiseInterval:
+    """[lo, hi] with a contains written for one point only: its chained
+    comparison refuses a column, as a domain written before lanes does."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def contains(self, x):
+        return self.lo <= x <= self.hi
+
+
+def test_a_domain_that_answers_only_for_points_leaves_its_lanes_to_picard(monkeypatch):
+    # thm_3_6's family, member n on [1/n, 1]: with a domain that cannot
+    # test columns, every member goes to picard_solve and every probe to
+    # the scalar fetch, with the results of the lanes
+    space = IntervalUT2Space(2.0)
+    cfg = CSeqProbeConfig.default(UT2Elem, horizon=200)
+    calls = _counting_picard(monkeypatch)
+    outcomes, solves = [], []
+    for domain, lanes in ((IntervalDomain, True), (_PointwiseInterval, True),
+                          (_PointwiseInterval, False)):
+        calls.clear()
+        family = MapFamily(
+            lambda n, domain=domain: ContractionMap(
+                lambda x: 0.5 * x + 1.0 / (2.0 * n), UT2Elem(0.5, 0.0), domain(1.0 / n, 1.0)),
+            ContractionMap(lambda x: 0.5 * x, UT2Elem(0.5, 0.0), UNIT_INTERVAL),
+            lanes=lanes,
+        )
+        report = subdomain_limit_harness(family, space, cfg, (1, 2, 50, 200), start=1.0,
+                                         x_inf=0.0, witness=lambda n: 1.0 / n)
+        g = property_g_check(family, space, lambda x: (lambda n: max(x, 1.0 / n)), cfg,
+                             [0.0, 0.5],
+                             lane_witness=lambda x: (lambda ns: np.maximum(x, 1.0 / ns)))
+        outcomes.append((report.dists, report.bounds, report.probe, g))
+        solves.append(len(calls))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert solves == [0, 200, 200]
+
+
+def test_one_answer_for_two_lanes_is_not_taken_for_both():
+    # handed a column of two interval lanes, a box unpacks it as one point
+    # (x, y) and answers with one bool; taken for both lanes, it would pass
+    # witnesses that the scalar check refuses
+    box = BoxDomain((0.0, 0.0), (1.0, 1.0))
+    cfg = CSeqProbeConfig(probes=(UT2Elem(0.5, 0.5),), horizon=2, tail_required=1)
+    outcomes = []
+    for lane_witness in (None, lambda x: (lambda ns: np.full(ns.shape, x))):
+        family = MapFamily(
+            lambda n: ContractionMap(lambda x: 0.5 * x + 0.25 / n, UT2Elem(0.5, 0.0), box),
+            ContractionMap(lambda x: 0.5 * x, UT2Elem(0.5, 0.0), box),
+            lanes=True,
+        )
+        with pytest.raises(TypeError) as info:
+            property_g_check(family, IntervalUT2Space(2.0), lambda x: (lambda n: x), cfg,
+                             [0.5], lane_witness=lane_witness)
+        outcomes.append(str(info.value))
+    assert outcomes[0] == outcomes[1]
+
+
 @pytest.mark.parametrize("start, lanes_take_it", [
     (0, True), (np.int64(0), True), (np.float64(0.0), True), (2 ** 53 + 1, False),
     (np.int64(2 ** 53 + 1), False), (np.float32(0.0), False), (True, True),

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conefix.algebra import R2Elem, UT2Elem, cone_compare, in_cone, mul, scale, zero
@@ -75,6 +75,88 @@ def test_box_domain():
         assert box.contains(p)
     with pytest.raises(ValueError):
         BoxDomain((0.0, 0.0), (0.0, 1.0))
+
+
+def test_box_domain_checks_column_corners_in_every_lane():
+    # a lane member's box may have column corners; they used to be refused
+    # with numpy's "truth value of an array is ambiguous" error
+    box = BoxDomain((np.zeros(3), 0.0), (1.0, 1.0))
+    assert box.contains((np.array([0.5, 1.5, 1.0]), np.full(3, 0.5))).tolist() == [
+        True, False, True]
+    with pytest.raises(ValueError, match="lo < hi in both coordinates"):
+        BoxDomain((np.array([0.0, 1.0, 0.0]), 0.0), (1.0, 1.0))
+
+
+# the four classes that answer contains for a point or for lane columns
+_ENDS = st.sampled_from((-1.0, -0.0, 0.0, 0.25, 1.0)) | st.floats(-4.0, 4.0)
+_PLANE_ENDS = _ENDS | st.sampled_from((-math.inf, math.inf))
+
+
+def _around(ends) -> list:
+    """The points a membership test at ends must get right: each end and
+    its neighbours one ulp down and up, NaN, both infinities and zeros."""
+    out = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+    for e in ends:
+        out += [e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)]
+    return out
+
+
+def _ends(draw, strict: bool, ends=_ENDS) -> tuple[float, float]:
+    """lo <= hi, sometimes equal unless strict, when hi moves one ulp up."""
+    lo, hi = sorted((draw(ends), draw(ends)))
+    if draw(st.booleans()):
+        hi = lo  # a degenerate interval
+    if strict and hi == lo:
+        hi = math.nextafter(lo, math.inf)
+    return lo, hi
+
+
+@st.composite
+def _membership_cases(draw):
+    """(domain, coordinate columns, per-lane domains): the domain's answer
+    for the columns must be, lane by lane, the answer of that lane's
+    domain for that lane's point.  Domains with column ends give each lane
+    its own ends."""
+    what = draw(st.sampled_from(("interval", "box", "ut2", "plane")))
+    lanes = draw(st.integers(1, 6))
+    per_lane = what in ("interval", "box") and draw(st.booleans())
+    if what == "interval":
+        open_lo, open_hi = draw(st.booleans()), draw(st.booleans())
+        ends = [_ends(draw, open_lo or open_hi) for _ in range(lanes if per_lane else 1)]
+        make = lambda lo, hi: IntervalDomain(lo, hi, open_lo, open_hi)
+    elif what == "box":
+        open_hi = draw(st.booleans())
+        ends = [(*_ends(draw, True), *_ends(draw, True))
+                for _ in range(lanes if per_lane else 1)]
+        make = lambda lo0, hi0, lo1, hi1: BoxDomain((lo0, lo1), (hi0, hi1), open_hi)
+    elif what == "ut2":
+        ends = [(0.0, 1.0)]
+        make = lambda lo, hi: IntervalUT2Space(2.0)
+    else:
+        open_hi = draw(st.booleans())
+        ends = [(*_ends(draw, True, _PLANE_ENDS), *_ends(draw, True, _PLANE_ENDS))]
+        try:
+            PlaneR2Space((ends[0][0], ends[0][2]), (ends[0][1], ends[0][3]), open_hi)
+        except ValueError:
+            assume(False)  # the box misses the sampling window
+        make = lambda lo0, hi0, lo1, hi1: PlaneR2Space((lo0, lo1), (hi0, hi1), open_hi)
+    domains = [make(*e) for e in ends] if per_lane else [make(*ends[0])] * lanes
+    domain = make(*(np.array(c) for c in zip(*ends))) if per_lane else domains[0]
+    points = st.sampled_from(_around([e for row in ends for e in row])) | st.floats()
+    dim = 1 if what in ("interval", "ut2") else 2
+    cols = tuple(np.array([draw(points) for _ in range(lanes)]) for _ in range(dim))
+    return domain, cols, domains
+
+
+@settings(max_examples=400, deadline=None)
+@given(_membership_cases())
+def test_contains_on_columns_matches_contains_on_each_point(case):
+    domain, cols, domains = case
+    got = domain.contains(cols[0] if len(cols) == 1 else cols)
+    points = cols[0].tolist() if len(cols) == 1 else list(zip(*(c.tolist() for c in cols)))
+    want = [d.contains(p) for d, p in zip(domains, points)]
+    assert all(type(w) is bool for w in want)  # a point gets a plain bool
+    assert type(got) is np.ndarray and got.dtype == bool and got.tolist() == want
 
 
 # ----------------------------------------------------------------- spaces
@@ -279,6 +361,20 @@ def test_probe_config_validation():
         CSeqProbeConfig(probes=(R2Elem(0.1, 0.0),))
 
 
+def test_probe_config_refuses_a_window_shorter_than_the_tail():
+    # these windows used to pass every probe on too few entries: none at
+    # all for a start past the horizon, 2 against a tail of 16
+    for horizon, start in ((20, 30), (16, 15), (20, 6)):
+        with pytest.raises(ValueError, match=r"shorter than tail_required \(16\)$"):
+            CSeqProbeConfig(default_probes(UT2Elem), horizon=horizon, start=start)
+    # the shortest window allowed holds tail_required entries, all of them
+    # the tail, so one failing entry at its start fails the probe
+    cfg = CSeqProbeConfig(default_probes(UT2Elem), horizon=20, start=5)
+    assert is_c_sequence(lambda n: zero(UT2Elem), cfg).passed
+    report = is_c_sequence(lambda n: UT2Elem(0.5, 0.5) if n == 5 else zero(UT2Elem), cfg)
+    assert [o.verdict for o in report.outcomes] == [True, False, False, False]
+
+
 def test_constant_zero_sequence_has_trivial_thresholds():
     cfg = CSeqProbeConfig.default(UT2Elem, horizon=200)
     report = is_c_sequence(lambda n: zero(UT2Elem), cfg)
@@ -422,7 +518,9 @@ def _judge_cases(draw):
     )
     horizon = draw(st.integers(1, 40))
     tail_required = draw(st.integers(1, horizon))
-    start = draw(st.integers(0, horizon + 1))
+    # shorter windows are refused, as
+    # test_probe_config_refuses_a_window_shorter_than_the_tail checks
+    start = draw(st.integers(0, horizon - tail_required + 1))
     cfg = CSeqProbeConfig(probes, horizon, tail_required, start)
     coords = ([p.first for p in probes], [p.second for p in probes])
     cand = [sorted(_near(cs)) + [0.0, -0.0, _TINY, math.inf] for cs in coords]
