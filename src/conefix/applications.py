@@ -400,9 +400,10 @@ class _OdeGrid:
     threshold: float
     first_weight: float
 
-    def integral(self, values):
-        """Running trapezoid integral from the center node, row by row."""
-        return cumulative_trapezoid_from(values, self.spacing, self.mid)
+    def integral(self, values, out=None):
+        """Running trapezoid integral from the center node, row by row,
+        into out when it is given (see cumulative_trapezoid_from)."""
+        return cumulative_trapezoid_from(values, self.spacing, self.mid, out=out)
 
 
 def _ode_grid(cert: OdeCertificate, grid_pts: int, tol: float) -> _OdeGrid:
@@ -464,12 +465,27 @@ def ode_solve(
 
 
 # float64 entries per (lanes x grid) block of the lane solver, so 128 lanes
-# at grid 257 and 16 at grid 2049: larger blocks push the sweep temporaries
-# out of the processor caches and lose more than the numpy calls they save
+# at grid 257 and 16 at grid 2049.  Medians of five in-process runs of
+# ode_sequence at grids 257 and 2049 (2-vCPU shared host, Python 3.11,
+# numpy 2.4): 1 << 14 took 0.040 and 0.329 s, 1 << 15 0.035 and 0.247 s,
+# 1 << 16 0.035 and 0.227 s, within the host's spread at twice the buffers
 _ODE_BLOCK = 1 << 15
 
+# the slope, initial value and radius fields of OdeProblem, per equation
+_EQUATIONS = (("f", "y_init", "y_radius"), ("g", "z_init", "z_radius"))
 
-def _ode_lane_block(members, grid: _OdeGrid, block, u_y, u_z, dists: dict) -> None:
+
+def _shared(p, limit: OdeProblem, fields) -> bool:
+    """Whether the lane member p poses this equation as the limit does: with
+    the limit's own slope object, from one initial value in one radius, both
+    equal to the limit's.  Every lane then sweeps the same row."""
+    slope, *scalars = fields
+    return getattr(p, slope) is getattr(limit, slope) and all(
+        np.ndim(getattr(p, k)) == 0 and getattr(p, k) == getattr(limit, k) for k in scalars)
+
+
+def _ode_lane_block(members, limit: OdeProblem, grid: _OdeGrid, block, u, buffers,
+                    dists: dict) -> None:
     """ode_solve for the members in block, as numpy lanes of the lane
     member members(idx) (see ode_sequence_harness), with idx the (lanes, 1)
     column of block's indices; it is rebuilt as lanes finish.
@@ -479,57 +495,89 @@ def _ode_lane_block(members, grid: _OdeGrid, block, u_y, u_z, dists: dict) -> No
     slopes, the row-wise trapezoid integral, the tube test against the
     lane's own initial values and radii, the weighted step and the shared
     stop rule.  A finished lane puts its weighted distance to the limit
-    solution (u_y, u_z) into dists.  A lane that ode_solve would raise on
-    (an escape from the tube or a value that is not finite, no convergence
-    within _MAX_SWEEPS) is left out, and so is the whole block if its lane
-    member cannot be built, has initial values or radii that are not
-    float64, or slopes that are not two float64 arrays of the lanes' shape.
-    The lazy ode_solve then raises exactly what it raises.
+    solution u = (u_y, u_z) into dists.  A lane that ode_solve would raise
+    on (an escape from the tube or a value that is not finite, no
+    convergence within _MAX_SWEEPS) is left out, and so is the whole block
+    if its lane member cannot be built, has initial values or radii that
+    are not float64, or slopes that are not float64 arrays of the shape of
+    the values they were given.  The lazy ode_solve then raises exactly
+    what it raises.
+
+    buffers is a float64 array of shape (2, equations, rows, grid_pts), rows
+    at least the block's lanes, made once by the caller and reused by every
+    block: per equation, the current and the next values, lane i on row i.
+    They swap after a sweep, and when lanes drop out the rows that go on
+    are packed into the leading rows.  The slopes get views of these rows,
+    overwritten on the next sweep.  An equation the lane member poses as the
+    limit does (see _shared; checked again at every rebuild, and never
+    regained once lost) is swept as one row, and its tube test, step and
+    distance to the limit are read by every lane: each lane would compute
+    that row from the same inputs in the same operations.
     """
     nodes = grid.space.nodes
     idx = np.asarray(block, dtype=np.int64)[:, None]
     try:
         with np.errstate(all="ignore"):
             p, built = members(idx), idx.size  # built: the lanes p is for
-            y0, z0, ry, rz = cols = [np.broadcast_to(np.asarray(v), idx.shape)
-                                     for v in (p.y_init, p.z_init, p.y_radius, p.z_radius)]
-            if any(c.dtype != np.float64 for c in cols):
+            cols = [[np.broadcast_to(np.asarray(getattr(p, k)), idx.shape) for k in fields[1:]]
+                    for fields in _EQUATIONS]
+            if any(c.dtype != np.float64 for pair in cols for c in pair):
                 return
-            ry, rz = ry[:, 0], rz[:, 0]
+            init = [v0 for v0, _ in cols]
+            radius = [r[:, 0] for _, r in cols]
+            shared = [_shared(p, limit, fields) for fields in _EQUATIONS]
+            cur, nxt = (list(b) for b in buffers)
+            for v, v0 in zip(cur, init):
+                v[:idx.size] = v0
             lane = np.arange(idx.size)
-            y = np.repeat(y0, nodes.size, axis=1)
-            z = np.repeat(z0, nodes.size, axis=1)
             done_lane, done_d1, done_d2 = [], [], []
             for _ in range(_MAX_SWEEPS):
-                if not lane.size:
+                m = lane.size
+                if not m:
                     break
-                if idx.size != built:  # lanes only ever drop out
-                    p, built = members(idx), idx.size
-                fy, gz = p.f(nodes, y), p.g(nodes, z)
-                if not all(isinstance(v, np.ndarray) and v.dtype == np.float64
-                           and v.shape == y.shape for v in (fy, gz)):
-                    raise TypeError("lane slopes must be two float64 arrays "
-                                    "of shape (lanes, grid_pts)")
-                # y0 + integral as in ode_solve, in place: IEEE addition commutes
-                y_next = grid.integral(fy)
-                y_next += y0
-                z_next = grid.integral(gz)
-                z_next += z0
-                y_exc = _tube_excess(y_next, y0, ry)
-                z_exc = _tube_excess(z_next, z0, rz)
-                inside = (y_exc <= _tube_slack(ry)) & (z_exc <= _tube_slack(rz))
-                d1, d2, _ = grid.space.distances((y_next, z_next), (y, z))
+                if m != built:  # lanes only ever drop out
+                    p, built = members(idx), m
+                    for e, fields in enumerate(_EQUATIONS):
+                        if shared[e] and not _shared(p, limit, fields):
+                            shared[e] = False
+                            cur[e][1:m] = cur[e][0]
+                now, new = [], []
+                inside = np.ones(m, dtype=bool)
+                for e, (slope, *_) in enumerate(_EQUATIONS):
+                    k = 1 if shared[e] else m
+                    v, v1, v0, r = cur[e][:k], nxt[e][:k], init[e][:k], radius[e][:k]
+                    s = getattr(p, slope)(nodes, v)
+                    if not (isinstance(s, np.ndarray) and s.dtype == np.float64
+                            and s.shape == v.shape):
+                        raise TypeError("lane slopes must be float64 arrays of "
+                                        "the shape of the values they are given")
+                    # v0 + integral as in ode_solve, in place: IEEE addition commutes
+                    grid.integral(s, out=v1)
+                    v1 += v0
+                    inside &= _tube_excess(v1, v0, r) <= _tube_slack(r)
+                    now.append(v)
+                    new.append(v1)
+                d1, d2, _ = grid.space.distances(new, now)
                 step = np.abs(d1) + np.abs(d2)
                 done = inside & ((step + grid.first_weight * d1 < grid.threshold)
                                  | (step == 0.0))
                 if done.any():
                     done_lane.append(lane[done])
-                    g1, g2, _ = grid.space.distances((y_next[done], z_next[done]), (u_y, u_z))
-                    done_d1.append(g1)
-                    done_d2.append(g2)
+                    ends = [v if s else v[done] for v, s in zip(new, shared)]
+                    g1, g2, _ = grid.space.distances(ends, u)
+                    done_d1.append(np.broadcast_to(g1, done_lane[-1].shape))
+                    done_d2.append(np.broadcast_to(g2, done_lane[-1].shape))
                 keep = inside & ~done
-                lane, idx, y0, z0, ry, rz = (a[keep] for a in (lane, idx, y0, z0, ry, rz))
-                y, z = y_next[keep], z_next[keep]
+                kept = int(np.count_nonzero(keep))
+                for e, s in enumerate(shared):
+                    if s or kept == m:
+                        cur[e], nxt[e] = nxt[e], cur[e]
+                    else:
+                        np.compress(keep, new[e], axis=0, out=cur[e][:kept])
+                if kept < m:
+                    lane, idx = lane[keep], idx[keep]
+                    init = [v0[keep] for v0 in init]
+                    radius = [r[keep] for r in radius]
     except Exception:
         return
     if not done_lane:
@@ -590,7 +638,12 @@ def ode_sequence_harness(
     values and radii are float64 columns or shared scalars.  Every member
     the rows and the probe fetch is then solved up front in blocks of
     lanes, bit for bit as ode_solve solves it; a member the lanes cannot
-    settle is left to ode_solve, which raises as before.
+    settle is left to ode_solve, which raises as before.  The lane slopes
+    are given views of value buffers that the next sweep overwrites, so a
+    slope must neither keep nor write its inputs.  An equation the lane
+    member poses with the limit's own slope object (members(n).g is
+    limit.g, say) and with a scalar initial value and radius equal to the
+    limit's is swept once per block, as one row that every lane reads.
 
     Only distances are kept per index.  When a distance_log dict is
     supplied, every index the probe or the rows touch is recorded there as
@@ -613,8 +666,11 @@ def ode_sequence_harness(
         want = (*indices, *range(cfg.start, cfg.horizon + 1))
         todo = [n for n in dict.fromkeys(want) if type(n) is int]
         rows = max(1, _ODE_BLOCK // (grid_pts - 1))
+        # one allocation for every block: freed and made again per block,
+        # the buffers leave the heap to be trimmed and faulted back in
+        buffers = np.empty((2, len(_EQUATIONS), min(rows, len(todo)), grid_pts))
         for i in range(0, len(todo), rows):
-            _ode_lane_block(members, grid, todo[i:i + rows], u_y, u_z, memo)
+            _ode_lane_block(members, limit, grid, todo[i:i + rows], (u_y, u_z), buffers, memo)
 
     def distance_to_limit(n: int) -> R2Elem:
         d = memo.get(n)

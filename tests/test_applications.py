@@ -641,6 +641,98 @@ def test_ode_lanes_drop_a_block_whose_slopes_fail(broken, monkeypatch):
     assert len(calls) == 1 + 60  # the limit, then every member through ode_solve
 
 
+def _noting_rows(fn, rows: list):
+    """fn, noting how many rows of values each 2-D call hands it; only the
+    lanes make such calls on the grid (ode_certify's mesh is 33 wide)."""
+
+    def slope(x, v):
+        if np.ndim(v) == 2 and np.shape(v)[1] != 33:
+            rows.append(np.shape(v)[0])
+        return fn(x, v)
+
+    return slope
+
+
+def _sharing_family(kind: str, y_rows: list, z_rows: list):
+    """(members, limit) whose lane member poses the equations as kind says;
+    every slope notes the rows of its 2-D calls in y_rows or z_rows."""
+    limit = dataclasses.replace(
+        _linear_ivp(), f=_noting_rows(lambda x, y: -y, y_rows),
+        g=_noting_rows(lambda x, z: -2.0 * z, z_rows))
+    damped = lambda n: _noting_rows(lambda x, y: -(1.0 + 1.0 / n) * y, y_rows)
+    if kind == "shares f":  # the limit's f, a g that varies with n
+        return (lambda n: dataclasses.replace(
+            limit, g=_noting_rows(lambda x, z: -(2.0 + 1.0 / n) * z, z_rows),
+            lip_g=2.0 + 1.0 / n)), limit
+    if kind == "shares neither":  # a new slope lambda per member, same values
+        return (lambda n: dataclasses.replace(
+            limit, f=damped(n), g=_noting_rows(lambda x, z: -2.0 * z, z_rows),
+            lip_f=1.0 + 1.0 / n)), limit
+    # the limit's g, but from an initial value that is a column on lanes
+    return (lambda n: dataclasses.replace(
+        limit, f=damped(n), z_init=1.0 - 0.5 / (n + 1.0), lip_f=1.0 + 1.0 / n)), limit
+
+
+@pytest.mark.parametrize("grid_pts", [65, 2049])
+@pytest.mark.parametrize("kind, y_shared, z_shared", [
+    ("shares f", True, False),
+    ("shares neither", False, False),
+    ("shares g, z_init a column", False, False),
+])
+def test_ode_lanes_sweep_an_equation_shared_with_the_limit_once(
+        grid_pts, kind, y_shared, z_shared, monkeypatch):
+    y_rows, z_rows = [], []
+    members, limit = _sharing_family(kind, y_rows, z_rows)
+    cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=40)
+    run = lambda lanes, log: ode_sequence_harness(
+        members, limit, (1, 2, 5, 10), cfg, grid_pts=grid_pts, distance_log=log, lanes=lanes)
+    want_log: dict = {}
+    want = run(False, want_log)
+    assert not y_rows and not z_rows  # without lanes, no 2-D calls
+    calls = _counting_ode_solve(monkeypatch)
+    got_log: dict = {}
+    got = run(True, got_log)
+    assert calls == [limit]  # every member came from the lanes
+    assert got == want
+    assert sorted(got_log) == sorted(want_log) == list(range(1, 41))
+    for n in got_log:
+        assert (_bits((got_log[n].first, got_log[n].second))
+                == _bits((want_log[n].first, want_log[n].second))), n
+    # a shared equation is swept as one row per block, any other per lane
+    for rows, shared in ((y_rows, y_shared), (z_rows, z_shared)):
+        assert rows
+        assert (set(rows) == {1}) if shared else (max(rows) > 1), (kind, rows)
+
+
+def test_ode_lanes_keep_the_bits_of_a_shared_equation_whose_sharing_ends(monkeypatch):
+    # members 1, 2, 5 and 7 damp y twice as hard and take one sweep more;
+    # the lane member rebuilt for those four alone has its own g, so the
+    # one shared z row must go on in four rows, bit for bit
+    slow = (1, 2, 5, 7)
+    members, limit = _damped_ivp_family()
+    own_g = lambda x, z: -2.0 * z
+    parted = lambda n: dataclasses.replace(
+        members(n), f=lambda x, y: -_where(np.isin(n, slow), 2.0, 1.0) * y, lip_f=2.0,
+        g=own_g if np.size(n) == len(slow) else limit.g)
+    cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=30)
+    want_log: dict = {}
+    ode_sequence_harness(parted, limit, (1, 2, 5, 10), cfg, grid_pts=65,
+                         distance_log=want_log)
+    sweeps = {n: ode_solve(parted(n), 65, 1e-10, _family_certificate(
+        ode_certify(parted(1)), ode_certify(limit), limit.center)).iterations
+        for n in (1, 3)}
+    assert sweeps[1] > sweeps[3]
+    calls = _counting_ode_solve(monkeypatch)
+    got_log: dict = {}
+    ode_sequence_harness(parted, limit, (1, 2, 5, 10), cfg, grid_pts=65,
+                         distance_log=got_log, lanes=True)
+    assert calls == [limit]
+    assert sorted(got_log) == sorted(want_log) == list(range(1, 31))
+    for n in got_log:
+        assert (_bits((got_log[n].first, got_log[n].second))
+                == _bits((want_log[n].first, want_log[n].second))), n
+
+
 def test_ode_sequence_scenario_solves_only_the_limit_through_ode_solve(monkeypatch):
     calls = _counting_ode_solve(monkeypatch)
     run = run_scenario("ode_sequence", ScenarioConfig(horizon=1000))

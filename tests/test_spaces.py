@@ -1,6 +1,7 @@
 """Cone metric spaces, weighted norms, trapezoid integration, and smallness probes."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -343,6 +344,59 @@ def test_cumulative_trapezoid_anchoring():
         cumulative_trapezoid_from(np.array([1.0]), 0.1, 0)
     with pytest.raises(ValueError):
         cumulative_trapezoid_from(values, 0.005, 999)
+
+
+def _float_bits(values) -> list:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _trapezoid_inputs() -> list:
+    rng = np.random.default_rng(19)
+    block = rng.uniform(-1.0, 1.0, size=(5, 33))
+    block[0, :4] = -0.0
+    block[1, 3:9] = 5e-324 * np.arange(1, 7)  # subnormals
+    block[2, ::2] *= 1e300
+    block[3, 10] = -1e300
+    # only the sum straddling rows 3 and 4 of the flat block overflows
+    block[3, -1] = block[4, 0] = 1.7e308
+    # 1-D rows, the C-contiguous block, strided and Fortran-ordered blocks
+    return [block[0], block[1], block[2], block, block[:, ::2], block[::2],
+            np.asfortranarray(block)]
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_cumulative_trapezoid_writes_into_out(where):
+    for values in _trapezoid_inputs():
+        width = values.shape[-1]
+        anchor = {"first": 0, "middle": width // 2, "last": width - 1}[where]
+        want = cumulative_trapezoid_from(values, 0.01, anchor)
+        for row, w in zip(np.atleast_2d(values), np.atleast_2d(want)):
+            assert _float_bits(cumulative_trapezoid_from(row, 0.01, anchor)) == _float_bits(w)
+        # under "warn" row by row; under "ignore" a C-contiguous block is one
+        # flat run, whose straddling overflow is neither kept nor heard
+        for errors in ("warn", "ignore"):
+            buf = np.full(values.shape, np.nan)
+            with warnings.catch_warnings(), np.errstate(over=errors, invalid=errors):
+                warnings.simplefilter("error")
+                got = cumulative_trapezoid_from(values, 0.01, anchor, out=buf)
+            assert got is buf
+            assert _float_bits(got) == _float_bits(want)
+
+
+def test_cumulative_trapezoid_refuses_an_out_it_cannot_write():
+    values = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    for out in (np.empty((3, 5)), np.empty(12), np.empty((4, 3)),
+                np.empty((3, 4), dtype=np.float32), np.empty((3, 4), dtype=np.int64),
+                values.tolist(), values, values[::-1]):
+        with pytest.raises(ValueError):
+            cumulative_trapezoid_from(values, 0.1, 1, out=out)
+    store = np.zeros(16)
+    with pytest.raises(ValueError, match="share memory"):
+        cumulative_trapezoid_from(store[:12], 0.1, 0, out=store[4:])
+    # interleaved columns of one array share no element, so they may pair
+    got = cumulative_trapezoid_from(store.reshape(4, 4)[:, ::2], 0.1, 0,
+                                    out=store.reshape(4, 4)[:, 1::2])
+    assert _float_bits(got) == [[0, 0]] * 4
 
 
 # ----------------------------------------------------------------- probes
