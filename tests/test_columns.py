@@ -409,6 +409,105 @@ def test_power_lanes_match_the_members_on_the_grid_and_witness():
         _assert_power_lanes_match(family, np.array([n]), family.adversarial(n))
 
 
+def _pythons_power(n, x, y):
+    """(x ** (n * n), y ** n) with Python's own float ** int, or None where
+    it overflows."""
+    try:
+        return x ** (n * n), y ** n
+    except OverflowError:
+        return None
+
+
+def _assert_power_is_pythons(ns, xs, ys):
+    """_power on the index column ns and coordinate columns xs, ys against
+    Python's ** lane by lane, compared as int64 views so that the sign of a
+    zero counts; a lane where ** overflows must raise on its own."""
+    kept = []
+    for n, x, y in zip(ns, xs, ys):
+        want = _pythons_power(n, x, y)
+        if want is None:
+            with pytest.raises(OverflowError):
+                scenarios._power(np.array([n]), (np.array([x]), np.array([y])))
+        else:
+            kept.append((n, x, y, *want))
+    if not kept:
+        return
+    ns, xs, ys, firsts, seconds = map(list, zip(*kept))
+    got = scenarios._power(np.array(ns, dtype=np.int64), (np.array(xs), np.array(ys)))
+    assert got[0].view(np.int64).tolist() == np.array(firsts).view(np.int64).tolist()
+    assert got[1].view(np.int64).tolist() == np.array(seconds).view(np.int64).tolist()
+
+
+_POWER_BASES = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
+    st.floats(0.0, 1e-300, exclude_max=True),
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, -0.5, -1.0 + 1e-9, 1.0 + 1e-9, 2.0,
+                     float("nan"), float("inf"), float("-inf")]),
+    st.floats(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 400_000_000), _POWER_BASES, _POWER_BASES),
+                min_size=1, max_size=40))
+def test_power_lanes_are_pythons_power(lanes):
+    ns, xs, ys = zip(*lanes)
+    _assert_power_is_pythons(ns, xs, ys)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 20_000])
+def test_power_lanes_are_pythons_power_at_the_edges(n):
+    # bases whose e * ln(x) straddles the skip rule's -800 and the true
+    # underflow edge, -745.13, for the exponent e = n * n of the first
+    # coordinate and e = n of the second
+    def straddle(e):
+        bases = []
+        for t in (-800.0, -745.13, -744.44):
+            x = float(np.exp(t / e))
+            bases += [float(np.nextafter(x, k)) for k in (0.0, 1.0)] + [x]
+            bases += [x * (1.0 - 1e-12), x * (1.0 + 1e-12)]
+        return bases
+
+    for firsts, seconds in ((straddle(n * n), [0.5]), ([0.5], straddle(n))):
+        xs = firsts * len(seconds)
+        ys = seconds * len(firsts)
+        _assert_power_is_pythons([n] * len(xs), xs, ys)
+
+
+def test_power_lanes_skip_pythons_power_where_it_underflows(monkeypatch):
+    # at the benchmark's knobs most lanes are a proven +0.0: they must not
+    # reach Python's **
+    real = scenarios._pow_live
+    lanes, live = [], []
+
+    def counted(bases, exponents):
+        mask = real(bases, exponents)
+        lanes.append(mask.size)
+        live.append(int(mask.sum()))
+        return mask
+
+    monkeypatch.setattr(scenarios, "_pow_live", counted)
+    run_scenario("example_2_8", ScenarioConfig(horizon=20_000, grid_pts=256, seed=1_000_000_011))
+    assert sum(lanes) == 721_910
+    assert sum(live) <= 150_000
+
+
+def test_power_member_of_a_numpy_index_is_the_python_one():
+    # numpy's scalar power rounds differently from Python's: a numpy integer
+    # index must give the member of the Python integer, with float values
+    rng = np.random.default_rng(20)
+    ns = rng.integers(1, 20_001, 2_000)
+    points = list(zip(rng.random(ns.size).tolist(), rng.random(ns.size).tolist()))
+    for n, p in zip(ns, points):
+        got, want = scenarios._power(n, p), scenarios._power(int(n), p)
+        assert [type(v) for v in got] == [float, float]
+        assert _bits(got) == _bits(want)
+    _, family = _power_family()
+    n, p = np.int64(ns[0]), points[0]
+    assert _bits(family.member(n).map(p)) == _bits(family.member(int(n)).map(p))
+
+
 _BUMP_C = 0.3183098861837907
 # the domain of the adversarial cases: 1.0 is on the carrier but off it
 HALF_OPEN = IntervalDomain(0.0, 1.0, open_hi=True)
