@@ -59,6 +59,7 @@ from .fixed_point import (
     FixedPointResult,
     MapFamily,
     PlainMap,
+    SolvedMembers,
     check_equicontinuity,
     check_pointwise_convergence,
     check_uniform_convergence,

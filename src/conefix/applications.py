@@ -39,6 +39,8 @@ from .fixed_point import (
     MapFamily,
     _bound_report,
     _padded_bound,
+    _row,
+    _solved_indices,
     _stop_rule,
     picard_solve,
     pointwise_limit_harness,
@@ -194,24 +196,23 @@ def coupled_sequence_harness(
     indices,
     cfg: CSeqProbeConfig,
     tol: float = 1e-12,
-    lanes: bool = False,
 ) -> ConvergenceReport:
     """Roots of a system family against the limit system's root, every
     system solved from the origin, with the varying-coefficient fixed point
     bound driven by the members' displacement at the limit root.  The
-    coefficient bound is the largest lip of the limit and of the members at
-    indices, so it dominates the coefficient of every member a row reads.
+    coefficient bound is the largest lip of the limit and of every member
+    the rows and the probe read, so it dominates each of their coefficients.
 
-    lanes=True declares that members, called with an int64 index column,
-    is the family's lane form under MapFamily's contract; the lane member
-    is then members(ns).as_contraction().
+    members, called with an int64 index column, is also the family's lane
+    form under MapFamily's contract, with lip a float or a float64 column;
+    the lane member is members(ns).as_contraction().
     """
     indices = tuple(indices)
+    lip = float(np.max(members(_solved_indices(indices, cfg)).lip))
     family = MapFamily(
         lambda n: members(n).as_contraction(),
         limit.as_contraction(),
-        coefficient_bound=R2Elem(max([limit.lip, *(members(n).lip for n in indices)]), 0.0),
-        lanes=lanes,
+        coefficient_bound=R2Elem(max(limit.lip, lip), 0.0),
     )
     return pointwise_limit_harness(
         family, PlaneR2Space(), cfg, indices, (0.0, 0.0), tol=tol
@@ -392,11 +393,12 @@ def _tube_excess(values, init, radius):
 class _OdeGrid:
     """What every sweep under one certificate shares: the space the sweeps
     are measured in (its nodes are the grid), the node spacing, the center
-    node the initial condition sits on, and the stop rule (see _stop_rule)."""
+    node the initial condition sits on, and the stop rule at tol."""
 
     space: BieleckiPairSpace
     spacing: float
     mid: int
+    tol: float
     threshold: float
     first_weight: float
 
@@ -414,8 +416,19 @@ def _ode_grid(cert: OdeCertificate, grid_pts: int, tol: float) -> _OdeGrid:
         float, _stop_rule(tol, spectral_radius(cert.alpha), cert.alpha.second))
     return _OdeGrid(
         space, (cert.hi - cert.lo) / (grid_pts - 1), (grid_pts - 1) // 2,
-        threshold, first_weight,
+        tol, threshold, first_weight,
     )
+
+
+def _left_tube(it: int, y_exc, z_exc) -> LeftInvariantSet:
+    return LeftInvariantSet(
+        f"iterate {it} left the certified tube "
+        f"(y excess {max(y_exc, 0.0):.3e}, z excess {max(z_exc, 0.0):.3e})"
+    )
+
+
+def _unsettled(tol) -> NoConvergence:
+    return NoConvergence(f"no settled solution within {_MAX_SWEEPS} sweeps (tol {tol})")
 
 
 def ode_solve(
@@ -448,10 +461,7 @@ def ode_solve(
         # written so that a NaN excess, from a value that is not finite, fails
         if not (y_exc <= _tube_slack(problem.y_radius)
                 and z_exc <= _tube_slack(problem.z_radius)):
-            raise LeftInvariantSet(
-                f"iterate {it} left the certified tube "
-                f"(y excess {max(y_exc, 0.0):.3e}, z excess {max(z_exc, 0.0):.3e})"
-            )
+            raise _left_tube(it, y_exc, z_exc)
         d1, d2, _ = grid.space.distances((y_next, z_next), (y, z))
         delta = R2Elem(float(d1), float(d2))
         deltas.append(delta)
@@ -461,7 +471,7 @@ def ode_solve(
             y.flags.writeable = False
             z.flags.writeable = False
             return OdeSolution(nodes, y, z, it, tuple(deltas))
-    raise NoConvergence(f"no settled solution within {_MAX_SWEEPS} sweeps (tol {tol})")
+    raise _unsettled(tol)
 
 
 # float64 entries per (lanes x grid) block of the lane solver, so 128 lanes
@@ -484,24 +494,21 @@ def _shared(p, limit: OdeProblem, fields) -> bool:
         np.ndim(getattr(p, k)) == 0 and getattr(p, k) == getattr(limit, k) for k in scalars)
 
 
-def _ode_lane_block(members, limit: OdeProblem, grid: _OdeGrid, block, u, buffers,
-                    dists: dict) -> None:
-    """ode_solve for the members in block, as numpy lanes of the lane
-    member members(idx) (see ode_sequence_harness), with idx the (lanes, 1)
-    column of block's indices; it is rebuilt as lanes finish.
+def _ode_lane_block(members, limit: OdeProblem, grid: _OdeGrid, ns, u, buffers,
+                    failed: dict) -> np.ndarray:
+    """ode_solve for the members of the int64 index column ns, as numpy
+    lanes of the lane member members(idx) (see ode_sequence_harness), with
+    idx the (lanes, 1) column of ns; it is rebuilt as lanes finish.
+    Returns the (2, lanes) weighted distances of the lanes to the limit
+    solution u = (u_y, u_z), NaN where a solve failed, and puts into failed
+    what ode_solve raises for each member whose solve fails.
 
     Each lane is one row of (lanes x grid) float64 arrays and runs
     ode_solve's sweep in the same IEEE operations, so to the same bits: the
     slopes, the row-wise trapezoid integral, the tube test against the
     lane's own initial values and radii, the weighted step and the shared
-    stop rule.  A finished lane puts its weighted distance to the limit
-    solution u = (u_y, u_z) into dists.  A lane that ode_solve would raise
-    on (an escape from the tube or a value that is not finite, no
-    convergence within _MAX_SWEEPS) is left out, and so is the whole block
-    if its lane member cannot be built, has initial values or radii that
-    are not float64, or slopes that are not float64 arrays of the shape of
-    the values they were given.  The lazy ode_solve then raises exactly
-    what it raises.
+    stop rule.  Any other exception propagates, and initial values, radii
+    or slopes that are not float64 of the lanes' shape raise TypeError.
 
     buffers is a float64 array of shape (2, equations, rows, grid_pts), rows
     at least the block's lanes, made once by the caller and reused by every
@@ -515,77 +522,72 @@ def _ode_lane_block(members, limit: OdeProblem, grid: _OdeGrid, block, u, buffer
     that row from the same inputs in the same operations.
     """
     nodes = grid.space.nodes
-    idx = np.asarray(block, dtype=np.int64)[:, None]
-    try:
-        with np.errstate(all="ignore"):
-            p, built = members(idx), idx.size  # built: the lanes p is for
-            cols = [[np.broadcast_to(np.asarray(getattr(p, k)), idx.shape) for k in fields[1:]]
-                    for fields in _EQUATIONS]
-            if any(c.dtype != np.float64 for pair in cols for c in pair):
-                return
-            init = [v0 for v0, _ in cols]
-            radius = [r[:, 0] for _, r in cols]
-            shared = [_shared(p, limit, fields) for fields in _EQUATIONS]
-            cur, nxt = (list(b) for b in buffers)
-            for v, v0 in zip(cur, init):
-                v[:idx.size] = v0
-            lane = np.arange(idx.size)
-            done_lane, done_d1, done_d2 = [], [], []
-            for _ in range(_MAX_SWEEPS):
-                m = lane.size
-                if not m:
-                    break
-                if m != built:  # lanes only ever drop out
-                    p, built = members(idx), m
-                    for e, fields in enumerate(_EQUATIONS):
-                        if shared[e] and not _shared(p, limit, fields):
-                            shared[e] = False
-                            cur[e][1:m] = cur[e][0]
-                now, new = [], []
-                inside = np.ones(m, dtype=bool)
-                for e, (slope, *_) in enumerate(_EQUATIONS):
-                    k = 1 if shared[e] else m
-                    v, v1, v0, r = cur[e][:k], nxt[e][:k], init[e][:k], radius[e][:k]
-                    s = getattr(p, slope)(nodes, v)
-                    if not (isinstance(s, np.ndarray) and s.dtype == np.float64
-                            and s.shape == v.shape):
-                        raise TypeError("lane slopes must be float64 arrays of "
-                                        "the shape of the values they are given")
-                    # v0 + integral as in ode_solve, in place: IEEE addition commutes
-                    grid.integral(s, out=v1)
-                    v1 += v0
-                    inside &= _tube_excess(v1, v0, r) <= _tube_slack(r)
-                    now.append(v)
-                    new.append(v1)
-                d1, d2, _ = grid.space.distances(new, now)
-                step = np.abs(d1) + np.abs(d2)
-                done = inside & ((step + grid.first_weight * d1 < grid.threshold)
-                                 | (step == 0.0))
-                if done.any():
-                    done_lane.append(lane[done])
-                    ends = [v if s else v[done] for v, s in zip(new, shared)]
-                    g1, g2, _ = grid.space.distances(ends, u)
-                    done_d1.append(np.broadcast_to(g1, done_lane[-1].shape))
-                    done_d2.append(np.broadcast_to(g2, done_lane[-1].shape))
-                keep = inside & ~done
-                kept = int(np.count_nonzero(keep))
-                for e, s in enumerate(shared):
-                    if s or kept == m:
-                        cur[e], nxt[e] = nxt[e], cur[e]
-                    else:
-                        np.compress(keep, new[e], axis=0, out=cur[e][:kept])
-                if kept < m:
-                    lane, idx = lane[keep], idx[keep]
-                    init = [v0[keep] for v0 in init]
-                    radius = [r[keep] for r in radius]
-    except Exception:
-        return
-    if not done_lane:
-        return
-    lanes = np.concatenate(done_lane).tolist()
-    gaps = zip(np.concatenate(done_d1).tolist(), np.concatenate(done_d2).tolist())
-    for i, (a, b) in zip(lanes, gaps):
-        dists[block[i]] = R2Elem(a, b)
+    idx = ns[:, None]
+    gaps = np.full((2, ns.size), np.nan)
+    with np.errstate(all="ignore"):
+        p, built = members(idx), idx.size  # built: the lanes p is for
+        cols = [[np.broadcast_to(np.asarray(getattr(p, k)), idx.shape) for k in fields[1:]]
+                for fields in _EQUATIONS]
+        if any(c.dtype != np.float64 for pair in cols for c in pair):
+            raise TypeError("a lane member's initial values and radii must be float64")
+        init = [v0 for v0, _ in cols]
+        radius = [r[:, 0] for _, r in cols]
+        shared = [_shared(p, limit, fields) for fields in _EQUATIONS]
+        cur, nxt = (list(b) for b in buffers)
+        for v, v0 in zip(cur, init):
+            v[:idx.size] = v0
+        lane = np.arange(idx.size)
+        for it in range(1, _MAX_SWEEPS + 1):
+            m = lane.size
+            if not m:
+                break
+            if m != built:  # lanes only ever drop out
+                p, built = members(idx), m
+                for e, fields in enumerate(_EQUATIONS):
+                    if shared[e] and not _shared(p, limit, fields):
+                        shared[e] = False
+                        cur[e][1:m] = cur[e][0]
+            now, new, excess = [], [], []
+            inside = np.ones(m, dtype=bool)
+            for e, (slope, *_) in enumerate(_EQUATIONS):
+                k = 1 if shared[e] else m
+                v, v1, v0, r = cur[e][:k], nxt[e][:k], init[e][:k], radius[e][:k]
+                s = getattr(p, slope)(nodes, v)
+                if not (isinstance(s, np.ndarray) and s.dtype == np.float64
+                        and s.shape == v.shape):
+                    raise TypeError("lane slopes must be float64 arrays of "
+                                    "the shape of the values they are given")
+                # v0 + integral as in ode_solve, in place: IEEE addition commutes
+                grid.integral(s, out=v1)
+                v1 += v0
+                excess.append(np.broadcast_to(_tube_excess(v1, v0, r), (m,)))
+                inside &= excess[-1] <= _tube_slack(r)
+                now.append(v)
+                new.append(v1)
+            for i in np.flatnonzero(~inside).tolist():
+                failed[int(idx[i, 0])] = _left_tube(it, excess[0][i].item(), excess[1][i].item())
+            d1, d2, _ = grid.space.distances(new, now)
+            step = np.abs(d1) + np.abs(d2)
+            done = inside & ((step + grid.first_weight * d1 < grid.threshold)
+                             | (step == 0.0))
+            if done.any():
+                ends = [v if s else v[done] for v, s in zip(new, shared)]
+                g1, g2, _ = grid.space.distances(ends, u)
+                gaps[0, lane[done]], gaps[1, lane[done]] = g1, g2
+            keep = inside & ~done
+            kept = int(np.count_nonzero(keep))
+            for e, s in enumerate(shared):
+                if s or kept == m:
+                    cur[e], nxt[e] = nxt[e], cur[e]
+                else:
+                    np.compress(keep, new[e], axis=0, out=cur[e][:kept])
+            if kept < m:
+                lane, idx = lane[keep], idx[keep]
+                init = [v0[keep] for v0 in init]
+                radius = [r[keep] for r in radius]
+    for n in idx[:, 0].tolist():
+        failed[n] = _unsettled(grid.tol)
+    return gaps
 
 
 def _family_certificate(
@@ -605,6 +607,19 @@ def _family_certificate(
     )
 
 
+def _require_certified_rates(members, ns: np.ndarray, cert: OdeCertificate) -> None:
+    """ValueError naming the first index of ns whose lane member declares
+    max(lip_f, lip_g) / cert.tau above cert.alpha.first (or NaN)."""
+    p = members(ns[:, None])
+    rate = np.broadcast_to(np.maximum(p.lip_f, p.lip_g) / cert.tau, (ns.size, 1))[:, 0]
+    bad = ~(rate <= cert.alpha.first)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"member {ns[i]} declares rate max(lip_f, lip_g) / tau = "
+                         f"{rate[i].item()!r}, above the family certificate's "
+                         f"{cert.alpha.first!r}")
+
+
 def ode_sequence_harness(
     members: Callable[[int], OdeProblem],
     limit: OdeProblem,
@@ -613,13 +628,13 @@ def ode_sequence_harness(
     grid_pts: int = 257,
     tol: float = 1e-10,
     distance_log: dict | None = None,
-    lanes: bool = False,
 ) -> ConvergenceReport:
     """Solutions of a problem family against the limit problem's solution.
 
     All solves share one certificate (tighter interval, larger rates, built
     from the first member and the limit) so distances compare functions on
-    a common grid under a common weight.  Per index n the distance is the
+    a common grid under a common weight; ValueError names the first member
+    whose declared rates exceed its alpha.  Per index n the distance is the
     weighted-norm pair between the member and limit solutions, and the
     certified bound is
 
@@ -631,24 +646,23 @@ def ode_sequence_harness(
     covers the two solver stops, each certified within tol of its exact
     fixed point in every weighted component.
 
-    lanes=True declares that members, called with an int64 index column
-    of shape (lanes, 1), is the family's lane form under MapFamily's
-    contract: its f and g map the nodes and (lanes x grid_pts) arrays of
-    values, one row per member, to slopes of that shape, and its initial
-    values and radii are float64 columns or shared scalars.  Every member
-    the rows and the probe fetch is then solved up front in blocks of
-    lanes, bit for bit as ode_solve solves it; a member the lanes cannot
-    settle is left to ode_solve, which raises as before.  The lane slopes
-    are given views of value buffers that the next sweep overwrites, so a
-    slope must neither keep nor write its inputs.  An equation the lane
-    member poses with the limit's own slope object (members(n).g is
-    limit.g, say) and with a scalar initial value and radius equal to the
-    limit's is swept once per block, as one row that every lane reads.
+    members, called with an int64 index column of shape (lanes, 1), is also
+    the family's lane form under MapFamily's contract: its f and g map the
+    nodes and (lanes x grid_pts) arrays of values, one row per member, to
+    slopes of that shape, and its initial values and radii are float64
+    columns or shared scalars.  The limit is solved by ode_solve, every
+    member from the lane form alone (see _ode_lane_block), and only two
+    distance columns are kept, which the probe reads; a member whose solve
+    failed raises what ode_solve raises for it at its row, else at the
+    probe's scalar fetch.  The lane slopes are given views of value buffers
+    that the next sweep overwrites, so a slope must neither keep nor write
+    its inputs.  An equation the lane member poses with the limit's own
+    slope object (members(n).g is limit.g, say) and with a scalar initial
+    value and radius equal to the limit's is swept once per block, as one
+    row that every lane reads.
 
-    Only distances are kept per index.  When a distance_log dict is
-    supplied, every index the probe or the rows touch is recorded there as
-    n -> distance element, so callers can study the full decay profile
-    without re-solving anything.
+    When a distance_log dict is supplied, every index the rows and the
+    probe read is recorded there as n -> distance element.
     """
     indices = tuple(indices)
     first = members(1)
@@ -657,30 +671,29 @@ def ode_sequence_harness(
     cert = _family_certificate(ode_certify(first), ode_certify(limit), limit.center)
     grid = _ode_grid(cert, grid_pts, tol)
     inv = neumann_inverse_e_minus(cert.alpha)
+    ns = _solved_indices(indices, cfg)
+    _require_certified_rates(members, ns, cert)
 
     limit_sol = ode_solve(limit, grid_pts, tol, cert)
     u_y, u_z = limit_sol.y, limit_sol.z
 
-    memo: dict = {}  # n -> distance to the limit solution
-    if lanes:
-        want = (*indices, *range(cfg.start, cfg.horizon + 1))
-        todo = [n for n in dict.fromkeys(want) if type(n) is int]
-        rows = max(1, _ODE_BLOCK // (grid_pts - 1))
-        # one allocation for every block: freed and made again per block,
-        # the buffers leave the heap to be trimmed and faulted back in
-        buffers = np.empty((2, len(_EQUATIONS), min(rows, len(todo)), grid_pts))
-        for i in range(0, len(todo), rows):
-            _ode_lane_block(members, limit, grid, todo[i:i + rows], (u_y, u_z), buffers, memo)
+    lanes = max(1, _ODE_BLOCK // (grid_pts - 1))
+    # one allocation for every block: freed and made again per block, the
+    # buffers leave the heap to be trimmed and faulted back in
+    buffers = np.empty((2, len(_EQUATIONS), min(lanes, ns.size), grid_pts))
+    failed: dict = {}
+    gaps = np.concatenate([
+        _ode_lane_block(members, limit, grid, ns[i:i + lanes], (u_y, u_z), buffers, failed)
+        for i in range(0, ns.size, lanes)
+    ], axis=1)
 
-    def distance_to_limit(n: int) -> R2Elem:
-        d = memo.get(n)
-        if d is None:
-            sol = ode_solve(members(n), grid_pts, tol, cert)
-            d1, d2, _ = grid.space.distances((sol.y, sol.z), (u_y, u_z))
-            d = memo[n] = R2Elem(float(d1), float(d2))
-        if distance_log is not None:
-            distance_log[n] = d
-        return d
+    def distance_to_limit(n) -> R2Elem:
+        i = _row(ns, failed, n)
+        return R2Elem(gaps[0, i].item(), gaps[1, i].item())
+
+    def columns(probe_ns):
+        d1, d2 = gaps[:, np.searchsorted(ns, probe_ns)]
+        return d1, d2, np.isnan(d1)
 
     def sweep(problem: OdeProblem):
         sy = problem.y_init + grid.integral(problem.f(grid.space.nodes, u_y))
@@ -697,5 +710,8 @@ def ode_sequence_harness(
                                          (limit_sweep_y, limit_sweep_z))
         displacement = R2Elem(float(d1), float(d2))
         rows.append((dist, _padded_bound(inv, displacement) + solver_slack))
-    probe = is_c_sequence(distance_to_limit, cfg)
+    probe = is_c_sequence(distance_to_limit, cfg, (R2Elem, columns))
+    if distance_log is not None:
+        for n in (*indices, *range(cfg.start, cfg.horizon + 1)):
+            distance_log[n] = distance_to_limit(n)
     return _bound_report(indices, rows, probe)

@@ -11,10 +11,11 @@ The harnesses replay limit theorems for families of contractions at desk
 scale.  Each harness computes, per index n, the distance between a member
 fixed point and the limit fixed point together with the theorem's certified
 upper bound for that distance, and reports whether the cone inequality held
-and whether the distance sequence passes the smallness probe.  A family that
-declares lanes (see MapFamily) has all the members a harness needs solved
-together as numpy lanes, each lane stopping on its own stop rule, with fixed
-points, iteration counts and residuals bit for bit those of picard_solve.
+and whether the distance sequence passes the smallness probe.  A harness
+solves all the members it needs from the family's lane form (see MapFamily)
+as numpy lanes, each stopping on its own stop rule, bit for bit as
+picard_solve, and keeps them as columns (SolvedMembers); reading a member
+whose lane failed raises what picard_solve raises for it.
 
 Bounds are outward rounded: the inverse (e - k)^-1 is the closed form
 rounded upward, which dominates the exact inverse, but the product
@@ -27,6 +28,7 @@ one-ulp noise.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -41,7 +43,7 @@ from .algebra import (
     scale,
     spectral_radius,
 )
-from .errors import IterateEscapedDomain, NoConvergence, WitnessOutsideDomain
+from .errors import IterateEscapedDomain, NoConvergence, PointOutsideCarrier, WitnessOutsideDomain
 from .spaces import (
     BoxDomain,
     CSeqProbeConfig,
@@ -56,6 +58,7 @@ __all__ = [
     "PlainMap",
     "MapFamily",
     "FixedPointResult",
+    "SolvedMembers",
     "ContractionCheckReport",
     "BoundTable",
     "ConvergenceReport",
@@ -129,35 +132,36 @@ class PlainMap:
 class MapFamily:
     """An indexed family of contraction maps with a limit map.
 
-    members is a callable n -> ContractionMap for n >= 1; lookups are
-    memoised because harnesses and probes revisit the same indices.  For
-    the pointwise, uniform and equicontinuity checkers, members and limit
-    may be PlainMaps instead; the fixed point harnesses need coefficients.
+    members is a callable n -> ContractionMap for n >= 1; member(n) memoises
+    it, because rows and probes revisit the same indices.  For the
+    pointwise, uniform and equicontinuity checkers, members and limit may be
+    PlainMaps instead; the fixed point harnesses need coefficients.
     coefficient_bound, when given, must lie in the cone and dominate every
-    member coefficient in the cone order (used by the pointwise-limit
-    bound).  adversarial, when given, maps n to extra domain points the
-    uniform checker must include for that index.
+    member coefficient in the cone order; the pointwise and subdomain
+    harnesses check that it does for every member they solve.  adversarial,
+    when given, maps n to extra domain points the uniform checker must
+    include for that index.
 
-    lanes=True declares that members is also the family's lane form:
-    members(ns), with ns an int64 index column, is one map whose map takes
-    the points of all lanes at once (a float64 column on the interval space,
-    a pair of coordinate columns (xs, ys) on the plane) and returns the
-    images in the same form, and whose alpha coordinates and domain
-    endpoints are float64 columns or scalars shared by every lane (a
-    domain's open_lo and open_hi are shared by every lane); its domain's
-    contains answers for those points, one bool per lane, as
-    IntervalDomain's and BoxDomain's do.  Lane i must equal members(ns[i])
-    bit for bit, which holds when each expression is written once with
-    + - * / and abs only, on floats (IEEE exact in numpy and in Python alike;
-    int64 products of indices could wrap where Python ints grow).  Where a
-    numpy ufunc rounds otherwise than the scalar operator (numpy's power
-    against Python's float ** int), the member may apply the scalar operator
-    lane by lane when its index is an array.  The map must not write into
-    its input columns, which may be read-only broadcast views.  With lanes
-    the harnesses solve the members they need together as numpy lanes, and
-    the convergence checkers and harness probes hand the probe judge whole
-    columns of distances.  A lane member that fails to build sends its block
-    or checker back to member(n), index by index.
+    members is also the family's lane form: members(ns), with ns an int64
+    index column, is one map whose map takes the points of all lanes at once
+    (a float64 column on the interval space, a pair of coordinate columns
+    (xs, ys) on the plane) and returns the images in the same form, and
+    whose alpha coordinates and domain endpoints are float64 columns or
+    scalars shared by every lane (a domain's open_lo and open_hi are shared
+    by every lane); its domain's contains answers for those points, one bool
+    per lane, as IntervalDomain's and BoxDomain's do.  Lane i must equal
+    members(ns[i]) bit for bit, which holds when each expression is written
+    once with + - * / and abs only, on floats (IEEE exact in numpy and in
+    Python alike; int64 products of indices could wrap where Python ints
+    grow).  Where a numpy ufunc rounds otherwise than the scalar operator
+    (numpy's power against Python's float ** int), the member may apply the
+    scalar operator lane by lane when its index is an array.  The map must
+    not write into its input columns, which may be read-only broadcast
+    views.  The fixed point harnesses solve members from the lane form
+    alone: an exception from it propagates, and a map that does not return
+    float64 columns of the lanes' shape, or a domain that does not answer
+    one bool per lane, raises TypeError.  The convergence checkers judge
+    columns from it, and member(n) index by index where it fails.
     """
 
     def __init__(
@@ -166,7 +170,6 @@ class MapFamily:
         limit: ContractionMap,
         coefficient_bound=None,
         adversarial: Callable[[int], list] | None = None,
-        lanes: bool = False,
     ) -> None:
         if coefficient_bound is not None:
             _require_cone(coefficient_bound, "coefficient_bound")
@@ -174,7 +177,6 @@ class MapFamily:
         self.limit = limit
         self.coefficient_bound = coefficient_bound
         self.adversarial = adversarial
-        self.lanes = lanes
         self._cache: dict[int, ContractionMap] = {}
 
     def member(self, n: int) -> ContractionMap:
@@ -279,21 +281,31 @@ def picard_solve(
         float, _stop_rule(tol, spectral_radius(T.alpha), T.alpha.second))
     domain = T.domain
     if domain is not None and not domain.contains(x0):
-        raise IterateEscapedDomain(f"start point {x0!r} is outside the declared domain")
+        raise _escaped_start(x0)
     x = x0
     for it in range(1, _MAX_ITER + 1):
         x_next = T.map(x)
         if domain is not None and not domain.contains(x_next):
-            raise IterateEscapedDomain(
-                f"iterate {it} left the declared domain: {x_next!r}"
-            )
+            raise _escaped(it, x_next)
         delta = space.distance(x_next, x)
         step = norm(delta)
         x = x_next
         if step + first_weight * delta.first < threshold or step == 0.0:
             residual = space.distance(T.map(x), x)
             return FixedPointResult(x, it, residual)
-    raise NoConvergence(f"no fixed point within {_MAX_ITER} iterations (tol {tol})")
+    raise _no_fixed_point(tol)
+
+
+def _escaped_start(x0) -> IterateEscapedDomain:
+    return IterateEscapedDomain(f"start point {x0!r} is outside the declared domain")
+
+
+def _escaped(it: int, x) -> IterateEscapedDomain:
+    return IterateEscapedDomain(f"iterate {it} left the declared domain: {x!r}")
+
+
+def _no_fixed_point(tol) -> NoConvergence:
+    return NoConvergence(f"no fixed point within {_MAX_ITER} iterations (tol {tol})")
 
 
 # ---------------------------------------------------------------------------
@@ -334,26 +346,23 @@ def check_pointwise_convergence(
 ) -> PointwiseReport:
     """Probe d(T_n x, T x) separately at each supplied point.
 
-    A family with lanes has every index at a point evaluated at once, as
-    numpy lanes against the scalar limit image.
+    Every index at a point is evaluated at once, from the family's lane
+    form (see MapFamily) against the scalar limit image.
     """
     reports = []
     limit_map = family.limit.map
-    member = _lane_member(family, space, _probe_column(cfg))
     dim = _space_dim(space)
     for x in points:
         fx = limit_map(x)
-        columns = None
-        if member is not None:
-            def fn(ns, x=x, fx=fx):
-                at = _pack(_constant(x, dim, ns.shape), dim)
-                images = _lane_columns(member.map(at), dim, ns.shape)
-                limits = _constant(fx, dim, ns.shape)
-                return space.distances(_pack(images, dim), _pack(limits, dim))
 
-            columns = (space.kind, fn)
+        def fn(ns, x=x, fx=fx):
+            at = _pack(_constant(x, dim, ns.shape), dim)
+            images = _lane_columns(family._members(ns).map(at), dim, ns.shape)
+            limits = _constant(fx, dim, ns.shape)
+            return space.distances(_pack(images, dim), _pack(limits, dim))
+
         report = is_c_sequence(
-            lambda n: space.distance(family.member(n).map(x), fx), cfg, columns
+            lambda n: space.distance(family.member(n).map(x), fx), cfg, (space.kind, fn)
         )
         reports.append(report)
     return PointwiseReport(tuple(reports), all(r.passed for r in reports))
@@ -454,22 +463,21 @@ def check_uniform_convergence(
     sample is the dense grid plus any adversarial points the family
     supplies for that n, so a family can be convicted by witnesses that
     travel with n.  The sample is drawn from the limit map's domain, or
-    from the space's carrier when the limit declares none.  A family with
-    lanes has its sups computed as numpy lanes over the index x grid
-    product, with each index's adversarial points folded into its lane; a
-    witness outside that domain sends the judge back to the scalar sup,
-    which raises WitnessOutsideDomain at its index.  ValueError unless
+    from the space's carrier when the limit declares none.  The sups are
+    computed from the family's lane form over the index x grid product,
+    with each index's adversarial points folded into its lane; a witness
+    outside that domain sends the judge back to the scalar sup, which
+    raises WitnessOutsideDomain at its index.  ValueError unless
     grid_count >= 1.
     """
     if not grid_count >= 1:
         raise ValueError(f"grid_count must be >= 1, got {grid_count!r}")
     domain = family.limit.domain if family.limit.domain is not None else space.carrier
     base_points = dense_sample(domain, grid_count)
-    columns = None
-    if _lane_member(family, space, _probe_column(cfg)) is not None:
-        columns = (space.kind, partial(_uniform_sups, family, space, domain, base_points))
-    report = is_c_sequence(partial(_uniform_sup, family, space, domain, base_points),
-                           cfg, columns)
+    report = is_c_sequence(
+        partial(_uniform_sup, family, space, domain, base_points), cfg,
+        (space.kind, partial(_uniform_sups, family, space, domain, base_points)),
+    )
     return UniformReport(report, len(base_points), report.passed)
 
 
@@ -624,10 +632,6 @@ def _require_inside(domain, y, what: str) -> None:
 
 # lanes per block of the lane solver: bounds the size of its temporaries
 _LANE_BLOCK = 1024
-# a lane whose step has not shrunk over this many iterations is left to
-# picard_solve; one lane that never settles would otherwise keep its whole
-# block iterating up to _MAX_ITER, at numpy's per-call cost per iteration
-_LANE_STALL = 64
 
 
 def _inside(domain, cols, dim: int) -> np.ndarray:
@@ -636,25 +640,27 @@ def _inside(domain, cols, dim: int) -> np.ndarray:
     one bool per lane, as a domain that tests single points only does not."""
     if domain is None:
         return np.ones(cols[0].shape, dtype=bool)
-    ok = domain.contains(_pack(cols, dim))
+    try:
+        ok = domain.contains(_pack(cols, dim))
+    except (TypeError, ValueError):  # it refuses the columns
+        ok = None
     if type(ok) is not np.ndarray or ok.dtype != bool or ok.shape != cols[0].shape:
         raise TypeError("a lane member's domain must answer one bool per lane")
     return ok
 
 
-def _lane_start(x0, dim: int):
-    """The start as a tuple of dim floats, or None unless each coordinate is
-    a float, a numpy float64, or an int or numpy integer that converts to
-    float exactly (a NaN start, which no lane would keep, gives None too)."""
-    coords = (x0,) if dim == 1 else x0 if type(x0) is tuple and len(x0) == 2 else ()
-    exact = tuple(int(c) if isinstance(c, np.integer) else c for c in coords)
-    if not exact or not all(type(c) in (float, np.float64) or isinstance(c, int) for c in exact):
-        return None
+def _start_point(start, dim: int) -> tuple:
+    """start as the dim floats the lanes start from; ValueError unless each
+    coordinate (start, or a tuple of two on the plane) is an int, float,
+    numpy integer or numpy float64 that a float holds exactly (not NaN)."""
+    coords = (start,) if dim == 1 else start if type(start) is tuple and len(start) == 2 else ()
+    exact = [int(c) if isinstance(c, np.integer) else c for c in coords]
     try:
-        floats = tuple(map(float, exact))
+        if exact and all(isinstance(c, (int, float)) and float(c) == c for c in exact):
+            return tuple(map(float, exact))
     except OverflowError:
-        return None
-    return floats if floats == exact else None
+        pass
+    raise ValueError(f"start must be a float, or a pair of floats, held exactly: {start!r}")
 
 
 def _space_dim(space) -> int:
@@ -664,6 +670,12 @@ def _space_dim(space) -> int:
 def _pack(cols, dim: int):
     """Points in the form lane functions take: one column, or a pair."""
     return cols[0] if dim == 1 else tuple(cols)
+
+
+def _point_at(cols, i: int):
+    """Lane i of the point columns cols as a float, or a pair of floats."""
+    p = tuple(c[i].item() for c in cols)
+    return p[0] if len(p) == 1 else p
 
 
 def _lane_columns(points, dim: int, shape) -> tuple:
@@ -710,159 +722,185 @@ def _probe_column(cfg: CSeqProbeConfig) -> np.ndarray:
     return np.arange(cfg.start, cfg.horizon + 1, dtype=np.int64)
 
 
-def _lane_member(family, space, ns):
-    """family's members callable applied to the index column ns, the map
-    whose lanes are the members at ns (see MapFamily); None without lanes,
-    without a batch distances on space, or when the build raises: the
-    caller then fetches member by member, which raises at its index."""
-    if not (family.lanes and hasattr(space, "distances")):
-        return None
-    try:
-        return family._members(ns)
-    except Exception:
-        return None
+def _solved_indices(indices, cfg: CSeqProbeConfig | None = None) -> np.ndarray:
+    """The sorted int64 column, without repeats, of the integer indices and
+    of the probe's window when cfg is given: every index a harness solves."""
+    ns = np.array(sorted({operator.index(n) for n in indices}), dtype=np.int64)
+    if cfg is None:
+        return ns
+    return np.concatenate((ns[ns < cfg.start], _probe_column(cfg), ns[ns > cfg.horizon]))
 
 
-def _lane_block(family, space, dim, x0, tol, block, cache) -> None:
-    """picard_solve from the point x0, a tuple of dim floats, for the
-    members in block, as numpy lanes.
+def _row(ns: np.ndarray, failed: dict, n) -> int:
+    """The position of the solved index n in the sorted column ns; raises
+    afresh what the solve of n raised, and KeyError if n was not solved."""
+    n = operator.index(n)
+    if n in failed:
+        raise type(failed[n])(*failed[n].args)
+    i = int(np.searchsorted(ns, n))
+    if i == ns.size or ns[i] != n:
+        raise KeyError(n)
+    return i
 
-    Each lane runs picard_solve's steps on float64 columns: its own stop
-    rule, picard_solve's formulas in the same IEEE operations and so the
-    same bits, then per iteration the domain test, the carrier test and the
-    stop rule.  The start and each iterate are tested by the contains of the
-    lane member's domain, and rate and b are columns of the lane member; it
-    is rebuilt as lanes finish.  A lane that would raise in picard_solve (an
-    escape from the domain or the carrier, no convergence within _MAX_ITER)
-    is left out of the cache, as is the whole block if its lane member
-    cannot be built or applied, its domain does not answer for lanes (see
-    _inside) or the stop rule refuses tol, so that the lazy scalar solve
-    raises exactly what picard_solve raises.  So is a lane whose step stalls
-    for _LANE_STALL iterations, which picard_solve then settles or gives up
-    on at scalar cost.
+
+class SolvedMembers:
+    """Member fixed points of one family, solved from one start at one tol
+    (see _solve_members), as rows over the sorted solved indices: point
+    coordinates, iteration count, residual coordinates, NaN where a solve
+    failed.  store[n] is picard_solve(family.member(n), space, start, tol),
+    or raises what it raises; pass one as fp_cache to solve members once.
     """
-    ns = np.asarray(block, dtype=np.int64)
-    member = _lane_member(family, space, ns)
-    if member is None:
-        return
+
+    def __init__(self) -> None:
+        self._problem = None  # (family, space, start floats, tol)
+        self._ns = np.empty(0, dtype=np.int64)
+        self._cols = None
+        self._failed: dict[int, Exception] = {}
+
+    def _points(self, ns: np.ndarray) -> np.ndarray:
+        """The point coordinate rows at the solved indices ns."""
+        return self._cols[:-3, np.searchsorted(self._ns, ns)]
+
+    def __getitem__(self, n) -> FixedPointResult:
+        i = _row(self._ns, self._failed, n)
+        iterations, r1, r2 = self._cols[-3:, i].tolist()
+        return FixedPointResult(_point_at(self._cols[:-3], i), int(iterations),
+                                self._problem[1].kind.of(r1, r2))
+
+
+def _carrier_failure(space, p, q) -> PointOutsideCarrier:
+    """What space.distance(p, q) raises, for points distances marks outside."""
     try:
-        with np.errstate(all="ignore"):
-            thr, wt = (np.broadcast_to(v, ns.shape) for v in _stop_rule(
-                tol, np.abs(member.alpha.first), member.alpha.second))
-            x = [np.full(ns.size, c) for c in x0]
-            keep = _inside(member.domain, x, dim)
-            lane, idx, thr, wt = np.flatnonzero(keep), ns[keep], thr[keep], wt[keep]
-            x = [c[keep] for c in x]
-            built = ns.size  # the lanes member was built for
-            stall_ref = np.full(lane.size, np.inf)  # step at the last stall check
-            done_lane, done_iter = [], []
-            done_x: list[list[np.ndarray]] = [[] for _ in range(dim)]
-            for it in range(1, _MAX_ITER + 1):
-                if not lane.size:
-                    break
-                if idx.size != built:  # lanes only ever drop out
-                    member, built = family._members(idx), idx.size
-                x_next = _lane_columns(member.map(_pack(x, dim)), dim, idx.shape)
-                d1, d2, outside = space.distances(_pack(x_next, dim), _pack(x, dim))
-                delta = np.abs(d1) + np.abs(d2)
-                ok = _inside(member.domain, x_next, dim) & ~outside
-                done = ok & ((delta + wt * d1 < thr) | (delta == 0.0))
-                done_lane.append(lane[done])
-                done_iter.append(np.full(int(done.sum()), it))
-                for a in range(dim):
-                    done_x[a].append(x_next[a][done])
-                keep = ok & ~done
-                if it % _LANE_STALL == 0:
-                    keep &= delta < stall_ref
-                    stall_ref = delta
-                lane, idx, thr, wt = lane[keep], idx[keep], thr[keep], wt[keep]
-                stall_ref = stall_ref[keep]
-                x = [c[keep] for c in x_next]
-            if not done_lane:
-                return
-            lane = np.concatenate(done_lane)
-            x = [np.concatenate(c) for c in done_x]
-            images = _lane_columns(family._members(ns[lane]).map(_pack(x, dim)), dim,
-                                   lane.shape)
-            r1, r2, outside = space.distances(_pack(images, dim), _pack(x, dim))
-    except Exception:
-        return
-    kind = space.kind
-    points = x[0].tolist() if dim == 1 else list(zip(x[0].tolist(), x[1].tolist()))
-    for i, it, p, a, b, out in zip(
-        lane.tolist(), np.concatenate(done_iter).tolist(),
-        points, r1.tolist(), r2.tolist(), outside.tolist(),
-    ):
-        if not out:
-            cache[block[i]] = FixedPointResult(p, it, kind.of(a, b))
+        space.distance(p, q)
+    except PointOutsideCarrier as exc:
+        return exc
+    raise TypeError("space.distances marks a lane outside that space.distance accepts")
 
 
-def _solve_members(
-    family: MapFamily,
-    space,
-    start,
-    tol: float,
-    cache: dict | None,
-    want=(),
-):
-    """A memoised n -> picard_solve(family.member(n), space, start, tol),
-    returned with its cache of results.
-
-    want names the indices the caller will fetch.  When the family has
-    lanes, the space a batch distances and start a lane form (_lane_start),
-    they are solved up front as numpy lanes, with results bit for bit those
-    of picard_solve; anything the lanes leave out is solved lazily by
-    picard_solve itself.
+def _lane_block(family, space, dim, start, x0, tol, ns, failed) -> np.ndarray:
+    """picard_solve(family.member(n), space, start, tol) for the members n
+    of the int64 column ns, as numpy lanes of the lane member members(ns)
+    (see MapFamily), rebuilt as lanes finish: returns the SolvedMembers
+    columns of ns, and puts into failed what picard_solve raises for each
+    member whose solve fails.  Each lane runs picard_solve's steps from the
+    floats x0 in the same IEEE operations, so to the same bits, and leaves
+    at the failure picard_solve meets first; a lane that never settles runs
+    on to _MAX_ITER.  Any other exception propagates.
     """
-    cache = cache if cache is not None else {}
+    member = family._members(ns)
+    out = np.full((dim + 3, ns.size), np.nan)  # points, iterations, residuals
+    with np.errstate(all="ignore"):
+        thr, wt = (np.broadcast_to(v, ns.shape) for v in _stop_rule(
+            tol, np.abs(member.alpha.first), member.alpha.second))
+        x = [np.full(ns.size, c) for c in x0]
+        keep = _inside(member.domain, x, dim)
+        for n in ns[~keep].tolist():
+            failed[n] = _escaped_start(start)
+        lane, idx, thr, wt = np.flatnonzero(keep), ns[keep], thr[keep], wt[keep]
+        x = [c[keep] for c in x]
+        built = ns.size  # the lanes member was built for
+        for it in range(1, _MAX_ITER + 1):
+            if not lane.size:
+                break
+            if idx.size != built:  # lanes only ever drop out
+                member, built = family._members(idx), idx.size
+            x_next = _lane_columns(member.map(_pack(x, dim)), dim, idx.shape)
+            d1, d2, outside = space.distances(_pack(x_next, dim), _pack(x, dim))
+            inside = _inside(member.domain, x_next, dim)
+            ok = inside & ~outside
+            for i in np.flatnonzero(~ok).tolist():
+                p = _point_at(x_next, i)
+                failed[int(idx[i])] = (_escaped(it, p) if not inside[i]
+                                       else _carrier_failure(space, p, _point_at(x, i)))
+            delta = np.abs(d1) + np.abs(d2)
+            done = ok & ((delta + wt * d1 < thr) | (delta == 0.0))
+            out[dim, lane[done]] = it
+            for a in range(dim):
+                out[a, lane[done]] = x_next[a][done]
+            keep = ok & ~done
+            lane, idx, thr, wt = lane[keep], idx[keep], thr[keep], wt[keep]
+            x = [c[keep] for c in x_next]
+        for n in idx.tolist():
+            failed[n] = _no_fixed_point(tol)
+        settled = np.flatnonzero(out[dim] > 0.0)
+        if settled.size:
+            at = out[:dim, settled]
+            images = _lane_columns(family._members(ns[settled]).map(_pack(at, dim)), dim,
+                                   settled.shape)
+            out[dim + 1, settled], out[dim + 2, settled], outside = space.distances(
+                _pack(images, dim), _pack(at, dim))
+            for i in np.flatnonzero(outside).tolist():
+                failed[int(ns[settled[i]])] = _carrier_failure(
+                    space, _point_at(images, i), _point_at(at, i))
+                out[:dim, settled[i]] = np.nan
+    return out
+
+
+def _solve_members(family, space, start, tol, store, ns) -> SolvedMembers:
+    """store, or a new SolvedMembers for None, holding every member of the
+    sorted int64 column ns solved from start at tol, those it lacks in
+    blocks of _LANE_BLOCK lanes; ValueError for a start _start_point
+    refuses, and for a store of another family, space, start or tol."""
     dim = _space_dim(space)
-    x0 = _lane_start(start, dim)
-    if family.lanes and x0 is not None and isinstance(tol, float):
-        todo = list(dict.fromkeys(n for n in want if type(n) is int and n not in cache))
-        for i in range(0, len(todo), _LANE_BLOCK):
-            _lane_block(family, space, dim, x0, tol, todo[i:i + _LANE_BLOCK], cache)
+    problem = (family, space, _start_point(start, dim), tol)
+    store = store if store is not None else SolvedMembers()
+    if store._problem is None:
+        store._problem, store._cols = problem, np.empty((dim + 3, 0))
+    elif not (family is store._problem[0] and problem[1:] == store._problem[1:]):
+        raise ValueError("fp_cache holds members solved for another family, space, start or tol")
+    todo = np.setdiff1d(ns, store._ns, assume_unique=True)
+    blocks = [_lane_block(family, space, dim, start, problem[2], tol,
+                          todo[i:i + _LANE_BLOCK], store._failed)
+              for i in range(0, todo.size, _LANE_BLOCK)]
+    ns = np.concatenate((store._ns, todo))
+    order = np.argsort(ns, kind="stable")
+    store._ns, store._cols = ns[order], np.concatenate((store._cols, *blocks), axis=1)[:, order]
+    return store
 
-    def solved(n: int) -> FixedPointResult:
-        got = cache.get(n)
-        if got is None:
-            got = picard_solve(family.member(n), space, start, tol)
-            cache[n] = got
-        return got
 
-    return solved, cache
+def _require_dominated(family, ns: np.ndarray, k) -> None:
+    """ValueError naming the first index of ns whose member coefficient k
+    does not dominate (cone_compare's le, on the lane member's columns)."""
+    alpha = family._members(ns).alpha
+    a, b = (np.broadcast_to(c, ns.shape) for c in (alpha.first, alpha.second))
+    bad = np.flatnonzero(~((k.first - a >= 0.0) & (k.second - b >= 0.0)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"coefficient bound {k!r} does not dominate the coefficient "
+                         f"({a[i].item()!r}, {b[i].item()!r}) of member {ns[i]}")
 
 
-def _family_report(family, space, cfg: CSeqProbeConfig, indices, start,
-                   tol, fp_cache, target, bound) -> ConvergenceReport:
+def _family_report(family, space, cfg: CSeqProbeConfig, indices, start, tol,
+                   fp_cache, target, bound, dominating=None) -> ConvergenceReport:
     """The skeleton of the fixed point harnesses.
 
-    Solves the members the rows and the probe need from start, then the
+    Checks that dominating, when given, dominates every member the rows and
+    the probe need, solves them from start (see _solve_members), then the
     limit point x_star = target(); per index n the row is (d(x_n, x_star),
     bound(n, x_n, x_star)) with x_n the member fixed point; last comes the
-    probe of n -> d(x_n, x_star).  With lanes the probe reads its entries
-    as columns from the cache of solved members; an index missing from it
-    sends the judge to the scalar fetch, which solves that member and
-    raises what picard_solve raises.
+    probe of n -> d(x_n, x_star), judged from the store's point columns.  A
+    failed member raises at its row, else at the probe's scalar fetch.
     """
     indices = tuple(indices)
-    solved, cache = _solve_members(family, space, start, tol, fp_cache,
-                                   (*indices, *range(cfg.start, cfg.horizon + 1)))
+    ns = _solved_indices(indices, cfg)
+    if dominating is not None:
+        _require_dominated(family, ns, dominating)
+    store = _solve_members(family, space, start, tol, fp_cache, ns)
     x_star = target()
     rows = []
     for n in indices:
-        x_n = solved(n).point
+        x_n = store[n].point
         rows.append((space.distance(x_n, x_star), bound(n, x_n, x_star)))
-    columns = None
-    if family.lanes:
-        dim = _space_dim(space)
+    dim = _space_dim(space)
 
-        def fn(ns):
-            points = _point_columns((cache[n].point for n in map(int, ns)), dim, ns.size)
-            targets = _constant(x_star, dim, ns.shape)
-            return space.distances(_pack(points, dim), _pack(targets, dim))
+    def fn(ns):
+        points = store._points(ns)
+        targets = _constant(x_star, dim, ns.shape)
+        d1, d2, out = space.distances(_pack(points, dim), _pack(targets, dim))
+        return d1, d2, out | np.isnan(points[0])
 
-        columns = (space.kind, fn)
-    probe = is_c_sequence(lambda n: space.distance(solved(n).point, x_star), cfg, columns)
+    probe = is_c_sequence(lambda n: space.distance(store[n].point, x_star), cfg,
+                          (space.kind, fn))
     return _bound_report(indices, rows, probe)
 
 
@@ -883,8 +921,8 @@ def uniform_limit_harness(
 
     with alpha the limit coefficient.  Every member and the limit map are
     solved from the one point start, which must lie in every member domain
-    and in the limit domain; picard_solve raises IterateEscapedDomain where
-    it does not.
+    and in the limit domain; members are solved on lanes, the limit by
+    picard_solve (see _family_report).
     """
     limit = family.limit
     inv = neumann_inverse_e_minus(limit.alpha)
@@ -914,6 +952,7 @@ def pointwise_limit_harness(
 
     where M dominates every member coefficient (family.coefficient_bound,
     falling back to the limit coefficient for families with a shared one).
+    ValueError names the first member it does not dominate.
     """
     inv = neumann_inverse_e_minus(family.bound_coefficient)
     limit = family.limit
@@ -925,6 +964,7 @@ def pointwise_limit_harness(
     return _family_report(
         family, space, cfg, indices, start, tol, None,
         lambda: picard_solve(limit, space, start, tol).point, bound,
+        dominating=family.bound_coefficient,
     )
 
 
@@ -938,13 +978,13 @@ def subdomain_limit_harness(
     witness: Callable[[int], object] | None = None,
     responder: Callable[[int], object] | None = None,
     tol: float = 1e-12,
-    fp_cache: dict | None = None,
+    fp_cache: SolvedMembers | None = None,
 ) -> ConvergenceReport:
     """Fixed point convergence bounds for members living on moving
     sub-domains, measured against the limit fixed point x_inf.  Every
-    member is solved from start, which must lie in every member domain;
-    picard_solve raises IterateEscapedDomain where it does not.  Exactly one
-    of witness and responder is given, and it picks the form of the bound.
+    member is solved from start, which must lie in every member domain,
+    into fp_cache when it is given (a SolvedMembers).  Exactly one of
+    witness and responder is given, and it picks the form of the bound.
 
     Witness form: per index n, with y_n = witness(n) a point of the member
     domain,
@@ -957,7 +997,8 @@ def subdomain_limit_harness(
         bound = inverse(e - k) * (d(T_n x_n, T y_n) + k * d(y_n, x_n))
 
     k is the dominating coefficient (family.coefficient_bound, else the
-    limit coefficient).
+    limit coefficient); ValueError names the first member k does not
+    dominate.
     """
     if (witness is None) == (responder is None):
         raise ValueError("pass exactly one of witness and responder")
@@ -983,6 +1024,7 @@ def subdomain_limit_harness(
 
     return _family_report(
         family, space, cfg, indices, start, tol, fp_cache, lambda: x_inf, bound,
+        dominating=k,
     )
 
 
@@ -1010,14 +1052,14 @@ def fixed_point_cluster_check(
     indices,
     start,
     tol: float = 1e-4,
-    fp_cache: dict | None = None,
+    fp_cache: SolvedMembers | None = None,
 ) -> ClusterCheckReport:
     """Test whether member fixed points settle, and if so whether the
     settling value is fixed by the limit map.
 
-    Members are solved to _CLUSTER_SOLVER_TOL from start, which must lie in
-    every member domain; picard_solve raises IterateEscapedDomain where it
-    does not.  The last quarter of the solved fixed points must sit inside
+    Members are solved on lanes to _CLUSTER_SOLVER_TOL from start, which
+    must lie in every member domain, into fp_cache when it is given (a
+    SolvedMembers).  The last quarter of the solved fixed points must sit inside
     a ball of radius 10 * tol around their final value; otherwise the
     report says not convergent and draws no conclusion.  On a cluster, the
     candidate is polished by iterating the limit map until the float
@@ -1026,8 +1068,9 @@ def fixed_point_cluster_check(
     acceptable when its norm is at most 10 * tol.
     """
     indices = tuple(indices)
-    solved, _ = _solve_members(family, space, start, _CLUSTER_SOLVER_TOL, fp_cache, indices)
-    points = [solved(n).point for n in indices]
+    store = _solve_members(family, space, start, _CLUSTER_SOLVER_TOL, fp_cache,
+                           _solved_indices(indices))
+    points = [store[n].point for n in indices]
     quarter = points[-max(1, len(points) // 4):]
     anchor = quarter[-1]
     radius = max(norm(space.distance(p, anchor)) for p in quarter)
@@ -1081,16 +1124,14 @@ def property_g_check(
 
     lane_witness, when given, is the witness on numpy lanes: lane_witness(x)
     maps an int64 index column ns to the points witness(x)(n), n in ns, bit
-    for bit, in the form a lane member's map takes.  With it and a family
-    with lanes both probes at a point are evaluated as lanes: one lane
-    member is built per call, and its domain's contains tests every
-    witness point at once.  A domain that does not answer for lanes (see
-    _inside) sends both probes to the scalar fetch.
+    for bit, in the form a lane member's map takes.  With it both probes at
+    a point are evaluated from the family's lane form: one lane member is
+    built per probe, and its domain's contains tests every witness point at
+    once.  A domain that does not answer for lanes (see _inside) sends both
+    probes to the scalar fetch.
     """
     limit_map = family.limit.map
     dim = _space_dim(space)
-    ns = _probe_column(cfg)
-    member = _lane_member(family, space, ns) if lane_witness is not None else None
     reports = []
     for x in points:
         seq = witness(x)
@@ -1103,8 +1144,9 @@ def property_g_check(
 
         fx = limit_map(x)
         dist_columns = image_columns = None
-        if member is not None:
+        if lane_witness is not None:
             def lanes(ns, image, x=x, fx=fx):
+                member = family._members(ns)
                 ys = _lane_columns(lane_witness(x)(ns), dim, ns.shape)
                 at, target = ys, x
                 if image:

@@ -38,6 +38,7 @@ from .fixed_point import (
     ContractionMap,
     MapFamily,
     PlainMap,
+    SolvedMembers,
     _uniform_sup,
     _uniform_sups,
     check_pointwise_convergence,
@@ -243,7 +244,6 @@ def _power_family() -> tuple[PlaneR2Space, MapFamily]:
         lambda n: PlainMap(lambda p: _power(n, p), box),
         PlainMap(lambda p: (0.0, 0.0), box),
         adversarial=lambda n: [(5.0 ** (-1.0 / (n * n)), 3.0 ** (-1.0 / n))],
-        lanes=True,
     )
     return space, family
 
@@ -296,7 +296,7 @@ def _interval_ut2_family(member_shift: Callable[[int], float],
         lambda x: member_rate(n) * x + member_shift(n), UT2Elem(member_rate(n), 0.0), dom
     )
     limit = ContractionMap(lambda x: 0.5 * x, UT2Elem(0.5, 0.0), dom)
-    return MapFamily(members, limit, coefficient_bound, lanes=True)
+    return MapFamily(members, limit, coefficient_bound)
 
 
 def _run_thm_2_9(knobs: dict):
@@ -358,7 +358,7 @@ def _subinterval_family() -> MapFamily:
     limit = ContractionMap(
         lambda x: 0.5 * x, UT2Elem(0.5, 0.0), IntervalDomain(0.0, 1.0)
     )
-    return MapFamily(members, limit, lanes=True)
+    return MapFamily(members, limit)
 
 
 def _run_thm_3_6(knobs: dict):
@@ -376,7 +376,7 @@ def _run_thm_3_6(knobs: dict):
     )
     indices = _display_indices(min(horizon, 1000))
     edge = lambda n: 1.0 / n
-    fp_cache: dict = {}
+    fp_cache = SolvedMembers()
     report = subdomain_limit_harness(
         family, space, cfg, indices, start=1.0, x_inf=0.0, witness=edge,
         tol=tol, fp_cache=fp_cache,
@@ -401,7 +401,7 @@ def _run_thm_3_10(knobs: dict):
     space = IntervalUT2Space(2.0)
     settling = _subinterval_family()
     indices = tuple(range(1, 401))
-    fp_cache: dict = {}
+    fp_cache = SolvedMembers()
     settled = fixed_point_cluster_check(
         settling, space, indices, start=1.0, tol=tol, fp_cache=fp_cache
     )
@@ -414,7 +414,7 @@ def _run_thm_3_10(knobs: dict):
         UT2Elem(0.5, 0.0),
         dom,
     )
-    swinging = MapFamily(swing_members, settling.limit, lanes=True)
+    swinging = MapFamily(swing_members, settling.limit)
     swung = fixed_point_cluster_check(
         swinging, space, tuple(range(1, 101)), start=0.0, tol=tol
     )
@@ -485,7 +485,7 @@ def _run_thm_4_1(knobs: dict):
     members, limit = _system_family()
     cfg = CSeqProbeConfig.default(R2Elem, horizon=horizon)
     indices = _display_indices(min(horizon, 1000))
-    report = coupled_sequence_harness(members, limit, indices, cfg, tol=tol, lanes=True)
+    report = coupled_sequence_harness(members, limit, indices, cfg, tol=tol)
     verdict = aligned_ok and cross_ok and report.verdict
     notes = [
         f"aligned system root ({root_a.x!r}, {root_a.y!r}) in {root_a.iterations} steps",
@@ -577,7 +577,6 @@ def _run_ode_sequence(knobs: dict):
     log: dict[int, R2Elem] = {}
     report = ode_sequence_harness(
         members, limit, indices, cfg, grid_pts=grid_pts, tol=tol, distance_log=log,
-        lanes=True,
     )
     lo_n, hi_n = 10, min(horizon, 1000)
     monotone = all(

@@ -38,6 +38,7 @@ from conefix.fixed_point import (
     ContractionMap,
     MapFamily,
     PlainMap,
+    SolvedMembers,
     check_pointwise_convergence,
     check_uniform_convergence,
     fixed_point_cluster_check,
@@ -46,7 +47,7 @@ from conefix.fixed_point import (
     subdomain_limit_harness,
     uniform_limit_harness,
 )
-from conefix.scenarios import SCENARIOS, ScenarioConfig, run_scenario
+from conefix.scenarios import SCENARIOS, ScenarioConfig, _power, run_scenario
 from conefix.spaces import (
     BoxDomain,
     CSeqProbeConfig,
@@ -191,7 +192,8 @@ def test_criterion_05_pointwise_without_uniform():
         (0.0, 0.0), (1.0, 1.0), open_hi=True, sample_box=((0.05, 0.05), (0.95, 0.95))
     )
     family = MapFamily(
-        lambda n: PlainMap(lambda p, n=n: (p[0] ** (n * n), p[1] ** n), box),
+        # Python's own powers, on lanes too (numpy's power rounds otherwise)
+        lambda n: PlainMap(lambda p, n=n: _power(n, p), box),
         PlainMap(lambda p: (0.0, 0.0), box),
         adversarial=lambda n: [(5.0 ** (-1.0 / (n * n)), 3.0 ** (-1.0 / n))],
     )
@@ -256,7 +258,7 @@ def test_criterion_07_moving_subdomains_and_cluster():
     )
     space = IntervalUT2Space(1.0)
     cfg = CSeqProbeConfig.default(UT2Elem, horizon=10_000)
-    cache: dict = {}
+    cache = SolvedMembers()
     witness = subdomain_limit_harness(
         family, space, cfg, range(1, 1001), 1.0, x_inf=0.0,
         witness=lambda n: 1.0 / n, tol=1e-12, fp_cache=cache,

@@ -28,7 +28,14 @@ from conefix.errors import (
 )
 from conefix.fixed_point import ContractionMap, MapFamily, picard_solve, uniform_limit_harness
 from conefix.scenarios import ScenarioConfig, _damped_ivp_family, run_scenario
-from conefix.spaces import BieleckiPairSpace, CSeqProbeConfig, IntervalUT2Space, default_probes
+from conefix.spaces import (
+    BieleckiPairSpace,
+    CSeqProbeConfig,
+    IntervalUT2Space,
+    default_probes,
+    is_c_sequence,
+)
+from picard_reference import picard_members
 
 TWO_PROBES = (R2Elem(1.0, 1.0), R2Elem(0.05, 0.05))
 
@@ -161,8 +168,8 @@ def test_coupled_sequence_harness_bounds_members_with_a_larger_rate():
     # member 1 and the limit alone makes the row bounds about half the
     # distances, so the rows must read the rates of the members they show.
     def members(n):
-        lip = 0.1 if n == 1 else 0.9
-        pull = 0.9 if n == 1 else 0.5
+        lip = _where(n == 1, 0.1, 0.9)
+        pull = _where(n == 1, 0.9, 0.5)
         return CoupledSystem(lambda x, y: -pull * (x - 10.0 / n), lambda x, y: -pull * y, lip)
 
     limit = CoupledSystem(lambda x, y: -0.9 * x, lambda x, y: -0.9 * y, 0.1)
@@ -173,9 +180,9 @@ def test_coupled_sequence_harness_bounds_members_with_a_larger_rate():
 
 
 def test_coupled_lanes_keep_a_lip_that_varies_with_n(monkeypatch):
-    # the lane member's lip is the column 0.5 - 0.1 / ns; checked with plain
-    # comparisons it could not be built, and all 2,000 members went to
-    # picard_solve one by one
+    # the lane member's lip is the column 0.5 - 0.1 / ns, checked in every
+    # lane; the report is the one of members solved by picard_solve one by
+    # one, and only the limit reaches picard_solve
     members = lambda n: CoupledSystem(
         lambda x, y: -(0.5 + 0.1 / n) * x + 0.25 + 1.0 / n,
         lambda x, y: -0.5 * y + 0.125,
@@ -189,14 +196,11 @@ def test_coupled_lanes_keep_a_lip_that_varies_with_n(monkeypatch):
         return real(T, *args, **kwargs)
 
     monkeypatch.setattr(fixed_point, "picard_solve", counting)
-    reports, solves = [], []
-    for lanes in (False, True):
-        calls.clear()
-        reports.append(coupled_sequence_harness(
-            members, _aligned_system(), (1, 2, 10, 2000), cfg, lanes=lanes))
-        solves.append(len(calls))
-    assert reports[0] == reports[1]
-    assert solves == [2001, 1]  # with lanes, only the limit
+    run = lambda: coupled_sequence_harness(members, _aligned_system(), (1, 2, 10, 2000), cfg)
+    got = run()
+    assert len(calls) == 1
+    with picard_members():
+        assert got == run()
 
 
 # ------------------------------------------------------------ certificates
@@ -351,10 +355,10 @@ def test_solvers_refuse_a_tol_that_is_not_positive_and_finite(tol):
     refused = pytest.raises(ValueError, match="tol must be positive and finite")
     family = MapFamily(
         lambda n: ContractionMap(lambda x: 0.5 * x + 0.25 / n, UT2Elem(0.5, 0.0)),
-        ContractionMap(lambda x: 0.5 * x, UT2Elem(0.5, 0.0)), lanes=True)
+        ContractionMap(lambda x: 0.5 * x, UT2Elem(0.5, 0.0)))
     with refused:
         picard_solve(family.limit, IntervalUT2Space(1.0), 0.0, tol)
-    with refused:  # the lane blocks meet the error and leave it to picard_solve
+    with refused:  # the lane solver refuses it before any step
         uniform_limit_harness(family, IntervalUT2Space(1.0),
                               CSeqProbeConfig(default_probes(UT2Elem), horizon=30),
                               (1, 2), 0.0, tol=tol)
@@ -363,7 +367,7 @@ def test_solvers_refuse_a_tol_that_is_not_positive_and_finite(tol):
     members, limit = _damped_ivp_family()
     with refused:
         ode_sequence_harness(members, limit, (1, 2), CSeqProbeConfig(TWO_PROBES, horizon=30),
-                             grid_pts=65, tol=tol, lanes=True)
+                             grid_pts=65, tol=tol)
 
 
 # ----------------------------------------------------------- ODE families
@@ -427,15 +431,19 @@ def test_ode_sequence_harness_generator_indices():
     assert all(d == zero(R2Elem) for d in report.dists)
 
 
-@pytest.mark.parametrize("with_lanes", [False, True])
-def test_ode_sequence_rows_are_measured_in_the_exported_space(with_lanes):
+@pytest.mark.parametrize("shared_g", [False, True])
+def test_ode_sequence_rows_are_measured_in_the_exported_space(shared_g):
+    # with the limit's own g the lanes sweep z once per block, with a g of
+    # their own once per lane: both read the same distances
     members, limit = _damped_ivp_family()
+    if not shared_g:
+        members = _own_g(members)
     grid_pts, tol = 65, 1e-10
     cfg = CSeqProbeConfig.default(R2Elem, horizon=200)
     log: dict = {}
     report = ode_sequence_harness(
         members, limit, (1, 2, 5, 10, 50, 200), cfg, grid_pts=grid_pts, tol=tol,
-        distance_log=log, lanes=with_lanes)
+        distance_log=log)
     cert = _family_certificate(ode_certify(members(1)), ode_certify(limit), limit.center)
     space = BieleckiPairSpace(cert.lo, cert.hi, grid_pts, cert.tau)
     u = ode_solve(limit, grid_pts, tol, certificate=cert)
@@ -448,6 +456,11 @@ def test_ode_sequence_rows_are_measured_in_the_exported_space(with_lanes):
         assert _bits((d.first, d.second)) == _bits((want[n].first, want[n].second)), n
     for n, d in log.items():
         assert _bits((d.first, d.second)) == _bits((want[n].first, want[n].second)), n
+
+
+def _own_g(members):
+    """members, each with a g of its own that computes the limit's values."""
+    return lambda n: dataclasses.replace(members(n), g=lambda x, z: -2.0 * z)
 
 
 def test_tube_excess_equals_the_plain_max_of_the_gaps():
@@ -485,25 +498,42 @@ def _counting_ode_solve(monkeypatch) -> list:
     return calls
 
 
+def _ode_solve_distances(members, limit, ns, grid_pts, tol=1e-10) -> dict:
+    """n -> distance of ode_solve(members(n)) to the limit solution, under
+    the family certificate: the reference of the lanes."""
+    cert = _family_certificate(ode_certify(members(1)), ode_certify(limit), limit.center)
+    space = BieleckiPairSpace(cert.lo, cert.hi, grid_pts, cert.tau)
+    u = ode_solve(limit, grid_pts, tol, cert)
+    out = {}
+    for n in ns:
+        sol = ode_solve(members(n), grid_pts, tol, cert)
+        out[n] = space.distance((sol.y, sol.z), (u.y, u.z))
+    return out
+
+
+def _assert_is_ode_solve(report, log, want, cfg) -> None:
+    """The rows, the probe and the distance log of a harness run against the
+    distances want of ode_solve, bit for bit."""
+    assert sorted(log) == sorted(want)
+    for n, got in log.items():
+        assert type(got) is R2Elem
+        assert _bits((got.first, got.second)) == _bits((want[n].first, want[n].second)), n
+    assert report.dists == tuple(want[n] for n in report.indices)
+    assert report.probe == is_c_sequence(want.__getitem__, cfg)
+
+
 @pytest.mark.parametrize("grid_pts", [257, 2049])
 def test_ode_lanes_match_ode_solve_for_every_member(grid_pts, monkeypatch):
     members, limit = _damped_ivp_family()
     cfg = CSeqProbeConfig.default(R2Elem, horizon=1000)
     indices = (1, 2, 10, 1000)
-    scalar_log: dict = {}
-    scalar = ode_sequence_harness(members, limit, indices, cfg, grid_pts=grid_pts,
-                                  distance_log=scalar_log)
     calls = _counting_ode_solve(monkeypatch)
-    lane_log: dict = {}
-    lanes = ode_sequence_harness(members, limit, indices, cfg, grid_pts=grid_pts,
-                                 distance_log=lane_log, lanes=True)
+    log: dict = {}
+    report = ode_sequence_harness(members, limit, indices, cfg, grid_pts=grid_pts,
+                                  distance_log=log)
     assert calls == [limit]  # every member came from the lanes
-    assert lanes == scalar
-    assert sorted(lane_log) == sorted(scalar_log) == list(range(1, 1001))
-    for n in range(1, 1001):
-        got, want = lane_log[n], scalar_log[n]
-        assert type(got) is R2Elem
-        assert _bits((got.first, got.second)) == _bits((want.first, want.second)), n
+    want = _ode_solve_distances(members, limit, range(1, 1001), grid_pts)
+    _assert_is_ode_solve(report, log, want, cfg)
 
 
 def _raised(fn):
@@ -557,38 +587,37 @@ def _restless_member_family(k: int):
     (_restless_member_family, 1, NoConvergence),
 ])
 def test_ode_lanes_leave_failing_members_to_ode_solve(k, make, sweeps, error, monkeypatch):
+    # the lanes record the failure of member k, and the probe, the first
+    # to read it, raises what ode_solve raises for member k; ode_solve
+    # itself sees the limit only
     monkeypatch.setattr(applications, "_MAX_SWEEPS", sweeps)
     members, limit = make(k)
     cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=30)
-    run = lambda lanes: ode_sequence_harness(
-        members, limit, (1, 2, 5, 10), cfg, grid_pts=65, lanes=lanes)
-    want = _raised(lambda: run(False))
+    cert = _family_certificate(ode_certify(members(1)), ode_certify(limit), limit.center)
+    want = _raised(lambda: ode_solve(members(k), 65, 1e-10, cert))
     assert want[0] is error
     calls = _counting_ode_solve(monkeypatch)
-    assert _raised(lambda: run(True)) == want
-    # the lane member built, and the lanes met the fault: only the limit and
-    # member k reached ode_solve
-    assert len(calls) == 2
+    assert _raised(lambda: ode_sequence_harness(
+        members, limit, (1, 2, 5, 10), cfg, grid_pts=65)) == want
+    assert calls == [limit]
 
 
-def test_ode_lanes_leave_members_that_cannot_be_built_to_ode_solve():
-    # no member from 7 on can be built, so no lane block that holds one
-    # builds, and member 2 leaves its tube, which the rows meet first: the
-    # lanes must not raise for member 10 before that.  At grid 2049 a block
-    # holds 16 lanes, so every block holds a member from 7 on.
+def test_ode_lane_build_errors_propagate(monkeypatch):
+    # no lane member that holds a member from 7 on can be built: the
+    # harness raises that error before it solves anything, though member
+    # 2 would leave its tube
     members, limit = _leaky_member_family(2)
 
     def faulty(n):
         if np.any(n >= 7):
-            raise ValueError(f"member {n} cannot be built")
+            raise ValueError("a member from 7 on cannot be built")
         return members(n)
 
     cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=60)
-    run = lambda lanes: ode_sequence_harness(
-        faulty, limit, (1, 2, 5, 10), cfg, grid_pts=2049, lanes=lanes)
-    want = _raised(lambda: run(False))
-    assert want[0] is LeftInvariantSet
-    assert _raised(lambda: run(True)) == want
+    calls = _counting_ode_solve(monkeypatch)
+    with pytest.raises(ValueError, match="^a member from 7 on cannot be built$"):
+        ode_sequence_harness(faulty, limit, (1, 2, 5, 10), cfg, grid_pts=2049)
+    assert calls == []
 
 
 def test_ode_lanes_stop_rule_edges(monkeypatch):
@@ -603,42 +632,34 @@ def test_ode_lanes_stop_rule_edges(monkeypatch):
     for tol in (step.first, 5e-324):
         assert ode_solve(members(2), 65, tol, certificate=cert).iterations == (
             2 if tol == step.first else 16)
-        want: dict = {}
-        ode_sequence_harness(members, limit, (2,), cfg, grid_pts=65, tol=tol,
-                             distance_log=want)
+        want = _ode_solve_distances(members, limit, range(1, 31), 65, tol)
         calls = _counting_ode_solve(monkeypatch)
         got: dict = {}
-        ode_sequence_harness(members, limit, (2,), cfg, grid_pts=65, tol=tol,
-                             distance_log=got, lanes=True)
+        report = ode_sequence_harness(members, limit, (2,), cfg, grid_pts=65, tol=tol,
+                                      distance_log=got)
         monkeypatch.undo()
         assert calls == [limit]
-        assert sorted(got) == sorted(want) == list(range(1, 31))
-        for n in got:
-            assert (_bits((got[n].first, got[n].second))
-                    == _bits((want[n].first, want[n].second))), n
+        _assert_is_ode_solve(report, got, want, cfg)
 
 
 # each breaks the slopes of a lane member, and of no member on one index
-@pytest.mark.parametrize("broken", [
-    lambda p: dataclasses.replace(p, f=lambda x, y: 1 / 0),
-    lambda p: dataclasses.replace(p, f=lambda x, y: p.f(x, y)[:, :-1]),
-    lambda p: dataclasses.replace(p, f=lambda x, y: p.f(x, y).astype(np.float32)),
-    lambda p: dataclasses.replace(p, g=lambda x, z: 0.0),
-])
-def test_ode_lanes_drop_a_block_whose_slopes_fail(broken, monkeypatch):
+@pytest.mark.parametrize("broken, raised", [
+    (lambda p: dataclasses.replace(p, f=lambda x, y: 1 / 0), ZeroDivisionError),
+    (lambda p: dataclasses.replace(p, f=lambda x, y: p.f(x, y)[:, :-1]), TypeError),
+    (lambda p: dataclasses.replace(p, f=lambda x, y: p.f(x, y).astype(np.float32)), TypeError),
+    (lambda p: dataclasses.replace(p, g=lambda x, z: 0.0), TypeError),
+], ids=["<lambda>0", "<lambda>1", "<lambda>2", "<lambda>3"])
+def test_ode_lanes_drop_a_block_whose_slopes_fail(broken, raised, monkeypatch):
+    # lane slopes that raise, or are not float64 arrays of the shape of the
+    # values they were given, stop the harness before its first row: only
+    # the limit was solved, and no member reaches ode_solve
     members, limit = _damped_ivp_family()
     faulty = lambda n: broken(members(n)) if isinstance(n, np.ndarray) else members(n)
     cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=60)
-    want_log: dict = {}
-    want = ode_sequence_harness(members, limit, (1, 5, 60), cfg, grid_pts=65,
-                                distance_log=want_log)
     calls = _counting_ode_solve(monkeypatch)
-    got_log: dict = {}
-    got = ode_sequence_harness(faulty, limit, (1, 5, 60), cfg, grid_pts=65,
-                               distance_log=got_log, lanes=True)
-    assert got == want
-    assert got_log == want_log
-    assert len(calls) == 1 + 60  # the limit, then every member through ode_solve
+    with pytest.raises(raised):
+        ode_sequence_harness(faulty, limit, (1, 5, 60), cfg, grid_pts=65)
+    assert calls == [limit]
 
 
 def _noting_rows(fn, rows: list):
@@ -684,24 +705,18 @@ def test_ode_lanes_sweep_an_equation_shared_with_the_limit_once(
     y_rows, z_rows = [], []
     members, limit = _sharing_family(kind, y_rows, z_rows)
     cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=40)
-    run = lambda lanes, log: ode_sequence_harness(
-        members, limit, (1, 2, 5, 10), cfg, grid_pts=grid_pts, distance_log=log, lanes=lanes)
-    want_log: dict = {}
-    want = run(False, want_log)
-    assert not y_rows and not z_rows  # without lanes, no 2-D calls
     calls = _counting_ode_solve(monkeypatch)
-    got_log: dict = {}
-    got = run(True, got_log)
+    log: dict = {}
+    report = ode_sequence_harness(members, limit, (1, 2, 5, 10), cfg, grid_pts=grid_pts,
+                                  distance_log=log)
     assert calls == [limit]  # every member came from the lanes
-    assert got == want
-    assert sorted(got_log) == sorted(want_log) == list(range(1, 41))
-    for n in got_log:
-        assert (_bits((got_log[n].first, got_log[n].second))
-                == _bits((want_log[n].first, want_log[n].second))), n
     # a shared equation is swept as one row per block, any other per lane
     for rows, shared in ((y_rows, y_shared), (z_rows, z_shared)):
         assert rows
         assert (set(rows) == {1}) if shared else (max(rows) > 1), (kind, rows)
+    monkeypatch.undo()
+    want = _ode_solve_distances(members, limit, range(1, 41), grid_pts)
+    _assert_is_ode_solve(report, log, want, cfg)
 
 
 def test_ode_lanes_keep_the_bits_of_a_shared_equation_whose_sharing_ends(monkeypatch):
@@ -715,22 +730,17 @@ def test_ode_lanes_keep_the_bits_of_a_shared_equation_whose_sharing_ends(monkeyp
         members(n), f=lambda x, y: -_where(np.isin(n, slow), 2.0, 1.0) * y, lip_f=2.0,
         g=own_g if np.size(n) == len(slow) else limit.g)
     cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=30)
-    want_log: dict = {}
-    ode_sequence_harness(parted, limit, (1, 2, 5, 10), cfg, grid_pts=65,
-                         distance_log=want_log)
     sweeps = {n: ode_solve(parted(n), 65, 1e-10, _family_certificate(
         ode_certify(parted(1)), ode_certify(limit), limit.center)).iterations
         for n in (1, 3)}
     assert sweeps[1] > sweeps[3]
     calls = _counting_ode_solve(monkeypatch)
-    got_log: dict = {}
-    ode_sequence_harness(parted, limit, (1, 2, 5, 10), cfg, grid_pts=65,
-                         distance_log=got_log, lanes=True)
+    log: dict = {}
+    report = ode_sequence_harness(parted, limit, (1, 2, 5, 10), cfg, grid_pts=65,
+                                  distance_log=log)
     assert calls == [limit]
-    assert sorted(got_log) == sorted(want_log) == list(range(1, 31))
-    for n in got_log:
-        assert (_bits((got_log[n].first, got_log[n].second))
-                == _bits((want_log[n].first, want_log[n].second))), n
+    _assert_is_ode_solve(report, log, _ode_solve_distances(parted, limit, range(1, 31), 65),
+                         cfg)
 
 
 def test_ode_sequence_scenario_solves_only_the_limit_through_ode_solve(monkeypatch):
@@ -738,3 +748,17 @@ def test_ode_sequence_scenario_solves_only_the_limit_through_ode_solve(monkeypat
     run = run_scenario("ode_sequence", ScenarioConfig(horizon=1000))
     assert run.verdict
     assert len(calls) == 1
+
+
+def test_ode_member_rates_above_the_family_certificate_are_refused(monkeypatch):
+    # the certificate reads member 1 (rate 2 / 4 = 0.5) and the limit; member
+    # 7 declares lip_f = 2.9, a rate of 0.725 under tau = 4, so its stop rule
+    # and bound would rest on a rate it does not have
+    members, limit = _damped_ivp_family()
+    steep = lambda n: dataclasses.replace(members(n), lip_f=_where(n == 7, 2.9, 1.0 + 1.0 / n))
+    cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=30)
+    calls = _counting_ode_solve(monkeypatch)
+    with pytest.raises(ValueError, match=r"^member 7 declares rate max\(lip_f, lip_g\) / tau = "
+                                         r"0\.725, above the family certificate's 0\.5$"):
+        ode_sequence_harness(steep, limit, (1, 2, 5, 10), cfg, grid_pts=65)
+    assert calls == []  # refused before the limit is solved

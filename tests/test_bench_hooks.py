@@ -8,8 +8,10 @@ from the class's own vars().
 
 The hooks also change what the library may do under trace: the wrapper of
 spectral_radius hashes its argument, and the member counter puts each index
-in a set.  A lane column handed to either fails there, and the lanes then
-fall back to scalar solves without a word, which the last test would see.
+in a set.  A lane column handed to either raises TypeError there, and the
+harnesses, which solve members on lanes only, let it propagate: a traced
+run of a scenario would fail, as the counts below and the traced bench
+smoke runs in CI would show.
 """
 
 import importlib

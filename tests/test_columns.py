@@ -1,7 +1,10 @@
 """Columnar sequence sources: the checkers and harness probes that hand the
-probe judge whole float64 columns must report exactly what the same family
-without lanes reports, and raise what it raises."""
+probe judge whole float64 columns must report exactly what is reported
+without them, and raise what is raised: for a checker, by the same family
+whose members take one index only, judged index by index; for a harness,
+by the same harness with every member solved by picard_solve."""
 
+import operator
 from decimal import Decimal
 from pathlib import Path
 
@@ -33,6 +36,7 @@ from conefix.scenarios import (
     _system_family,
     run_scenario,
 )
+from picard_reference import picard_members
 from conefix.spaces import (
     BoxDomain,
     CSeqProbeConfig,
@@ -66,7 +70,7 @@ def _systems_family() -> MapFamily:
     members, limit = _system_family()
     return MapFamily(
         lambda n: members(n).as_contraction(), limit.as_contraction(),
-        coefficient_bound=R2Elem(0.5, 0.0), lanes=True,
+        coefficient_bound=R2Elem(0.5, 0.0),
     )
 
 
@@ -118,8 +122,28 @@ def _producers(space, start, witness, lane_witness, points, cfg, lanes):
 
 
 def _scalar_twin(family: MapFamily) -> MapFamily:
-    family.lanes = False
-    return family
+    """family with members that refuse an index column: it has no lane form,
+    so the checkers judge it index by index."""
+    members = family._members
+    return MapFamily(lambda n: members(operator.index(n)), family.limit,
+                     family.coefficient_bound, family.adversarial)
+
+
+# the producers whose members are solved: their reference is picard_solve
+_HARNESS_PRODUCERS = ("uniform probe", "pointwise probe", "subdomain probe")
+
+
+def _assert_producers_match(make, space, start, witness, lane_witness, points, cfg):
+    with_lanes = _producers(space, start, witness, lane_witness, points, cfg, True)
+    without = _producers(space, start, witness, lane_witness, points, cfg, False)
+    for producer in with_lanes:
+        got = _outcome(lambda: with_lanes[producer](make()))
+        if producer in _HARNESS_PRODUCERS:
+            with picard_members():
+                want = _outcome(lambda: with_lanes[producer](make()))
+        else:
+            want = _outcome(lambda: without[producer](_scalar_twin(make())))
+        assert got == want, producer
 
 
 @pytest.mark.parametrize("name", sorted(_FAMILIES))
@@ -129,12 +153,7 @@ def test_producers_match_the_scalar_family_on_scenario_families(name):
     cfg = CSeqProbeConfig.default(kind, horizon=2000)
     rng = np.random.default_rng(3)
     points = space.sample(rng, 3) + ([0.0, 1.0] if kind is UT2Elem else [(0.5, -0.5)])
-    with_lanes = _producers(space, start, witness, lane_witness, points, cfg, True)
-    without = _producers(space, start, witness, lane_witness, points, cfg, False)
-    for producer in with_lanes:
-        got = _outcome(lambda: with_lanes[producer](make()))
-        want = _outcome(lambda: without[producer](_scalar_twin(make())))
-        assert got == want, producer
+    _assert_producers_match(make, space, start, witness, lane_witness, points, cfg)
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,7 +171,8 @@ def test_producers_match_the_scalar_family_on_random_affine_families(
 ):
     # member n is x -> r_n x + shift / n; the draw covers images and
     # witnesses that leave the carrier or the member domain, which must
-    # send the judge back to the scalar fetch and its exception
+    # send the judge back to the scalar fetch and its exception, and member
+    # solves that fail, which must raise what picard_solve raises
     r = lambda n: rate * (1.0 - 1.0 / (n + 1.0))
     if plane:
         step = lambda n, p: (r(n) * p[0] + shift / n, r(n) * p[1] - shift / n)
@@ -168,25 +188,19 @@ def test_producers_match_the_scalar_family_on_random_affine_families(
         witness = lambda x: (lambda n: x + (target - x) / n)
         lane_witness = lambda x: (lambda ns: x + (target - x) / ns)
 
-    def make(lanes: bool) -> MapFamily:
+    def make() -> MapFamily:
         return MapFamily(
             lambda n: ContractionMap(lambda x: step(n, x), kind.of(r(n), 0.0), domain),
             ContractionMap(lambda x: step(10**6, x), kind.of(rate, 0.0), domain),
             coefficient_bound=kind.of(rate, 0.0),
-            lanes=lanes,
         )
 
     cfg = CSeqProbeConfig(tuple(kind.of(s, s) for s in (0.5, 0.05)), horizon=horizon)
     points = space.sample(np.random.default_rng(seed), 2)
-    with_lanes = _producers(space, start, witness, lane_witness, points, cfg, True)
-    without = _producers(space, start, witness, lane_witness, points, cfg, False)
-    for producer in with_lanes:
-        got = _outcome(lambda: with_lanes[producer](make(True)))
-        want = _outcome(lambda: without[producer](make(False)))
-        assert got == want, producer
+    _assert_producers_match(make, space, start, witness, lane_witness, points, cfg)
 
 
-def _faulty_family(case: str, k: int, lanes: bool) -> MapFamily:
+def _faulty_family(case: str, k: int) -> MapFamily:
     """Halving members except member k, which cannot be built, maps out of
     the carrier, or lives on a domain the witness misses.  The members are
     array-safe, so every lane member but the one of "construction" builds,
@@ -202,7 +216,7 @@ def _faulty_family(case: str, k: int, lanes: bool) -> MapFamily:
                               IntervalDomain(lo, 1.0))
 
     limit = ContractionMap(lambda x: 0.5 * x + 0.125, UT2Elem(0.5, 0.0), UNIT_INTERVAL)
-    return MapFamily(members, limit, lanes=lanes)
+    return MapFamily(members, limit)
 
 
 _CHECKER_CALLS = {
@@ -227,17 +241,17 @@ def test_columnar_checkers_raise_the_first_scalar_error(checker, case, raised, k
     space = IntervalUT2Space(1.0)
     cfg = CSeqProbeConfig(probes=(UT2Elem(0.5, 0.5),), horizon=30)
     caught = []
-    for lanes in (False, True):
-        family = _faulty_family(case, k, lanes)
+    family = _faulty_family(case, k)
+    for checked in (_scalar_twin(family), family):
         with pytest.raises(raised) as info:
-            _CHECKER_CALLS[checker](family, space, cfg)
+            _CHECKER_CALLS[checker](checked, space, cfg)
         caught.append((type(info.value), str(info.value)))
     assert caught[0] == caught[1]
     if case == "domain":
         assert f"index {k}" in caught[0][1]
     # the lanes, not a failed build, meet every fault but the construction
-    built = fixed_point._lane_member(family, space, np.arange(1, 31))
-    assert (built is None) is (case == "construction")
+    built = _outcome(lambda: family._members(np.arange(1, 31)))
+    assert (type(built) is tuple) is (case == "construction")
 
 
 def test_premises_make_no_scalar_distance_call(monkeypatch):
@@ -299,18 +313,15 @@ def test_uniform_check_keeps_adversarial_points_with_lanes():
     c = 0.3183098861837907
     step = lambda n, x: 0.5 * x + 0.25 / (1.0 + (n * n * n) * (x - c) * (x - c))
 
-    def make(lanes: bool) -> MapFamily:
-        return MapFamily(
-            lambda n: PlainMap(lambda x: step(n, x), UNIT_INTERVAL),
-            PlainMap(lambda x: 0.5 * x, UNIT_INTERVAL),
-            adversarial=lambda n: [c],
-            lanes=lanes,
-        )
-
+    family = MapFamily(
+        lambda n: PlainMap(lambda x: step(n, x), UNIT_INTERVAL),
+        PlainMap(lambda x: 0.5 * x, UNIT_INTERVAL),
+        adversarial=lambda n: [c],
+    )
     cfg = CSeqProbeConfig(probes=(UT2Elem(0.1, 0.1),), horizon=200)
     space = IntervalUT2Space(1.0)
-    got = check_uniform_convergence(make(True), space, cfg, grid_count=33)
-    assert got == check_uniform_convergence(make(False), space, cfg, grid_count=33)
+    got = check_uniform_convergence(family, space, cfg, grid_count=33)
+    assert got == check_uniform_convergence(_scalar_twin(family), space, cfg, grid_count=33)
     assert not got.passed
 
 
@@ -377,7 +388,7 @@ def _assert_power_lanes_match(family, ns, points):
     lane_ns = np.repeat(ns, len(points))
     xs = np.tile([p[0] for p in points], ns.size)
     ys = np.tile([p[1] for p in points], ns.size)
-    got = fixed_point._lane_member(family, PlaneR2Space(), lane_ns).map((xs, ys))
+    got = family._members(lane_ns).map((xs, ys))
     want = [family.member(n).map(p) for n in ns.tolist() for p in points]
     assert _bits(got[0]) == _bits([w[0] for w in want])
     assert _bits(got[1]) == _bits([w[1] for w in want])
@@ -547,8 +558,9 @@ def _uniform_adversarial(case: str, lanes: bool):
         lambda n: PlainMap(lambda x: step(n, x), HALF_OPEN),
         PlainMap(lambda x: 0.5 * x, HALF_OPEN),
         adversarial=adversarial,
-        lanes=lanes,
     )
+    if not lanes:
+        family = _scalar_twin(family)
     cfg = CSeqProbeConfig(probes=(UT2Elem(0.1, 0.1),), horizon=200)
     return check_uniform_convergence(family, IntervalUT2Space(1.0), cfg, grid_count=33)
 

@@ -1,5 +1,7 @@
 """Contraction solving, convergence-mode checkers, and limit harnesses."""
 
+import dataclasses
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -7,11 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conefix.applications as applications
 import conefix.fixed_point as fixed_point
 from conefix.algebra import R2Elem, UT2Elem, norm, zero
+from conefix.applications import (
+    CoupledSystem,
+    _family_certificate,
+    coupled_sequence_harness,
+    ode_certify,
+    ode_sequence_harness,
+    ode_solve,
+)
 from conefix.errors import (
-    ConefixError,
     IterateEscapedDomain,
+    LeftInvariantSet,
     PointOutsideCarrier,
     WitnessOutsideDomain,
 )
@@ -19,6 +30,7 @@ from conefix.fixed_point import (
     ContractionMap,
     MapFamily,
     PlainMap,
+    SolvedMembers,
     check_equicontinuity,
     check_pointwise_convergence,
     check_uniform_convergence,
@@ -35,8 +47,9 @@ from conefix.fixed_point import (
     uniform_limit_harness,
     verify_contraction,
 )
-from conefix.fixed_point import _LANE_STALL, _solve_members
+from conefix.fixed_point import _solve_members
 from conefix.errors import NoConvergence
+from conefix.scenarios import _power
 from conefix.spaces import (
     BoxDomain,
     CSeqProbeConfig,
@@ -46,6 +59,7 @@ from conefix.spaces import (
     ProbeOutcome,
     default_probes,
 )
+from picard_reference import outcome, picard_members
 
 UNIT_INTERVAL = IntervalDomain(0.0, 1.0)
 
@@ -56,6 +70,12 @@ def _where(cond, a, b):
     own lane form on an index column."""
     out = np.where(cond, a, b)
     return out.item() if out.ndim == 0 else out
+
+
+def _scalar_only(members):
+    """members, refusing an index column: a family of it has no lane form,
+    and the convergence checkers judge it index by index."""
+    return lambda n: members(operator.index(n))
 
 
 def _half_plus(shift: float, domain=None) -> ContractionMap:
@@ -82,11 +102,9 @@ def _subinterval_family() -> MapFamily:
 
 def _power_box_family() -> MapFamily:
     """Coordinatewise powers on the open unit box, shrinking to the zero map
-    pointwise but not uniformly."""
+    pointwise but not uniformly; the powers are Python's own on lanes too."""
     box = BoxDomain((0.0, 0.0), (1.0, 1.0), open_hi=True)
-    members = lambda n: PlainMap(
-        lambda p, n=n: (p[0] ** (n * n), p[1] ** n), box
-    )
+    members = lambda n: PlainMap(lambda p, n=n: _power(n, p), box)
     limit = PlainMap(lambda p: (0.0, 0.0), box)
     return MapFamily(
         members, limit,
@@ -319,11 +337,12 @@ def test_uniform_convergence_rejects_stray_witness():
 @pytest.mark.parametrize("grid_count", [0, -1])
 def test_uniform_convergence_refuses_an_empty_grid(grid_count, lanes):
     # an empty grid used to end in max() of an empty sequence, after the
-    # columnar sup divided by a grid size of zero
+    # columnar sup divided by a grid size of zero; so with a lane form and
+    # with members that take one index only
+    members = lambda n: PlainMap(lambda x: x / n, UNIT_INTERVAL)
     family = MapFamily(
-        lambda n: PlainMap(lambda x: x / n, UNIT_INTERVAL),
+        members if lanes else _scalar_only(members),
         PlainMap(lambda x: 0.0, UNIT_INTERVAL),
-        lanes=lanes,
     )
     cfg = CSeqProbeConfig.default(UT2Elem, horizon=50)
     with pytest.raises(ValueError, match=rf"^grid_count must be >= 1, got {grid_count}$"):
@@ -442,7 +461,7 @@ def test_subdomain_harness_witness_and_responder_forms():
         probes=(UT2Elem(1.0, 1.0), UT2Elem(0.05, 0.05)), horizon=300
     )
     edge = lambda n: 1.0 / n
-    cache: dict = {}
+    cache = SolvedMembers()
     witness_rep = subdomain_limit_harness(
         family, space, cfg, range(1, 51), start=1.0, x_inf=0.0,
         witness=edge, fp_cache=cache,
@@ -495,6 +514,10 @@ class _RaySpace:
         t = abs(x - y)
         return self.kind.of(t * self.direction[0], t * self.direction[1])
 
+    def distances(self, xs, ys):
+        t = np.abs(xs - ys)
+        return t * self.direction[0], t * self.direction[1], np.zeros(t.shape, dtype=bool)
+
 
 def _ray_bound(harness: str, kind, k, direction):
     """The bound a harness certifies for (e - k)^-1 * d with d = direction.
@@ -505,8 +528,8 @@ def _ray_bound(harness: str, kind, k, direction):
     0 on the limit point) is d(1, 0) = direction exactly.
     """
     space = _RaySpace(kind, direction)
-    family = MapFamily(lambda n: ContractionMap(lambda x: 1.0, k),
-                       ContractionMap(lambda x: 0.0, k))
+    family = MapFamily(lambda n: ContractionMap(lambda x: 0.0 * x + 1.0, k),
+                       ContractionMap(lambda x: 0.0 * x, k))
     cfg = CSeqProbeConfig(default_probes(kind), horizon=2, tail_required=1)
     if harness == "uniform":
         report = uniform_limit_harness(family, space, cfg, (1,), start=0.5)
@@ -580,7 +603,7 @@ def test_cluster_check_frozen_family():
 
 
 def test_cluster_check_oscillating_family_draws_no_conclusion():
-    members = lambda n: _half_plus(0.1 if n % 2 else 0.4)
+    members = lambda n: _half_plus(_where(n % 2 == 1, 0.1, 0.4))
     family = MapFamily(members, _half_plus(0.0))
     space = IntervalUT2Space(1.0)
     report = fixed_point_cluster_check(
@@ -723,15 +746,13 @@ def test_equicontinuous_pointwise_composition():
 
 
 def _shipped_lane_families():
-    """The scenario families that declare lanes, with the space, start and
-    tolerance their scenarios solve them at."""
+    """The scenario families, with the space, start and tolerance their
+    scenarios solve them at."""
     from conefix.scenarios import _interval_ut2_family, _subinterval_family, _system_family
 
     # the system family as coupled_sequence_harness builds it for thm_4_1
     members, limit = _system_family()
-    systems = MapFamily(
-        lambda n: members(n).as_contraction(), limit.as_contraction(), lanes=True,
-    )
+    systems = MapFamily(lambda n: members(n).as_contraction(), limit.as_contraction())
     return {
         "thm_2_9": (
             _interval_ut2_family(lambda n: 1.0 / (n + 2.0), lambda n: 0.5),
@@ -750,24 +771,34 @@ def _shipped_lane_families():
 
 
 def _same_result(got, ref) -> bool:
-    """Equal fields and equal types, down to the coordinates of a pair."""
-    if got != ref or type(got.point) is not type(ref.point):
+    """Equal fields and equal types, down to the coordinates of a pair; for
+    two failures, the same type and message."""
+    if got != ref or type(got) is not type(ref):
+        return False
+    if type(ref) is tuple:  # (type, message) of a failure
+        return True
+    if type(got.point) is not type(ref.point):
         return False
     if isinstance(ref.point, tuple):
         return all(type(a) is type(b) for a, b in zip(got.point, ref.point))
     return True
 
 
+def _assert_store_is_picard(store, family, space, start, tol, ns) -> None:
+    """Every index of ns reads from store what picard_solve returns or raises
+    for its member, bit for bit."""
+    for n in ns:
+        got = outcome(lambda: store[n])
+        want = outcome(lambda: picard_solve(family.member(n), space, start, tol))
+        assert _same_result(got, want), (n, got, want)
+
+
 @pytest.mark.parametrize("name", ["thm_2_9", "thm_2_10", "thm_3_6", "thm_4_1"])
 def test_lanes_match_picard_on_shipped_families(name):
     family, space, x0, tol = _shipped_lane_families()[name]
-    cache: dict = {}
-    _solve_members(family, space, x0, tol, cache, range(1, 10_001))
-    # every member was solved by the lanes, before any lazy scalar solve
-    assert sorted(cache) == list(range(1, 10_001))
-    for n in range(1, 10_001):
-        ref = picard_solve(family.member(n), space, x0, tol)
-        assert _same_result(cache[n], ref), n
+    store = _solve_members(family, space, x0, tol, None, np.arange(1, 10_001))
+    assert store._failed == {}
+    _assert_store_is_picard(store, family, space, x0, tol, range(1, 10_001))
 
 
 @settings(max_examples=80, deadline=None)
@@ -786,8 +817,9 @@ def test_lanes_match_picard_on_random_affine_families(
     # member n is x -> r_n x + shift / n with rates growing toward rate,
     # and on the plane y also leans on x by second, the coefficient's second
     # coordinate, which the stop rule counts; the draw covers converging
-    # lanes, domain and carrier escapes, and lanes that run out of
-    # iterations, which the lanes must all leave to picard
+    # lanes, starts outside the domain, domain and carrier escapes, and
+    # lanes that run out of iterations, each of which the store must raise
+    # as picard_solve raises it
     r = lambda n: rate * (1.0 - 1.0 / (n + 1.0))
     if plane:
         step = lambda n, p: (r(n) * p[0] + shift / n,
@@ -801,19 +833,11 @@ def test_lanes_match_picard_on_random_affine_families(
     family = MapFamily(
         lambda n: ContractionMap(lambda x: step(n, x), kind.of(r(n), second), domain),
         ContractionMap(lambda x: x, kind.of(0.5, 0.0)),
-        lanes=True,
     )
-    cache: dict = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fixed_point, "_MAX_ITER", 400)
-        _solve_members(family, space, start, tol, cache, range(1, 25))
-        for n in range(1, 25):
-            try:
-                ref = picard_solve(family.member(n), space, start, tol)
-            except ConefixError:
-                assert n not in cache
-            else:
-                assert _same_result(cache[n], ref), n
+        store = _solve_members(family, space, start, tol, None, np.arange(1, 25))
+        _assert_store_is_picard(store, family, space, start, tol, range(1, 25))
 
 
 @pytest.mark.parametrize("jump, tol, iterations", [
@@ -823,31 +847,30 @@ def test_lanes_match_picard_on_random_affine_families(
     # the threshold underflows to zero: only an exact zero step stops
     (0.0, 5e-324, 55),
     # the lane stops at 0.46875, whose image jumps out of the carrier, so
-    # picard_solve raises on the residual
+    # picard_solve raises on the residual, and so does the store
     (2.0, 0.1, None),
 ])
 def test_lane_stop_rule_edges_match_picard(jump, tol, iterations):
     family = MapFamily(
         lambda n: ContractionMap(lambda x: 0.5 * x + 0.25 + (x >= 0.46) * jump,
                                  UT2Elem(0.5, 0.0)),
-        _half_plus(0.0), lanes=True,
+        _half_plus(0.0),
     )
     space = IntervalUT2Space(1.0)
-    cache: dict = {}
-    _solve_members(family, space, 0.0, tol, cache, (1, 2))
+    store = _solve_members(family, space, 0.0, tol, None, np.arange(1, 3))
+    _assert_store_is_picard(store, family, space, 0.0, tol, (1, 2))
     if iterations is None:
         with pytest.raises(PointOutsideCarrier):
-            picard_solve(family.member(1), space, 0.0, tol)
-        assert cache == {}
-        return
-    ref = picard_solve(family.member(1), space, 0.0, tol)
-    assert ref.iterations == iterations
-    assert _same_result(cache[1], ref)
+            store[1]
+    else:
+        assert store[1].iterations == iterations
 
 
-def test_lanes_leave_a_stalled_lane_to_picard():
+def test_a_stalled_lane_runs_on_the_lanes_to_the_iteration_cap(monkeypatch):
     # member 3 swaps x and 1 - x forever; the others contract slowly, at
-    # rate 0.99, over some 2500 iterations, so their steps keep shrinking
+    # rate 0.99, over some 2500 iterations.  The stuck lane iterates on the
+    # lanes, alone at the end, until the cap, and then raises NoConvergence
+    monkeypatch.setattr(fixed_point, "_MAX_ITER", 3000)
     calls = []
 
     def members(n):
@@ -859,79 +882,16 @@ def test_lanes_leave_a_stalled_lane_to_picard():
 
         return ContractionMap(step, UT2Elem(_where(stuck, 0.5, 0.99), 0.0), UNIT_INTERVAL)
 
-    family = MapFamily(members, _half_plus(0.0), lanes=True)
+    family = MapFamily(members, _half_plus(0.0))
     space = IntervalUT2Space(1.0)
-    cache: dict = {}
-    _solve_members(family, space, 0.25, 1e-12, cache, range(1, 9))
-    # the stuck lane is dropped at the second stall check, not at _MAX_ITER
-    assert calls.index(7) == 2 * _LANE_STALL
-    assert sorted(cache) == [1, 2, 4, 5, 6, 7, 8]
-    for n in sorted(cache):
-        ref = picard_solve(family.member(n), space, 0.25, 1e-12)
-        assert ref.iterations > 2 * _LANE_STALL
-        assert _same_result(cache[n], ref)
-    with pytest.raises(NoConvergence):
-        picard_solve(family.member(3), space, 0.25, 1e-12)
-
-
-def _faulty_family(case: str, k: int, lanes: bool) -> MapFamily:
-    """Halving members except member k, which breaks picard_solve by
-    escaping its domain, leaving the carrier, never settling ("max_iter":
-    it runs into the iteration cap), or failing to be built at all.  The
-    members are array-safe, so every lane member but the one of
-    "construction" builds, and the lanes meet the fault."""
-    domain = None if case == "carrier" else UNIT_INTERVAL
-
-    def bad(x):
-        return 1.0 - x if case == "max_iter" else x + 0.75
-
-    def members(n):
-        hit = n == k
-        if case == "construction":
-            return ContractionMap(lambda x: 0.5 * x + 0.125,
-                                  UT2Elem(_where(hit, 1.5, 0.5), 0.0), domain)
-        return ContractionMap(lambda x: _where(hit, bad(x), 0.5 * x + 0.125),
-                              UT2Elem(0.5, 0.0), domain)
-
-    return MapFamily(members, _half_plus(0.0, UNIT_INTERVAL), lanes=lanes)
-
-
-_HARNESS_CALLS = {
-    "uniform": lambda fam, space, cfg: uniform_limit_harness(
-        fam, space, cfg, (1, 2, 3, 10), start=0.25),
-    "pointwise": lambda fam, space, cfg: pointwise_limit_harness(
-        fam, space, cfg, (1, 2, 3, 10), start=0.25),
-    "subdomain": lambda fam, space, cfg: subdomain_limit_harness(
-        fam, space, cfg, (1, 2, 3, 10), start=0.25, x_inf=0.0,
-        witness=lambda n: 0.5),
-    "cluster": lambda fam, space, cfg: fixed_point_cluster_check(
-        fam, space, range(1, cfg.horizon + 1), start=0.25),
-}
-
-
-@pytest.mark.parametrize("harness", sorted(_HARNESS_CALLS))
-@pytest.mark.parametrize("case, raised", [
-    ("domain", IterateEscapedDomain),
-    ("carrier", PointOutsideCarrier),
-    ("max_iter", NoConvergence),
-    ("construction", ValueError),
-])
-@pytest.mark.parametrize("k", [3, 7])
-def test_lane_failures_raise_what_picard_raises(harness, case, raised, k, monkeypatch):
-    monkeypatch.setattr(fixed_point, "_MAX_ITER", 300)
-    space = IntervalUT2Space(1.0)
-    cfg = CSeqProbeConfig(probes=(UT2Elem(0.5, 0.5),), horizon=30)
-    caught = []
-    for lanes in (False, True):
-        calls = _counting_picard(monkeypatch)
-        with pytest.raises(raised) as info:
-            _HARNESS_CALLS[harness](_faulty_family(case, k, lanes), space, cfg)
-        caught.append((type(info.value), str(info.value)))
-    assert caught[0] == caught[1]
-    if case != "construction":
-        # the lanes met the fault: picard_solve saw at most the limit and
-        # member k
-        assert len(calls) <= 2
+    store = _solve_members(family, space, 0.25, 1e-12, None, np.arange(1, 9))
+    # one map call per iteration up to the cap, then one for the residuals
+    assert len(calls) == 3000 + 1
+    assert calls[0] == 8 and calls[-2] == 1 and calls[-1] == 7
+    assert list(store._failed) == [3]
+    _assert_store_is_picard(store, family, space, 0.25, 1e-12, range(1, 9))
+    with pytest.raises(NoConvergence, match=r"^no fixed point within 3000 iterations"):
+        store[3]
 
 
 def _counting_picard(monkeypatch) -> list:
@@ -947,9 +907,165 @@ def _counting_picard(monkeypatch) -> list:
     return calls
 
 
+def _counting_ode_solve(monkeypatch) -> list:
+    """Patch ode_solve to record the problem of every call; returns the list."""
+    calls = []
+    real = applications.ode_solve
+
+    def counting(problem, *args, **kwargs):
+        calls.append(problem)
+        return real(problem, *args, **kwargs)
+
+    monkeypatch.setattr(applications, "ode_solve", counting)
+    return calls
+
+
+def _faulty_family(case: str, k: int) -> MapFamily:
+    """Halving members from 0.25 except member k, which breaks its solve:
+    its domain misses the start ("start"), an iterate escapes its domain
+    ("domain"), leaves the carrier ("carrier"), never settles ("max_iter":
+    it runs into the iteration cap), or its coefficient is no contraction
+    ("construction").  The members are array-safe, except under "scalar
+    only", where the members callable takes one Python index only."""
+    domain = None if case == "carrier" else UNIT_INTERVAL
+
+    def bad(x):
+        return 1.0 - x if case == "max_iter" else x + 0.75
+
+    def members(n):
+        if case == "scalar only":
+            n = float(n)
+        hit = n == k
+        if case == "start":
+            return ContractionMap(lambda x: 0.5 * x + 0.125, UT2Elem(0.5, 0.0),
+                                  IntervalDomain(_where(hit, 0.5, 0.0), 1.0))
+        if case == "construction":
+            return ContractionMap(lambda x: 0.5 * x + 0.125,
+                                  UT2Elem(_where(hit, 1.5, 0.5), 0.0), domain)
+        return ContractionMap(lambda x: _where(hit, bad(x), 0.5 * x + 0.125),
+                              UT2Elem(0.5, 0.0), domain)
+
+    return MapFamily(members, _half_plus(0.0, UNIT_INTERVAL))
+
+
+def _faulty_systems(case: str, k: int):
+    """(members, limit) of coupled systems, halving toward the root from the
+    origin, except member k, whose map goes to NaN ("carrier") or swaps x
+    and 1 - x forever ("max_iter"); "scalar only" as in _faulty_family."""
+
+    def f(hit, n):
+        bad = (lambda x: np.nan * x) if case == "carrier" else (lambda x: 1.0 - 2.0 * x)
+        return lambda x, y: _where(hit, bad(x), -0.5 * x + 0.25 + 1.0 / n)
+
+    def members(n):
+        if case == "scalar only":
+            n = float(n)
+        return CoupledSystem(f(n == k, n), lambda x, y: -0.5 * y + 0.125, 0.5)
+
+    limit = CoupledSystem(lambda x, y: -0.5 * x + 0.25, lambda x, y: -0.5 * y + 0.125, 0.5)
+    return members, limit
+
+
+def _faulty_problems(case: str, k: int):
+    """(members, limit) of ode_sequence's family, except member k, whose y
+    tube is too narrow for its slope ("tube"), or which alone needs more
+    than one sweep while every other problem has zero slopes ("max_iter",
+    under a cap of one sweep); "scalar only" as in _faulty_family."""
+    from conefix.scenarios import _damped_ivp_family
+
+    members, limit = _damped_ivp_family()
+    if case == "max_iter":
+        limit = dataclasses.replace(limit, f=lambda x, y: 0.0 * y, g=lambda x, z: 0.0 * z)
+        base = lambda n: dataclasses.replace(limit, f=lambda x, y: -1.0 * (n == k) * y)
+    else:
+        base = lambda n: dataclasses.replace(
+            members(n), y_radius=_where(n == k, 0.05, 1.0) if case == "tube" else 1.0)
+    if case == "scalar only":
+        return (lambda n: base(float(n))), limit
+    return base, limit
+
+
+# per harness, the ways a member's solve can fail in it
+_FAILURES = {
+    **{harness: ("start", "domain", "carrier", "max_iter", "construction", "scalar only")
+       for harness in ("uniform", "pointwise", "subdomain", "cluster")},
+    "coupled": ("carrier", "max_iter", "scalar only"),
+    "ode": ("tube", "max_iter", "scalar only"),
+}
+_RAISED = {"start": IterateEscapedDomain, "domain": IterateEscapedDomain,
+           "carrier": PointOutsideCarrier, "max_iter": NoConvergence,
+           "construction": ValueError, "scalar only": TypeError,
+           "tube": LeftInvariantSet}
+
+
+def _failing_run(harness: str, case: str, k: int):
+    """(run, the reference outcome of member k, a test that a scalar solve
+    is the limit's) for a harness on the faulty family of case."""
+    space = IntervalUT2Space(1.0)
+    cfg = CSeqProbeConfig(probes=(UT2Elem(0.5, 0.5),), horizon=30)
+    rows = (1, 2, 3, 10)
+    if harness == "coupled":
+        members, limit = _faulty_systems(case, k)
+        run = lambda: coupled_sequence_harness(
+            members, limit, rows, CSeqProbeConfig((R2Elem(0.5, 0.5),), horizon=30))
+        want = lambda: picard_solve(members(k).as_contraction(), PlaneR2Space(),
+                                    (0.0, 0.0), 1e-12)
+        return run, want, lambda T: T.map == limit.operator
+    if harness == "ode":
+        members, limit = _faulty_problems(case, k)
+        run = lambda: ode_sequence_harness(
+            members, limit, rows, CSeqProbeConfig((R2Elem(0.5, 0.5),), horizon=30),
+            grid_pts=65)
+        cert = _family_certificate(ode_certify(members(1)), ode_certify(limit), limit.center)
+        want = lambda: ode_solve(members(k), 65, 1e-10, cert)
+        return run, want, lambda problem: problem is limit
+    family = _faulty_family(case, k)
+    calls = {
+        "uniform": lambda: uniform_limit_harness(family, space, cfg, rows, start=0.25),
+        "pointwise": lambda: pointwise_limit_harness(family, space, cfg, rows, start=0.25),
+        "subdomain": lambda: subdomain_limit_harness(
+            family, space, cfg, rows, start=0.25, x_inf=0.0, witness=lambda n: 0.5),
+        "cluster": lambda: fixed_point_cluster_check(
+            family, space, range(1, cfg.horizon + 1), start=0.25),
+    }
+    if case == "construction":
+        want = lambda: family.member(k)
+    else:
+        want = lambda: picard_solve(family.member(k), space, 0.25, 1e-12)
+    return calls[harness], want, lambda T: T is family.limit
+
+
+@pytest.mark.parametrize("k, case, raised, harness", [
+    pytest.param(k, case, _RAISED[case], harness,
+                 id=f"{k}-{case}-{_RAISED[case].__name__}-{harness}")
+    for harness, cases in _FAILURES.items() for case in cases for k in (3, 7)
+])
+def test_lane_failures_raise_what_picard_raises(k, case, raised, harness, monkeypatch):
+    # every harness solves its members on lanes only; a member whose solve
+    # fails raises, where the rows or the probe first read it, what
+    # picard_solve or ode_solve raises for it, and the scalar solvers see
+    # at most the limit.  A members callable that is not array-safe is
+    # refused with TypeError before anything is solved
+    monkeypatch.setattr(fixed_point, "_MAX_ITER", 300)
+    monkeypatch.setattr(applications, "_MAX_SWEEPS", 1 if case == "max_iter" else 200)
+    run, want, is_limit = _failing_run(harness, case, k)
+    picard_calls, ode_calls = _counting_picard(monkeypatch), _counting_ode_solve(monkeypatch)
+    with pytest.raises(raised) as info:
+        run()
+    calls = picard_calls + ode_calls
+    if case == "scalar only":
+        assert calls == []  # refused before the limit is solved
+        return
+    # the harnesses that solve a limit solve it once; a lane member that
+    # cannot be built stops them before that
+    solves_limit = harness in ("uniform", "pointwise", "coupled", "ode")
+    assert len(calls) == (solves_limit and case != "construction")
+    assert all(map(is_limit, calls))
+    assert outcome(want) == (type(info.value), str(info.value))
+
+
 def test_lane_family_makes_no_member_picard_solves(monkeypatch):
-    # a silent fall back to scalar solves would keep every payload and lose
-    # the speed, so count the solves: only the limit map is solved by picard
+    # only the limit map is solved by picard
     from conefix.scenarios import _interval_ut2_family
 
     calls = _counting_picard(monkeypatch)
@@ -962,12 +1078,12 @@ def test_lane_family_makes_no_member_picard_solves(monkeypatch):
     assert calls == [family.limit]
 
 
-def _thm_2_9_with_fault(case: str, lanes: bool) -> MapFamily:
-    """The thm_2_9 family with a fault that the lane solver must leave to
-    picard_solve: member 7 cannot be built, so neither can the lane member
-    of its block (after member 2, which escapes its domain, in the "escape"
-    case), the lane member's map raises ("lane_map"), or every member lives
-    on a box, a domain the interval lanes cannot test."""
+def _thm_2_9_with_fault(case: str) -> MapFamily:
+    """The thm_2_9 family with a fault: member 7 cannot be built, so neither
+    can the lane member of its block ("member"), member 2 escapes its
+    domain ("escape"), the map's lane branch is written apart from its one
+    point branch, to the same bits ("lane_map"), or every member lives on a
+    box, a domain that cannot test interval lanes ("box")."""
     from conefix.scenarios import _interval_ut2_family
 
     base = _interval_ut2_family(lambda n: 1.0 / (n + 2.0), lambda n: 0.5)
@@ -975,45 +1091,47 @@ def _thm_2_9_with_fault(case: str, lanes: bool) -> MapFamily:
 
     def step(n, x):
         if case == "lane_map" and isinstance(x, np.ndarray):
-            raise RuntimeError("lane map failed")
+            return np.add(np.multiply(0.5, x), np.divide(1.0, np.add(n, 2.0)))
         good = 0.5 * x + 1.0 / (n + 2.0)
         return _where(n == 2, x + 0.75, good) if case == "escape" else good
 
     def members(n):
-        if case in ("member", "escape") and np.any(n == 7):
+        if case == "member" and np.any(n == 7):
             raise ValueError("member 7 cannot be built")
         return ContractionMap(lambda x: step(n, x), UT2Elem(0.5, 0.0),
                               box if case == "box" else UNIT_INTERVAL)
 
-    return MapFamily(members, base.limit, lanes=lanes)
+    return MapFamily(members, base.limit)
 
 
 @pytest.mark.parametrize("case, start, raised", [
     ("member", 0.0, ValueError),
-    # the rows meet member 2 first, so the lanes must not raise for member 7
     ("escape", 0.0, IterateEscapedDomain),
     ("lane_map", 0.0, None),
     # an int converts to float exactly, so the lanes take it as 0.0
     ("int start", 0, None),
-    ("box", 0.0, TypeError),  # the box cannot unpack an interval point
+    # the box cannot test a column of interval points, nor unpack one point
+    ("box", 0.0, TypeError),
 ])
 def test_lane_fallbacks_match_the_scalar_harness(case, start, raised, monkeypatch):
+    # the harness on lanes against the same harness with every member
+    # solved by picard_solve: the same report, or the same error
     space = IntervalUT2Space(2.0)
     cfg = CSeqProbeConfig.default(UT2Elem, horizon=200)
-    outcomes = []
-    for lanes in (False, True):
-        calls = _counting_picard(monkeypatch)
-        family = _thm_2_9_with_fault(case, lanes)
-        try:
-            report = uniform_limit_harness(family, space, cfg, (1, 2, 7, 50, 200), start)
-        except Exception as exc:
-            outcomes.append((type(exc), str(exc)))
-        else:
-            outcomes.append((None, report.dists, report.bounds, report.probe))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] is raised
-    if case == "int start":
+    run = lambda: uniform_limit_harness(_thm_2_9_with_fault(case), space, cfg,
+                                        (1, 2, 7, 50, 200), start)
+    calls = _counting_picard(monkeypatch)
+    got = outcome(run)
+    if raised is None:
         assert len(calls) == 1  # the limit; the lanes solved every member
+    with picard_members():
+        want = outcome(run)
+    if raised is None:
+        assert (got.dists, got.bounds, got.probe) == (want.dists, want.bounds, want.probe)
+    else:
+        assert got[0] is want[0] is raised
+        if case != "box":  # the box refuses the lanes in its own words
+            assert got == want
 
 
 def test_plane_lane_fallback_for_a_start_of_integers(monkeypatch):
@@ -1023,15 +1141,14 @@ def test_plane_lane_fallback_for_a_start_of_integers(monkeypatch):
 
     members, limit = _system_family()
     cfg = CSeqProbeConfig.default(R2Elem, horizon=200)
-    reports = []
-    for lanes in (False, True):
-        calls = _counting_picard(monkeypatch)
-        family = MapFamily(lambda n: members(n).as_contraction(), limit.as_contraction(),
-                           lanes=lanes)
-        report = uniform_limit_harness(family, PlaneR2Space(), cfg, (1, 2, 50, 200), (0, 0))
-        reports.append((report.dists, report.bounds, report.probe))
-    assert reports[0] == reports[1]
+    family = MapFamily(lambda n: members(n).as_contraction(), limit.as_contraction())
+    run = lambda: uniform_limit_harness(family, PlaneR2Space(), cfg, (1, 2, 50, 200), (0, 0))
+    calls = _counting_picard(monkeypatch)
+    got = run()
     assert len(calls) == 1  # the limit; the lanes solved every member
+    with picard_members():
+        want = run()
+    assert (got.dists, got.bounds, got.probe) == (want.dists, want.bounds, want.probe)
 
 
 class _PointwiseInterval:
@@ -1045,32 +1162,33 @@ class _PointwiseInterval:
         return self.lo <= x <= self.hi
 
 
-def test_a_domain_that_answers_only_for_points_leaves_its_lanes_to_picard(monkeypatch):
+def test_a_domain_that_answers_only_for_points_is_refused_at_entry(monkeypatch):
     # thm_3_6's family, member n on [1/n, 1]: with a domain that cannot
-    # test columns, every member goes to picard_solve and every probe to
-    # the scalar fetch, with the results of the lanes
+    # test columns the harness refuses the family before any solve, while
+    # property G, a checker, judges it index by index, as with lanes
     space = IntervalUT2Space(2.0)
     cfg = CSeqProbeConfig.default(UT2Elem, horizon=200)
     calls = _counting_picard(monkeypatch)
-    outcomes, solves = [], []
-    for domain, lanes in ((IntervalDomain, True), (_PointwiseInterval, True),
-                          (_PointwiseInterval, False)):
-        calls.clear()
+    reports = []
+    for domain in (IntervalDomain, _PointwiseInterval):
         family = MapFamily(
             lambda n, domain=domain: ContractionMap(
                 lambda x: 0.5 * x + 1.0 / (2.0 * n), UT2Elem(0.5, 0.0), domain(1.0 / n, 1.0)),
             ContractionMap(lambda x: 0.5 * x, UT2Elem(0.5, 0.0), UNIT_INTERVAL),
-            lanes=lanes,
         )
-        report = subdomain_limit_harness(family, space, cfg, (1, 2, 50, 200), start=1.0,
-                                         x_inf=0.0, witness=lambda n: 1.0 / n)
-        g = property_g_check(family, space, lambda x: (lambda n: max(x, 1.0 / n)), cfg,
-                             [0.0, 0.5],
-                             lane_witness=lambda x: (lambda ns: np.maximum(x, 1.0 / ns)))
-        outcomes.append((report.dists, report.bounds, report.probe, g))
-        solves.append(len(calls))
-    assert outcomes[0] == outcomes[1] == outcomes[2]
-    assert solves == [0, 200, 200]
+        harness = lambda: subdomain_limit_harness(
+            family, space, cfg, (1, 2, 50, 200), start=1.0, x_inf=0.0,
+            witness=lambda n: 1.0 / n)
+        if domain is IntervalDomain:
+            assert all(harness().respected)
+        else:
+            with pytest.raises(TypeError, match="must answer one bool per lane"):
+                harness()
+        reports.append(property_g_check(
+            family, space, lambda x: (lambda n: max(x, 1.0 / n)), cfg, [0.0, 0.5],
+            lane_witness=lambda x: (lambda ns: np.maximum(x, 1.0 / ns))))
+    assert reports[0] == reports[1]
+    assert calls == []
 
 
 def test_one_answer_for_two_lanes_is_not_taken_for_both():
@@ -1084,7 +1202,6 @@ def test_one_answer_for_two_lanes_is_not_taken_for_both():
         family = MapFamily(
             lambda n: ContractionMap(lambda x: 0.5 * x + 0.25 / n, UT2Elem(0.5, 0.0), box),
             ContractionMap(lambda x: 0.5 * x, UT2Elem(0.5, 0.0), box),
-            lanes=True,
         )
         with pytest.raises(TypeError) as info:
             property_g_check(family, IntervalUT2Space(2.0), lambda x: (lambda n: x), cfg,
@@ -1098,6 +1215,65 @@ def test_one_answer_for_two_lanes_is_not_taken_for_both():
     (np.int64(2 ** 53 + 1), False), (np.float32(0.0), False), (True, True),
 ])
 def test_lane_start_keeps_lanes_for_starts_that_convert_exactly(start, lanes_take_it):
-    assert (fixed_point._lane_start(start, 1) is not None) is lanes_take_it
-    assert (fixed_point._lane_start((0.5, start), 2) is not None) is lanes_take_it
-    assert fixed_point._lane_start([0.5, 0.5], 2) is None
+    # the lanes start from float64 columns: a start that float does not
+    # hold exactly, or whose own arithmetic is not float64's, is refused
+    for dim, point in ((1, start), (2, (0.5, start))):
+        if lanes_take_it:
+            assert fixed_point._start_point(point, dim) == (0.5, float(start))[2 - dim:]
+        else:
+            with pytest.raises(ValueError, match="^start must be a float"):
+                fixed_point._start_point(point, dim)
+    for refused in ([0.5, 0.5], (0.5,), float("nan"), (0.5, float("nan"))):
+        with pytest.raises(ValueError):
+            fixed_point._start_point(refused, 1 if type(refused) is float else 2)
+
+
+# ------------------------------------------------------ the shared store
+
+
+def test_a_shared_store_refuses_another_tol_start_or_family():
+    # a store keyed by index only handed the second call the points it had
+    # solved at tol 1e-2: row n = 10 read dist (0.1017578125, 0.203515625),
+    # a 9-iteration point, where a fresh solve at 1e-12 reads
+    # (0.10000000000020465, 0.2000000000004093)
+    from conefix.scenarios import _subinterval_family
+
+    family = _subinterval_family()
+    space = IntervalUT2Space(2.0)
+    cfg = CSeqProbeConfig.default(UT2Elem, horizon=1000)
+    run = lambda family, tol, start, store: subdomain_limit_harness(
+        family, space, cfg, (1, 10, 100), start=start, x_inf=0.0,
+        witness=lambda n: 1.0 / n, tol=tol, fp_cache=store)
+    store = SolvedMembers()
+    run(family, 1e-2, 1.0, store)
+    for other in ((family, 1e-12, 1.0), (family, 1e-2, 0.5), (_subinterval_family(), 1e-2, 1.0)):
+        with pytest.raises(ValueError, match="^fp_cache holds members solved for another"):
+            run(*other, store)
+    fresh = run(family, 1e-12, 1.0, SolvedMembers())
+    assert fresh.dists[1] == UT2Elem(0.10000000000020465, 0.2000000000004093)
+    # the same problem reads the store again, without a solve
+    again = run(family, 1e-2, 1.0, store)
+    assert again.dists[1] == UT2Elem(0.1017578125, 0.203515625)
+    assert store[10].iterations == 9
+
+
+@pytest.mark.parametrize("harness", ["pointwise", "subdomain"])
+def test_a_coefficient_bound_that_misses_a_member_is_refused(harness, monkeypatch):
+    # member 7 declares rate 0.6 against a coefficient bound of 0.5: the
+    # bound's rows would rest on a domination that does not hold
+    members = lambda n: ContractionMap(
+        lambda x: 0.5 * x + 0.25 / n, UT2Elem(_where(n == 7, 0.6, 0.5), 0.0), UNIT_INTERVAL)
+    family = MapFamily(members, _half_plus(0.0, UNIT_INTERVAL),
+                       coefficient_bound=UT2Elem(0.5, 0.0))
+    space = IntervalUT2Space(1.0)
+    cfg = CSeqProbeConfig(probes=(UT2Elem(0.5, 0.5),), horizon=30)
+    calls = _counting_picard(monkeypatch)
+    with pytest.raises(ValueError, match=r"^coefficient bound UT2Elem\(first=0\.5, second=0\.0\) "
+                                         r"does not dominate the coefficient \(0\.6, 0\.0\) "
+                                         r"of member 7$"):
+        if harness == "pointwise":
+            pointwise_limit_harness(family, space, cfg, (1, 2, 3), start=0.0)
+        else:
+            subdomain_limit_harness(family, space, cfg, (1, 2, 3), start=0.0, x_inf=0.0,
+                                    witness=lambda n: 0.5)
+    assert calls == []  # refused before any solve
