@@ -38,6 +38,7 @@ from .fixed_point import (
     ConvergenceReport,
     MapFamily,
     _bound_report,
+    _entries,
     _padded_bound,
     _row,
     _solved_indices,
@@ -653,8 +654,8 @@ def ode_sequence_harness(
     columns or shared scalars.  The limit is solved by ode_solve, every
     member from the lane form alone (see _ode_lane_block), and only two
     distance columns are kept, which the probe reads; a member whose solve
-    failed raises what ode_solve raises for it at its row, else at the
-    probe's scalar fetch.  The lane slopes are given views of value buffers
+    failed raises what ode_solve raises for it at its row, else at its
+    index in the probe.  The lane slopes are given views of value buffers
     that the next sweep overwrites, so a slope must neither keep nor write
     its inputs.  An equation the lane member poses with the limit's own
     slope object (members(n).g is limit.g, say) and with a scalar initial
@@ -693,7 +694,7 @@ def ode_sequence_harness(
 
     def columns(probe_ns):
         d1, d2 = gaps[:, np.searchsorted(ns, probe_ns)]
-        return d1, d2, np.isnan(d1)
+        return _entries(d1, d2, np.isnan(d1), lambda i: _row(ns, failed, probe_ns[i]))
 
     def sweep(problem: OdeProblem):
         sy = problem.y_init + grid.integral(problem.f(grid.space.nodes, u_y))
@@ -710,7 +711,7 @@ def ode_sequence_harness(
                                          (limit_sweep_y, limit_sweep_z))
         displacement = R2Elem(float(d1), float(d2))
         rows.append((dist, _padded_bound(inv, displacement) + solver_slack))
-    probe = is_c_sequence(distance_to_limit, cfg, (R2Elem, columns))
+    probe = is_c_sequence((R2Elem, columns), cfg)
     if distance_log is not None:
         for n in (*indices, *range(cfg.start, cfg.horizon + 1)):
             distance_log[n] = distance_to_limit(n)

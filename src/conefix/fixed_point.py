@@ -15,7 +15,9 @@ and whether the distance sequence passes the smallness probe.  A harness
 solves all the members it needs from the family's lane form (see MapFamily)
 as numpy lanes, each stopping on its own stop rule, bit for bit as
 picard_solve, and keeps them as columns (SolvedMembers); reading a member
-whose lane failed raises what picard_solve raises for it.
+whose lane failed raises what picard_solve raises for it.  The convergence
+checkers read the same lane form, and every probe is judged from columns
+that raise what the sequence raises at its least failing index (_entries).
 
 Bounds are outward rounded: the inverse (e - k)^-1 is the closed form
 rounded upward, which dominates the exact inverse, but the product
@@ -133,7 +135,7 @@ class MapFamily:
     """An indexed family of contraction maps with a limit map.
 
     members is a callable n -> ContractionMap for n >= 1; member(n) memoises
-    it, because rows and probes revisit the same indices.  For the
+    it, because the rows of two harnesses may read the same indices.  For the
     pointwise, uniform and equicontinuity checkers, members and limit may be
     PlainMaps instead; the fixed point harnesses need coefficients.
     coefficient_bound, when given, must lie in the cone and dominate every
@@ -160,8 +162,8 @@ class MapFamily:
     views.  The fixed point harnesses solve members from the lane form
     alone: an exception from it propagates, and a map that does not return
     float64 columns of the lanes' shape, or a domain that does not answer
-    one bool per lane, raises TypeError.  The convergence checkers judge
-    columns from it, and member(n) index by index where it fails.
+    one bool per lane, raises TypeError.  The convergence checkers take the
+    same contract.
     """
 
     def __init__(
@@ -356,15 +358,10 @@ def check_pointwise_convergence(
         fx = limit_map(x)
 
         def fn(ns, x=x, fx=fx):
-            at = _pack(_constant(x, dim, ns.shape), dim)
-            images = _lane_columns(family._members(ns).map(at), dim, ns.shape)
-            limits = _constant(fx, dim, ns.shape)
-            return space.distances(_pack(images, dim), _pack(limits, dim))
+            at = _constant(x, dim, ns.shape)
+            return _gaps(space, _lane_images(family, ns, at, dim), fx)
 
-        report = is_c_sequence(
-            lambda n: space.distance(family.member(n).map(x), fx), cfg, (space.kind, fn)
-        )
-        reports.append(report)
+        reports.append(is_c_sequence((space.kind, fn), cfg))
     return PointwiseReport(tuple(reports), all(r.passed for r in reports))
 
 
@@ -380,74 +377,75 @@ class UniformReport:
 _SUP_BLOCK = 4096
 
 
-def _adversarial_points(family, domain, n: int) -> list:
-    """The family's adversarial points for n, each of which must lie in
-    domain; none for a family without them."""
-    if family.adversarial is None:
-        return []
-    extra = family.adversarial(n)
-    for p in extra:
-        if not domain.contains(p):
-            raise WitnessOutsideDomain(
-                f"adversarial point {p!r} at index {n} is outside the domain"
-            )
-    return list(extra)
-
-
-def _uniform_sup(family, space, domain, points, n: int):
-    """The componentwise max of d(T_n x, T x) over points and the family's
-    adversarial points for n."""
-    member_map, limit_map = family.member(n).map, family.limit.map
-    points = points + _adversarial_points(family, domain, n)
-    values = [space.distance(member_map(x), limit_map(x)) for x in points]
-    return space.kind.of(max(v.first for v in values), max(v.second for v in values))
-
-
 def _uniform_sups(family, space, domain, points, ns):
-    """_uniform_sup at each index of the int64 column ns, from the family's
-    lane form (see MapFamily), as the (first, second, bad) columns of
-    space.distances: bad[i] marks an index whose scalar sup would raise.
-    An adversarial point outside domain raises here, at its index."""
+    """The componentwise max of d(T_n x, T x) over points and the family's
+    adversarial points for n, at each index n of the int64 column ns, as
+    the _entries of the lane form: at an index, an adversarial point
+    outside domain raises before the distances, the grid's first."""
     dim = _space_dim(space)
     limit_map = family.limit.map
-
-    def distances(lane_ns, at, lim):
-        images = _lane_columns(family._members(lane_ns).map(_pack(at, dim)), dim,
-                               lane_ns.shape)
-        return space.distances(_pack(images, dim), _pack(lim, dim))
-
-    # index x grid products in blocks of at most _SUP_BLOCK values, each
-    # reduced to its componentwise max along the grid axis; a NaN image
-    # makes a NaN sup, which the judge rejects, so max folds in the
-    # adversarial points exactly as the scalar max does
     size = len(points)
     grid = _point_columns(points, dim, size)
     limits = _point_columns(map(limit_map, points), dim, size)
     rows = max(1, _SUP_BLOCK // size)
-    first, second = np.empty(ns.shape), np.empty(ns.shape)
-    bad = np.empty(ns.shape, dtype=bool)
+    first, second = np.full(ns.shape, np.nan), np.full(ns.shape, np.nan)
+    failed = np.zeros(ns.shape, dtype=bool)
+    extra: dict[int, list] = {}  # lane -> the adversarial points of its index
+    stray = None  # (lane, point) of the adversarial point outside domain
+
+    def distances(lane_ns, at, lim):
+        return space.distances(_pack(_lane_images(family, lane_ns, at, dim), dim),
+                               _pack(lim, dim))
+
+    # index x grid products in blocks of at most _SUP_BLOCK values, each
+    # reduced to its componentwise max along the grid axis, into which the
+    # adversarial points of the index are folded
     for i in range(0, ns.size, rows):
         block = ns[i:i + rows]
+        lanes = slice(i, i + block.size)
         at = tuple(np.tile(c, block.size) for c in grid)
         lim = tuple(np.tile(c, block.size) for c in limits)
         d1, d2, out = distances(np.repeat(block, size), at, lim)
-        first[i:i + rows] = d1.reshape(block.size, size).max(axis=1)
-        second[i:i + rows] = d2.reshape(block.size, size).max(axis=1)
-        bad[i:i + rows] = out.reshape(block.size, size).any(axis=1)
-        owners, extra = [], []
-        for lane, n in enumerate(block.tolist(), start=i):
-            witnesses = _adversarial_points(family, domain, n)
-            owners += [lane] * len(witnesses)
-            extra += witnesses
-        if extra:
-            owner = np.array(owners, dtype=np.intp)
-            at = _point_columns(extra, dim, len(extra))
-            lim = _point_columns(map(limit_map, extra), dim, len(extra))
-            d1, d2, out = distances(ns[owner], at, lim)
-            np.maximum.at(first, owner, d1)
-            np.maximum.at(second, owner, d2)
-            np.logical_or.at(bad, owner, out)
-    return first, second, bad
+        first[lanes] = d1.reshape(block.size, size).max(axis=1)
+        second[lanes] = d2.reshape(block.size, size).max(axis=1)
+        failed[lanes] = out.reshape(block.size, size).any(axis=1)
+        if family.adversarial is not None:
+            # an index's adversarial points come before its distances, so
+            # they are read up to the first index whose grid distances fail
+            stop = np.flatnonzero(failed[lanes])
+            owners, witnesses = [], []
+            for lane in range(i, i + (int(stop[0]) + 1 if stop.size else block.size)):
+                got = extra[lane] = list(family.adversarial(int(ns[lane])))
+                stray = next(((lane, p) for p in got if not domain.contains(p)), None)
+                if stray is not None:
+                    failed[lane] = True
+                    break
+                owners += [lane] * len(got)
+                witnesses += got
+            if witnesses:
+                owner = np.array(owners, dtype=np.intp)
+                at = _point_columns(witnesses, dim, len(witnesses))
+                lim = _point_columns(map(limit_map, witnesses), dim, len(witnesses))
+                d1, d2, out = distances(ns[owner], at, lim)
+                np.maximum.at(first, owner, d1)
+                np.maximum.at(second, owner, d2)
+                np.logical_or.at(failed, owner, out)
+        if failed[lanes].any():
+            break
+
+    def error(lane):
+        n = ns[lane]
+        if stray is not None and stray[0] == lane:
+            return WitnessOutsideDomain(
+                f"adversarial point {stray[1]!r} at index {n} is outside the domain")
+        pts = points + extra.get(lane, [])
+        at = _point_columns(pts, dim, len(pts))
+        lim = _point_columns(map(limit_map, pts), dim, len(pts))
+        images = _lane_images(family, np.full(len(pts), n), at, dim)
+        k = int(np.argmax(space.distances(_pack(images, dim), _pack(lim, dim))[2]))
+        return _carrier_failure(space, _point_at(images, k), _point_at(lim, k))
+
+    return _entries(first, second, failed, error)
 
 
 def check_uniform_convergence(
@@ -466,18 +464,15 @@ def check_uniform_convergence(
     from the space's carrier when the limit declares none.  The sups are
     computed from the family's lane form over the index x grid product,
     with each index's adversarial points folded into its lane; a witness
-    outside that domain sends the judge back to the scalar sup, which
-    raises WitnessOutsideDomain at its index.  ValueError unless
-    grid_count >= 1.
+    outside that domain raises WitnessOutsideDomain at its index (see
+    _uniform_sups).  ValueError unless grid_count >= 1.
     """
     if not grid_count >= 1:
         raise ValueError(f"grid_count must be >= 1, got {grid_count!r}")
     domain = family.limit.domain if family.limit.domain is not None else space.carrier
     base_points = dense_sample(domain, grid_count)
     report = is_c_sequence(
-        partial(_uniform_sup, family, space, domain, base_points), cfg,
-        (space.kind, partial(_uniform_sups, family, space, domain, base_points)),
-    )
+        (space.kind, partial(_uniform_sups, family, space, domain, base_points)), cfg)
     return UniformReport(report, len(base_points), report.passed)
 
 
@@ -717,18 +712,14 @@ def _constant(x, dim: int, shape) -> tuple:
     return tuple(np.broadcast_to(c[0], shape) for c in _point_columns((x,), dim, 1))
 
 
-def _probe_column(cfg: CSeqProbeConfig) -> np.ndarray:
-    """The int64 index column the probe judge hands a columnar source."""
-    return np.arange(cfg.start, cfg.horizon + 1, dtype=np.int64)
-
-
 def _solved_indices(indices, cfg: CSeqProbeConfig | None = None) -> np.ndarray:
     """The sorted int64 column, without repeats, of the integer indices and
     of the probe's window when cfg is given: every index a harness solves."""
     ns = np.array(sorted({operator.index(n) for n in indices}), dtype=np.int64)
     if cfg is None:
         return ns
-    return np.concatenate((ns[ns < cfg.start], _probe_column(cfg), ns[ns > cfg.horizon]))
+    window = np.arange(cfg.start, cfg.horizon + 1, dtype=np.int64)
+    return np.concatenate((ns[ns < cfg.start], window, ns[ns > cfg.horizon]))
 
 
 def _row(ns: np.ndarray, failed: dict, n) -> int:
@@ -775,6 +766,34 @@ def _carrier_failure(space, p, q) -> PointOutsideCarrier:
     except PointOutsideCarrier as exc:
         return exc
     raise TypeError("space.distances marks a lane outside that space.distance accepts")
+
+
+def _entries(first, second, failed, error) -> tuple:
+    """The judge's (first, second) columns of a sequence whose definition
+    refuses the lanes of the failed mask: error(i), which raises or returns
+    what lane i raises, is raised for the least of them, unless a lane
+    before it is outside the cone (NaN included), which the judge raises
+    MemberOutsideCone for, as the scalar judge would meet it first."""
+    bad = np.flatnonzero(failed)
+    if bad.size and ((first[:bad[0]] >= 0.0) & (second[:bad[0]] >= 0.0)).all():
+        raise error(int(bad[0]))
+    return first, second
+
+
+def _gaps(space, at, target, failed=None, fail=None) -> tuple:
+    """_entries of d(p, target), target one point, over the points p in the
+    lane columns at: fail(i) at a lane i of failed, when given, else what
+    space.distance raises at a lane distances marks outside."""
+    dim = len(at)
+    d1, d2, out = space.distances(_pack(at, dim), _pack(_constant(target, dim, at[0].shape), dim))
+    return _entries(d1, d2, out if failed is None else out | failed,
+                    lambda i: fail(i) if failed is not None and failed[i]
+                    else _carrier_failure(space, _point_at(at, i), target))
+
+
+def _lane_images(family, ns, at, dim: int) -> tuple:
+    """The images of the points in the lane columns at under members(ns)."""
+    return _lane_columns(family._members(ns).map(_pack(at, dim)), dim, ns.shape)
 
 
 def _lane_block(family, space, dim, start, x0, tol, ns, failed) -> np.ndarray:
@@ -825,8 +844,7 @@ def _lane_block(family, space, dim, start, x0, tol, ns, failed) -> np.ndarray:
         settled = np.flatnonzero(out[dim] > 0.0)
         if settled.size:
             at = out[:dim, settled]
-            images = _lane_columns(family._members(ns[settled]).map(_pack(at, dim)), dim,
-                                   settled.shape)
+            images = _lane_images(family, ns[settled], at, dim)
             out[dim + 1, settled], out[dim + 2, settled], outside = space.distances(
                 _pack(images, dim), _pack(at, dim))
             for i in np.flatnonzero(outside).tolist():
@@ -879,7 +897,7 @@ def _family_report(family, space, cfg: CSeqProbeConfig, indices, start, tol,
     limit point x_star = target(); per index n the row is (d(x_n, x_star),
     bound(n, x_n, x_star)) with x_n the member fixed point; last comes the
     probe of n -> d(x_n, x_star), judged from the store's point columns.  A
-    failed member raises at its row, else at the probe's scalar fetch.
+    failed member raises at its row, else at its index in the probe.
     """
     indices = tuple(indices)
     ns = _solved_indices(indices, cfg)
@@ -891,17 +909,12 @@ def _family_report(family, space, cfg: CSeqProbeConfig, indices, start, tol,
     for n in indices:
         x_n = store[n].point
         rows.append((space.distance(x_n, x_star), bound(n, x_n, x_star)))
-    dim = _space_dim(space)
 
     def fn(ns):
-        points = store._points(ns)
-        targets = _constant(x_star, dim, ns.shape)
-        d1, d2, out = space.distances(_pack(points, dim), _pack(targets, dim))
-        return d1, d2, out | np.isnan(points[0])
+        points = tuple(store._points(ns))
+        return _gaps(space, points, x_star, np.isnan(points[0]), lambda i: store[ns[i]])
 
-    probe = is_c_sequence(lambda n: space.distance(store[n].point, x_star), cfg,
-                          (space.kind, fn))
-    return _bound_report(indices, rows, probe)
+    return _bound_report(indices, rows, is_c_sequence((space.kind, fn), cfg))
 
 
 def uniform_limit_harness(
@@ -1110,62 +1123,41 @@ class ApproxPropertyReport:
 def property_g_check(
     family: MapFamily,
     space,
-    witness: Callable[[object], Callable[[int], object]],
+    witness: Callable[[object], Callable],
     cfg: CSeqProbeConfig,
     points,
-    lane_witness: Callable[[object], Callable] | None = None,
 ) -> ApproxPropertyReport:
     """Approach-from-inside property: every limit-domain point admits a
     sequence through the member domains whose positions and images both
     get small against the probes.
 
-    witness(x) returns the sequence n -> x_n for the point x; each x_n must
-    lie in the member domain for its index (WitnessOutsideDomain if not).
-
-    lane_witness, when given, is the witness on numpy lanes: lane_witness(x)
-    maps an int64 index column ns to the points witness(x)(n), n in ns, bit
-    for bit, in the form a lane member's map takes.  With it both probes at
-    a point are evaluated from the family's lane form: one lane member is
-    built per probe, and its domain's contains tests every witness point at
-    once.  A domain that does not answer for lanes (see _inside) sends both
-    probes to the scalar fetch.
+    witness(x) is the sequence n -> x_n for the point x on numpy lanes: it
+    maps an int64 index column ns to the points x_n, n in ns, in the form a
+    lane member's map takes (see MapFamily), and each x_n must lie in the
+    member domain for its index.  Both probes at a point are evaluated
+    from the family's lane form, whose domain tests every witness point at
+    once.  At the least failing index, a witness outside its member domain
+    raises WitnessOutsideDomain before a point outside the carrier raises
+    PointOutsideCarrier.
     """
     limit_map = family.limit.map
     dim = _space_dim(space)
     reports = []
     for x in points:
         seq = witness(x)
-
-        def checked_seq(n: int, seq=seq):
-            y = seq(n)
-            _require_inside(family.member(n).domain, y,
-                            f"witness at index {n} is outside the member domain")
-            return y
-
         fx = limit_map(x)
-        dist_columns = image_columns = None
-        if lane_witness is not None:
-            def lanes(ns, image, x=x, fx=fx):
-                member = family._members(ns)
-                ys = _lane_columns(lane_witness(x)(ns), dim, ns.shape)
-                at, target = ys, x
-                if image:
-                    at = _lane_columns(member.map(_pack(ys, dim)), dim, ns.shape)
-                    target = fx
-                targets = _constant(target, dim, ns.shape)
-                d1, d2, out = space.distances(_pack(at, dim), _pack(targets, dim))
-                return d1, d2, out | ~_inside(member.domain, ys, dim)
 
-            dist_columns = (space.kind, partial(lanes, image=False))
-            image_columns = (space.kind, partial(lanes, image=True))
-        dist_rep = is_c_sequence(
-            lambda n: space.distance(checked_seq(n), x), cfg, dist_columns
-        )
-        image_rep = is_c_sequence(
-            lambda n: space.distance(family.member(n).map(checked_seq(n)), fx), cfg,
-            image_columns,
-        )
-        reports.append((dist_rep, image_rep))
+        def fn(ns, image, seq=seq, x=x, fx=fx):
+            member = family._members(ns)
+            ys = _lane_columns(seq(ns), dim, ns.shape)
+            at = _lane_columns(member.map(_pack(ys, dim)), dim, ns.shape) if image else ys
+            return _gaps(space, at, fx if image else x, ~_inside(member.domain, ys, dim),
+                         lambda i: WitnessOutsideDomain(
+                             f"witness at index {ns[i]} is outside the member domain: "
+                             f"{_point_at(ys, i)!r}"))
+
+        reports.append(tuple(is_c_sequence((space.kind, partial(fn, image=image)), cfg)
+                             for image in (False, True)))
     passed = all(a.passed and b.passed for a, b in reports)
     return ApproxPropertyReport(tuple(reports), passed)
 
@@ -1222,7 +1214,7 @@ class CompositeCheckReport:
 def h_limit_implies_g_limit_check(
     family: MapFamily,
     space,
-    witness: Callable[[object], Callable[[int], object]],
+    witness: Callable[[object], Callable],
     responder,
     cfg: CSeqProbeConfig,
     points,
@@ -1233,20 +1225,35 @@ def h_limit_implies_g_limit_check(
 
     Hypotheses checked empirically: (a) for each sampled point the witness
     sequence approaches it; (b) the limit map is sequentially continuous
-    along those witness sequences; (c) the family answers challenges.  The
-    conclusion re-runs the approach property with the same witness.
+    along those witness sequences, mapped one point at a time; (c) the
+    family answers the challenge of the first point's witness sequence.
+    witness is the lane form property_g_check takes, and the conclusion
+    re-runs that check with it.
     """
     limit_map = family.limit.map
+    dim = _space_dim(space)
     approach_ok = True
     continuity_ok = True
     for x in points:
         seq = witness(x)
-        rep = is_c_sequence(lambda n: space.distance(seq(n), x), cfg)
-        approach_ok = approach_ok and rep.passed
         fx = limit_map(x)
-        rep2 = is_c_sequence(lambda n: space.distance(limit_map(seq(n)), fx), cfg)
+
+        def approach(ns, seq=seq, x=x):
+            return _gaps(space, _lane_columns(seq(ns), dim, ns.shape), x)
+
+        def continuity(ns, seq=seq, fx=fx):
+            ys = _lane_columns(seq(ns), dim, ns.shape)
+            images = (limit_map(_point_at(ys, i)) for i in range(ns.size))
+            return _gaps(space, _point_columns(images, dim, ns.size), fx)
+
+        rep = is_c_sequence((space.kind, approach), cfg)
+        approach_ok = approach_ok and rep.passed
+        rep2 = is_c_sequence((space.kind, continuity), cfg)
         continuity_ok = continuity_ok and rep2.passed
-    h_rep = property_h_check(family, space, lambda n: witness(points[0])(n), responder, cfg)
+    first = witness(points[0])
+    challenge = lambda n: _point_at(
+        _lane_columns(first(np.array([n], dtype=np.int64)), dim, (1,)), 0)
+    h_rep = property_h_check(family, space, challenge, responder, cfg)
     g_rep = property_g_check(family, space, witness, cfg, points)
     return CompositeCheckReport(
         {
@@ -1266,7 +1273,9 @@ def g_limit_uniqueness_check(
     points,
 ) -> CompositeCheckReport:
     """Two candidate limit maps of the same family must agree: report the
-    worst distance between their images over sampled points."""
+    worst distance between their images over sampled points.  They are
+    said to agree when its norm is at most 1e-9, a heuristic: the cut is
+    not derived from the maps or their rounding."""
     worst = 0.0
     for x in points:
         worst = max(worst, norm(space.distance(family.limit.map(x), other_limit.map(x))))

@@ -39,7 +39,6 @@ from .fixed_point import (
     MapFamily,
     PlainMap,
     SolvedMembers,
-    _uniform_sup,
     _uniform_sups,
     check_pointwise_convergence,
     check_uniform_convergence,
@@ -162,9 +161,7 @@ def _run_example_2_6(knobs: dict):
         # largest; the distance pair at x = 1 is (1/n, k/n)
         space = IntervalUT2Space(float(k))
         report = is_c_sequence(
-            lambda n, s=space: s.distance(1.0 / n, 0.0), cfg,
-            columns=(UT2Elem, lambda ns, s=space: s.distances(1.0 / ns, np.zeros(ns.shape))),
-        )
+            (UT2Elem, lambda ns, s=space: s.distances(1.0 / ns, np.zeros(ns.shape))[:2]), cfg)
         verdict = verdict and report.passed
         for probe, out in zip(cfg.probes, report.outcomes):
             expected = _threshold_index(k, probe.first)
@@ -271,12 +268,9 @@ def _run_example_2_8(knobs: dict):
     ]
     base_points = dense_sample(box, grid_pts)
     indices = _display_indices(uni_horizon)
-    first, second, bad = _uniform_sups(family, space, box, base_points,
-                                       np.array(indices, dtype=np.int64))
-    if bad.any():  # the scalar sups raise at the first bad index
-        dists = tuple(_uniform_sup(family, space, box, base_points, n) for n in indices)
-    else:
-        dists = tuple(map(R2Elem, first.tolist(), second.tolist()))
+    first, second = _uniform_sups(family, space, box, base_points,
+                                  np.array(indices, dtype=np.int64))
+    dists = tuple(map(R2Elem, first.tolist(), second.tolist()))
     respected = tuple(cone_compare(d, pinned).way_below for d in dists)
     table = BoundTable(indices, dists, tuple(pinned for _ in indices), respected)
     return table, verdict, notes
@@ -370,9 +364,8 @@ def _run_thm_3_6(knobs: dict):
     g_points = space.sample(rng, 4) + [0.0, 1.0]
     g_premise = property_g_check(
         family, space,
-        lambda x: (lambda n, x=x: max(x, 1.0 / n)),
+        lambda x: (lambda ns, x=x: np.maximum(x, 1.0 / ns)),
         cfg, g_points,
-        lane_witness=lambda x: (lambda ns, x=x: np.maximum(x, 1.0 / ns)),
     )
     indices = _display_indices(min(horizon, 1000))
     edge = lambda n: 1.0 / n
@@ -694,6 +687,8 @@ def run_scenario(name: str, config: ScenarioConfig | None = None) -> ScenarioRun
                 raise ValueError(f"{key} must be at most {KNOB_CAPS[key]}, got {value}")
         if key == "tol" and value is not None and not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"tol must be positive and finite, got {value}")
+        if key == "seed" and value < 0:
+            raise ValueError(f"seed must be >= 0, got {value}")
     for key in knobs:
         if key != "seed" and key not in scenario.defaults:
             raise ValueError(

@@ -57,9 +57,9 @@ _PAIR_VALUE_BOX = (-1.0, 1.0)
 
 
 def _lattice_draw(rng: np.random.Generator, lo: float, hi: float, count: int,
-                  open_hi: bool = False) -> np.ndarray:
-    top = _LATTICE if not open_hi else _LATTICE - 1
-    j = rng.integers(0, top, size=count, endpoint=True)
+                  open_lo: bool = False, open_hi: bool = False) -> np.ndarray:
+    # lattice steps 0 .. _LATTICE from lo, without the step onto an open end
+    j = rng.integers(int(open_lo), _LATTICE - int(open_hi), size=count, endpoint=True)
     step = (hi - lo) / _LATTICE
     return lo + j * step
 
@@ -93,7 +93,7 @@ class IntervalDomain:
 
     def sample(self, rng: np.random.Generator, count: int) -> list[float]:
         return [float(v) for v in
-                _lattice_draw(rng, self.lo, self.hi, count, self.open_hi)]
+                _lattice_draw(rng, self.lo, self.hi, count, self.open_lo, self.open_hi)]
 
 
 def _in_box(lo, hi, open_hi: bool, p):
@@ -126,8 +126,8 @@ class BoxDomain:
         return _in_box(self.lo, self.hi, self.open_hi, p)
 
     def sample(self, rng: np.random.Generator, count: int) -> list[tuple[float, float]]:
-        xs = _lattice_draw(rng, self.lo[0], self.hi[0], count, self.open_hi)
-        ys = _lattice_draw(rng, self.lo[1], self.hi[1], count, self.open_hi)
+        xs = _lattice_draw(rng, self.lo[0], self.hi[0], count, open_hi=self.open_hi)
+        ys = _lattice_draw(rng, self.lo[1], self.hi[1], count, open_hi=self.open_hi)
         return [(float(x), float(y)) for x, y in zip(xs, ys)]
 
 
@@ -446,30 +446,7 @@ class CSeqProbeReport:
     passed: bool
 
 
-def _column_entries(columns, cfg: CSeqProbeConfig):
-    """The (first, second) entry columns of a columnar source, or None when
-    the judge must fetch entry by entry instead."""
-    if columns is None:
-        return None
-    kind, fn = columns
-    if any(type(c) is not kind for c in cfg.probes):
-        return None
-    ns = np.arange(cfg.start, cfg.horizon + 1, dtype=np.int64)
-    try:
-        with np.errstate(divide="raise", over="ignore", under="ignore", invalid="ignore"):
-            a, b, bad = fn(ns)
-        if not all(type(c) is np.ndarray and c.shape == ns.shape for c in (a, b, bad)):
-            return None
-        if a.dtype != np.float64 or b.dtype != np.float64:
-            return None
-        if bad.any() or not ((a >= 0.0) & (b >= 0.0)).all():
-            return None
-    except Exception:
-        return None
-    return a, b
-
-
-def is_c_sequence(seq, cfg: CSeqProbeConfig, columns=None) -> CSeqProbeReport:
+def is_c_sequence(seq, cfg: CSeqProbeConfig) -> CSeqProbeReport:
     """Probe whether a cone sequence gets eventually small, empirically.
 
     seq is a callable on integer indices; indices cfg.start .. cfg.horizon
@@ -490,22 +467,36 @@ def is_c_sequence(seq, cfg: CSeqProbeConfig, columns=None) -> CSeqProbeReport:
     of cone_compare.  Entries of another kind than a probe raise
     AlgebraMismatchError, as cone_compare does.
 
-    columns, when given, is a columnar source (kind, fn) of the same
-    sequence: fn(ns), with ns the int64 column cfg.start .. cfg.horizon,
-    returns (first, second, bad) as space.distances does, lane i holding
-    the coordinates of seq(ns[i]) bit for bit and bad[i] marking a lane
-    whose fetch from seq would raise.  fn runs with numpy division by zero
-    raising.  The columns stand in for the fetched entries only when every
-    probe is of kind, first and second are float64 arrays of the shape of
-    ns, no lane is bad and every entry lies in the cone (which also
-    rejects NaN).  In every other case, and on any exception from fn, the
-    entries are fetched from seq one by one as above, so the first bad
-    index raises exactly what it raises without columns.
+    seq may instead be a columnar source (kind, fn), whose columns are the
+    entries: fn(ns), with ns the int64 column cfg.start .. cfg.horizon,
+    returns (first, second), float64 arrays of the shape of ns, lane i
+    holding the coordinates of the entry at ns[i], an element of kind.
+    Anything else raises TypeError, and an exception from fn propagates:
+    fn raises what the sequence raises at its least failing index (see
+    fixed_point._entries).  The least lane outside the cone, NaN included,
+    raises MemberOutsideCone as the entry would, and a probe of another
+    kind AlgebraMismatchError.  fn runs with numpy division by zero
+    raising, so a lane that divides by index 0 raises FloatingPointError;
+    overflow, underflow and invalid operations are left to the columns.
     """
-    got = _column_entries(columns, cfg)
     kinds: dict[type, object] = {}  # an entry per kind, in order of first appearance
-    if got is not None:
+    if type(seq) is tuple:
+        kind, fn = seq
+        ns = np.arange(cfg.start, cfg.horizon + 1, dtype=np.int64)
+        with np.errstate(divide="raise", over="ignore", under="ignore", invalid="ignore"):
+            got = fn(ns)
+        if not (type(got) is tuple and len(got) == 2 and all(
+                type(c) is np.ndarray and c.dtype == np.float64 and c.shape == ns.shape
+                for c in got)):
+            raise TypeError("a columnar source must return (first, second) float64 "
+                            "columns, one entry per index")
         a, b = got
+        outside = np.flatnonzero(~((a >= 0.0) & (b >= 0.0)))
+        if outside.size:
+            i = outside[0]
+            v = kind.of(a[i].item(), b[i].item())
+            raise MemberOutsideCone(f"entry at index {ns[i]} left the cone: {v!r}")
+        kinds[kind] = zero(kind)
     else:
         firsts = array("d")
         seconds = array("d")

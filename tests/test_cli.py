@@ -209,3 +209,13 @@ def test_run_all_with_an_invalid_knob_exits_two_and_writes_the_rest(tmp_path, ca
         line = f"{name}: error: horizon must be >= tail_required (16), got 2\n"
         assert err.count(line) == 1
     assert err.count("tail_required (16)") == 7
+
+
+@pytest.mark.parametrize("name", ["example_2_8", "thm_2_9"])
+def test_negative_seed_exits_two_before_running(name, capsys):
+    # example_2_8 used to fail inside numpy's generator, and thm_2_9, which
+    # never reads the seed, ran and echoed it
+    assert main(["run", name, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -1\n"

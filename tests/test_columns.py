@@ -1,9 +1,11 @@
-"""Columnar sequence sources: the checkers and harness probes that hand the
-probe judge whole float64 columns must report exactly what is reported
-without them, and raise what is raised: for a checker, by the same family
-whose members take one index only, judged index by index; for a harness,
-by the same harness with every member solved by picard_solve."""
+"""Columnar sequence sources: the checkers and harness probes hand the probe
+judge whole float64 columns from the family's lane form, and must report
+exactly what their sequences, defined index by index, report, and raise
+what those raise at the first failing index: for a checker, its scalar
+reference in scalar_reference.py; for a harness, the same harness with
+every member solved by picard_solve."""
 
+import math
 import operator
 from decimal import Decimal
 from pathlib import Path
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from conefix.algebra import R2Elem, UT2Elem
 from conefix import fixed_point, scenarios
-from conefix.errors import PointOutsideCarrier, WitnessOutsideDomain
+from conefix.errors import MemberOutsideCone, PointOutsideCarrier, WitnessOutsideDomain
 from conefix.fixed_point import (
     ContractionMap,
     MapFamily,
@@ -37,6 +39,7 @@ from conefix.scenarios import (
     run_scenario,
 )
 from picard_reference import picard_members
+from scalar_reference import pointwise_reference, property_g_reference, uniform_reference
 from conefix.spaces import (
     BoxDomain,
     CSeqProbeConfig,
@@ -74,7 +77,8 @@ def _systems_family() -> MapFamily:
     )
 
 
-# scenario families: (factory, space, start, witness, lane witness)
+# scenario families: (factory, space, start, witness on one index, the same
+# witness on an index column)
 _FAMILIES = {
     "thm_2_9": (
         lambda: _interval_ut2_family(lambda n: 1.0 / (n + 2.0), lambda n: 0.5),
@@ -104,45 +108,48 @@ _FAMILIES = {
 }
 
 
-def _producers(space, start, witness, lane_witness, points, cfg, lanes):
-    """Every columnar producer, as name -> call on a family."""
+def _producers(space, start, witness, lane_witness, points, cfg):
+    """Every columnar producer, as name -> (call on a family, the call of
+    its reference on a family, or None for a harness, whose reference is
+    the same call with members solved by picard_solve)."""
     rows = (1, 2, 3, 10, 100)
     calls = {
-        "uniform premise": lambda fam: check_uniform_convergence(fam, space, cfg, grid_count=64),
-        "pointwise premise": lambda fam: check_pointwise_convergence(fam, space, points, cfg),
-        "property G": lambda fam: property_g_check(
-            fam, space, witness, cfg, points, lane_witness=lane_witness if lanes else None),
-        "uniform probe": lambda fam: uniform_limit_harness(fam, space, cfg, rows, start),
-        "pointwise probe": lambda fam: pointwise_limit_harness(fam, space, cfg, rows, start),
+        "uniform premise": (
+            lambda fam: check_uniform_convergence(fam, space, cfg, grid_count=64),
+            lambda fam: uniform_reference(fam, space, cfg, 64)),
+        "pointwise premise": (
+            lambda fam: check_pointwise_convergence(fam, space, points, cfg),
+            lambda fam: pointwise_reference(fam, space, points, cfg)),
+        "property G": (
+            lambda fam: property_g_check(fam, space, lane_witness, cfg, points),
+            lambda fam: property_g_reference(fam, space, witness, cfg, points)),
+        "uniform probe": (
+            lambda fam: uniform_limit_harness(fam, space, cfg, rows, start), None),
+        "pointwise probe": (
+            lambda fam: pointwise_limit_harness(fam, space, cfg, rows, start), None),
     }
     if not isinstance(space, PlaneR2Space):
-        calls["subdomain probe"] = lambda fam: subdomain_limit_harness(
-            fam, space, cfg, rows, start, x_inf=0.0, witness=lambda n: 1.0)
+        calls["subdomain probe"] = (lambda fam: subdomain_limit_harness(
+            fam, space, cfg, rows, start, x_inf=0.0, witness=lambda n: 1.0), None)
     return calls
 
 
 def _scalar_twin(family: MapFamily) -> MapFamily:
-    """family with members that refuse an index column: it has no lane form,
-    so the checkers judge it index by index."""
+    """family with members that refuse an index column: it has no lane form."""
     members = family._members
     return MapFamily(lambda n: members(operator.index(n)), family.limit,
                      family.coefficient_bound, family.adversarial)
 
 
-# the producers whose members are solved: their reference is picard_solve
-_HARNESS_PRODUCERS = ("uniform probe", "pointwise probe", "subdomain probe")
-
-
 def _assert_producers_match(make, space, start, witness, lane_witness, points, cfg):
-    with_lanes = _producers(space, start, witness, lane_witness, points, cfg, True)
-    without = _producers(space, start, witness, lane_witness, points, cfg, False)
-    for producer in with_lanes:
-        got = _outcome(lambda: with_lanes[producer](make()))
-        if producer in _HARNESS_PRODUCERS:
+    for producer, (call, reference) in _producers(
+            space, start, witness, lane_witness, points, cfg).items():
+        got = _outcome(lambda: call(make()))
+        if reference is None:
             with picard_members():
-                want = _outcome(lambda: with_lanes[producer](make()))
+                want = _outcome(lambda: call(make()))
         else:
-            want = _outcome(lambda: without[producer](_scalar_twin(make())))
+            want = _outcome(lambda: reference(make()))
         assert got == want, producer
 
 
@@ -171,7 +178,7 @@ def test_producers_match_the_scalar_family_on_random_affine_families(
 ):
     # member n is x -> r_n x + shift / n; the draw covers images and
     # witnesses that leave the carrier or the member domain, which must
-    # send the judge back to the scalar fetch and its exception, and member
+    # raise what the scalar reference raises at the same index, and member
     # solves that fail, which must raise what picard_solve raises
     r = lambda n: rate * (1.0 - 1.0 / (n + 1.0))
     if plane:
@@ -219,14 +226,19 @@ def _faulty_family(case: str, k: int) -> MapFamily:
     return MapFamily(members, limit)
 
 
+# checker name -> (checker, its scalar reference), each on (family, space, cfg)
 _CHECKER_CALLS = {
-    "pointwise": lambda fam, space, cfg: check_pointwise_convergence(
-        fam, space, [0.6, 0.3], cfg),
-    "uniform": lambda fam, space, cfg: check_uniform_convergence(
-        fam, space, cfg, grid_count=9),
-    "property G": lambda fam, space, cfg: property_g_check(
-        fam, space, lambda x: (lambda n: x), cfg, [0.6, 0.3],
-        lane_witness=lambda x: (lambda ns: np.full(ns.shape, x))),
+    "pointwise": (
+        lambda fam, space, cfg: check_pointwise_convergence(fam, space, [0.6, 0.3], cfg),
+        lambda fam, space, cfg: pointwise_reference(fam, space, [0.6, 0.3], cfg)),
+    "uniform": (
+        lambda fam, space, cfg: check_uniform_convergence(fam, space, cfg, grid_count=9),
+        lambda fam, space, cfg: uniform_reference(fam, space, cfg, 9)),
+    "property G": (
+        lambda fam, space, cfg: property_g_check(
+            fam, space, lambda x: (lambda ns: np.full(ns.shape, x)), cfg, [0.6, 0.3]),
+        lambda fam, space, cfg: property_g_reference(
+            fam, space, lambda x: (lambda n: x), cfg, [0.6, 0.3])),
 }
 
 
@@ -241,51 +253,97 @@ def test_columnar_checkers_raise_the_first_scalar_error(checker, case, raised, k
     space = IntervalUT2Space(1.0)
     cfg = CSeqProbeConfig(probes=(UT2Elem(0.5, 0.5),), horizon=30)
     caught = []
-    family = _faulty_family(case, k)
-    for checked in (_scalar_twin(family), family):
+    for call in _CHECKER_CALLS[checker]:
         with pytest.raises(raised) as info:
-            _CHECKER_CALLS[checker](checked, space, cfg)
+            call(_faulty_family(case, k), space, cfg)
         caught.append((type(info.value), str(info.value)))
     assert caught[0] == caught[1]
     if case == "domain":
         assert f"index {k}" in caught[0][1]
     # the lanes, not a failed build, meet every fault but the construction
-    built = _outcome(lambda: family._members(np.arange(1, 31)))
+    built = _outcome(lambda: _faulty_family(case, k)._members(np.arange(1, 31)))
     assert (type(built) is tuple) is (case == "construction")
 
 
+def _cone_and_carrier_family(nan_at: int, outside_at: int) -> MapFamily:
+    """Plane maps against a limit at +inf in the first coordinate: member
+    nan_at is at +inf too, so its gap is inf - inf, NaN, out of the cone;
+    member outside_at maps above the carrier's second coordinate."""
+    box = BoxDomain((0.0, 0.0), (1.0, 1.0))
+    return MapFamily(
+        lambda n: PlainMap(lambda p: (_where(n == nan_at, math.inf, 0.0 * p[0]),
+                                      _where(n == outside_at, 2.0, 0.0 * p[1])), box),
+        PlainMap(lambda p: (math.inf, 0.0), box),
+    )
+
+
+@pytest.mark.parametrize("checker", ["pointwise", "uniform"])
+@pytest.mark.parametrize("nan_at, outside_at, raised", [
+    (3, 7, MemberOutsideCone), (7, 3, PointOutsideCarrier)])
+def test_a_lane_outside_the_cone_before_a_failing_lane_is_left_to_the_judge(
+        checker, nan_at, outside_at, raised):
+    # the scalar judge meets index 3 first, whichever way it fails there
+    space = PlaneR2Space(hi=(math.inf, 1.0))
+    cfg = CSeqProbeConfig(probes=(R2Elem(0.5, 0.5),), horizon=30)
+    calls = {
+        "pointwise": (check_pointwise_convergence, pointwise_reference),
+        "uniform": (lambda fam, space, points, cfg: check_uniform_convergence(fam, space, cfg, 4),
+                    lambda fam, space, points, cfg: uniform_reference(fam, space, cfg, 4)),
+    }
+    caught = []
+    for call in calls[checker]:
+        with pytest.raises(raised) as info:
+            call(_cone_and_carrier_family(nan_at, outside_at), space, [(0.5, 0.25)], cfg)
+        caught.append(str(info.value))
+    assert caught[0] == caught[1]
+
+
+@pytest.mark.parametrize("checker", sorted(_CHECKER_CALLS))
+def test_checkers_refuse_a_family_without_a_lane_form(checker):
+    # members that take one index only: a checker refuses them, as the
+    # harnesses do, where it used to judge them index by index
+    space = IntervalUT2Space(1.0)
+    cfg = CSeqProbeConfig(probes=(UT2Elem(0.5, 0.5),), horizon=30)
+    family = _scalar_twin(_faulty_family("none", 0))
+    with pytest.raises(TypeError, match="integer scalar arrays"):
+        _CHECKER_CALLS[checker][0](family, space, cfg)
+    # a map that answers a column with one float is refused as well
+    scalar_map = MapFamily(lambda n: PlainMap(lambda x: 0.5, UNIT_INTERVAL),
+                           PlainMap(lambda x: 0.5, UNIT_INTERVAL))
+    with pytest.raises(TypeError):
+        _CHECKER_CALLS[checker][0](scalar_map, space, cfg)
+
+
 def test_premises_make_no_scalar_distance_call(monkeypatch):
-    def refuse(self, x, y):
-        raise AssertionError("scalar distance call")
+    # neither a scalar distance nor a member built for one index: the
+    # checkers have no scalar sequence to fall back to
+    def refuse(*args):
+        raise AssertionError("scalar call")
 
     monkeypatch.setattr(IntervalUT2Space, "distance", refuse)
+    monkeypatch.setattr(MapFamily, "member", refuse)
     space = IntervalUT2Space(2.0)
     cfg = CSeqProbeConfig.default(UT2Elem, horizon=10_000)
     uniform = _FAMILIES["thm_2_9"][0]()
     assert check_uniform_convergence(uniform, space, cfg, grid_count=128).passed
     pointwise = _FAMILIES["thm_2_10"][0]()
     assert check_pointwise_convergence(pointwise, space, [0.0, 0.3, 1.0], cfg).passed
-    _, _, _, witness, lane_witness = _FAMILIES["thm_3_6"]
-    report = property_g_check(_subinterval_family(), space, witness, cfg, [0.0, 0.4, 1.0],
-                              lane_witness=lane_witness)
+    lane_witness = _FAMILIES["thm_3_6"][4]
+    report = property_g_check(_subinterval_family(), space, lane_witness, cfg, [0.0, 0.4, 1.0])
     assert report.passed
 
 
 def _judge_from_columns_only(monkeypatch) -> list:
     """Patch the probe judge of the scenario and fixed point modules to
-    demand a columnar source and refuse the scalar fetch; returns the list
-    the horizon of each judge call is appended to."""
+    demand a columnar source; returns the list the horizon of each judge
+    call is appended to."""
     real = fixed_point.is_c_sequence
     calls = []
 
-    def columns_only(seq, cfg, columns=None):
-        assert columns is not None
-
-        def refuse(n):
-            raise AssertionError(f"scalar fetch at index {n}")
-
+    def columns_only(seq, cfg):
+        assert type(seq) is tuple, "a scalar sequence reached the judge"
         calls.append(cfg.horizon)
-        return real(refuse, cfg, columns)
+        return real(seq, cfg)
 
     for module in (scenarios, fixed_point):
         monkeypatch.setattr(module, "is_c_sequence", columns_only)
@@ -293,9 +351,7 @@ def _judge_from_columns_only(monkeypatch) -> list:
 
 
 def test_scenario_premises_and_probes_are_judged_from_columns(monkeypatch):
-    # a silent fall back to the scalar fetch would keep every payload and
-    # lose the speed: every judge call in the fixed point module must get a
-    # columnar source that is used, with a scalar fetch that refuses
+    # every judge call in the fixed point module must get a columnar source
     calls = _judge_from_columns_only(monkeypatch)
     for name in ("thm_2_9", "thm_2_10", "thm_3_6", "thm_4_1"):
         run = run_scenario(name)
@@ -321,29 +377,24 @@ def test_uniform_check_keeps_adversarial_points_with_lanes():
     cfg = CSeqProbeConfig(probes=(UT2Elem(0.1, 0.1),), horizon=200)
     space = IntervalUT2Space(1.0)
     got = check_uniform_convergence(family, space, cfg, grid_count=33)
-    assert got == check_uniform_convergence(_scalar_twin(family), space, cfg, grid_count=33)
+    assert got == uniform_reference(family, space, cfg, 33)
     assert not got.passed
 
 
-def test_points_that_are_not_floats_take_the_scalar_path():
-    # a Decimal point: the scalar distance raises TypeError, and the lanes,
-    # which would read it as a float, must not judge it
+def test_points_that_are_not_floats_are_refused():
+    # a Decimal point: the lanes, which would read it as a float, must not
+    # judge it
     space = IntervalUT2Space(2.0)
     cfg = CSeqProbeConfig.default(UT2Elem, horizon=100)
-
-    def identity_limit() -> MapFamily:
-        family = _FAMILIES["thm_2_9"][0]()
-        family.limit = PlainMap(lambda x: x)
-        return family
-
-    outcomes = [
-        _outcome(lambda: property_g_check(
-            identity_limit(), space, lambda x: (lambda n: 0.5), cfg, [Decimal("0.5")],
-            lane_witness=lane_witness))
-        for lane_witness in (None, lambda x: (lambda ns: np.full(ns.shape, 0.5)))
-    ]
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] is TypeError
+    family = _FAMILIES["thm_2_9"][0]()
+    family.limit = PlainMap(lambda x: x)
+    for check in (
+        lambda: property_g_check(family, space, lambda x: (lambda ns: np.full(ns.shape, 0.5)),
+                                 cfg, [Decimal("0.5")]),
+        lambda: check_pointwise_convergence(family, space, [Decimal("0.5")], cfg),
+    ):
+        with pytest.raises(TypeError, match="lane points must be floats"):
+            check()
 
 
 @pytest.mark.parametrize("name, judge_calls", [
@@ -361,19 +412,34 @@ def test_long_horizon_probes_are_judged_from_columns(monkeypatch, name, judge_ca
 
 @pytest.mark.parametrize("name, horizon", [("example_2_6", 50_000), ("example_2_8", 20_000)])
 def test_long_horizon_reports_equal_the_scalar_ones(monkeypatch, name, horizon):
-    # at the benchmark's horizons, every judge call reports with its columns
-    # exactly what it reports from the scalar fetch
-    real = fixed_point.is_c_sequence
+    # at the benchmark's horizons, every judge call reports from its columns
+    # exactly what the sequence, index by index, reports
     compared = []
+    if name == "example_2_6":
+        real = scenarios.is_c_sequence
+        scales = iter((1.0, 2.0, 5.0))
 
-    def both(seq, cfg, columns=None):
-        report = real(seq, cfg, columns)
-        assert report == real(seq, cfg)
-        compared.append(cfg.horizon)
-        return report
+        def both(seq, cfg):
+            space = IntervalUT2Space(next(scales))
+            report = real(seq, cfg)
+            assert report == real(lambda n: space.distance(1.0 / n, 0.0), cfg)
+            compared.append(cfg.horizon)
+            return report
 
-    for module in (scenarios, fixed_point):
-        monkeypatch.setattr(module, "is_c_sequence", both)
+        monkeypatch.setattr(scenarios, "is_c_sequence", both)
+    else:
+        # (checker, its reference, the position of cfg in their arguments)
+        for checker, reference, at in (
+                ("check_pointwise_convergence", pointwise_reference, 3),
+                ("check_uniform_convergence", uniform_reference, 2)):
+            def both(*args, real=getattr(scenarios, checker), reference=reference, at=at,
+                     **kwargs):
+                report = real(*args, **kwargs)
+                assert report == reference(*args, **kwargs)
+                compared.append(args[at].horizon)
+                return report
+
+            monkeypatch.setattr(scenarios, checker, both)
     run_scenario(name, ScenarioConfig(horizon=horizon, seed=1_000_000_011))
     assert horizon in compared
 
@@ -538,8 +604,19 @@ def _refuse_index_5(n):
     return [_BUMP_C]
 
 
-# (member map, array-safe, adversarial)
+def _leave_at(k):
+    """_bump_step, but member k maps the grid above the carrier."""
+    return lambda n, x: _where(n == k, x + 2.0, _bump_step(n, x))
+
+
+# (member map, adversarial)
 _ADVERSARIAL_CASES = {
+    # at one index the adversarial points come before the grid distances,
+    # and an adversarial callable is not called past a failing index
+    "grid outside the carrier at index 3, adversarial raises at 5": (
+        _leave_at(3), _refuse_index_5),
+    "grid outside the carrier and witness outside the domain at index 7": (
+        _leave_at(7), lambda n: [1.0] if n == 7 else [_BUMP_C]),
     "witness outside the domain at index 7": (
         _bump_step, lambda n: [1.0] if n == 7 else [_BUMP_C]),
     "adversarial raises": (_bump_step, _refuse_index_5),
@@ -551,32 +628,30 @@ _ADVERSARIAL_CASES = {
 }
 
 
-def _uniform_adversarial(case: str, lanes: bool):
-    """check_uniform_convergence on the family of an adversarial case."""
+def _uniform_adversarial(case: str, check=check_uniform_convergence):
+    """check_uniform_convergence, or its reference, on the family of an
+    adversarial case."""
     step, adversarial = _ADVERSARIAL_CASES[case]
     family = MapFamily(
         lambda n: PlainMap(lambda x: step(n, x), HALF_OPEN),
         PlainMap(lambda x: 0.5 * x, HALF_OPEN),
         adversarial=adversarial,
     )
-    if not lanes:
-        family = _scalar_twin(family)
     cfg = CSeqProbeConfig(probes=(UT2Elem(0.1, 0.1),), horizon=200)
-    return check_uniform_convergence(family, IntervalUT2Space(1.0), cfg, grid_count=33)
+    return check(family, IntervalUT2Space(1.0), cfg, 33)
 
 
 @pytest.mark.parametrize("case", sorted(_ADVERSARIAL_CASES))
 def test_uniform_check_with_adversarial_lanes_matches_the_scalar_sup(case):
-    got, want = (_outcome(lambda: _uniform_adversarial(case, lanes)) for lanes in (True, False))
-    assert got == want
+    got = _outcome(lambda: _uniform_adversarial(case))
+    assert got == _outcome(lambda: _uniform_adversarial(case, uniform_reference))
 
 
 def test_uniform_check_folds_varying_witness_counts_into_its_lanes(monkeypatch):
-    # the lanes must carry the witnesses themselves, not hand the family
-    # back to the scalar sup
+    # the lanes must carry the witnesses themselves
     case = "0, 1 or 2 witnesses per index"
-    want = _uniform_adversarial(case, False)
+    want = _uniform_adversarial(case, uniform_reference)
     assert not want.passed
     calls = _judge_from_columns_only(monkeypatch)
-    assert _uniform_adversarial(case, True) == want
+    assert _uniform_adversarial(case) == want
     assert calls == [200]

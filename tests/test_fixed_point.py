@@ -60,6 +60,7 @@ from conefix.spaces import (
     default_probes,
 )
 from picard_reference import outcome, picard_members
+from scalar_reference import property_g_reference
 
 UNIT_INTERVAL = IntervalDomain(0.0, 1.0)
 
@@ -324,7 +325,7 @@ def test_uniform_convergence_fails_on_power_family():
 def test_uniform_convergence_rejects_stray_witness():
     box = BoxDomain((0.0, 0.0), (1.0, 1.0), open_hi=True)
     family = MapFamily(
-        lambda n: PlainMap(lambda p: (0.0, 0.0), box),
+        lambda n: PlainMap(lambda p: (0.0 * p[0], 0.0 * p[1]), box),
         PlainMap(lambda p: (0.0, 0.0), box),
         adversarial=lambda n: [(1.5, 0.5)],
     )
@@ -636,7 +637,7 @@ def test_property_g_constant_witness_on_full_domains():
     family = _shifted_family()
     space = IntervalUT2Space(1.0)
     cfg = CSeqProbeConfig(probes=(UT2Elem(0.5, 0.5), UT2Elem(0.05, 0.05)), horizon=120)
-    witness = lambda x: (lambda n: x)
+    witness = lambda x: (lambda ns: np.full(ns.shape, x))
     report = property_g_check(family, space, witness, cfg, [0.2, 0.7, 1.0])
     assert report.passed
 
@@ -645,7 +646,7 @@ def test_property_g_edge_witness_on_subdomains():
     family = _subinterval_family()
     space = IntervalUT2Space(1.0)
     cfg = CSeqProbeConfig(probes=(UT2Elem(0.5, 0.5), UT2Elem(0.05, 0.05)), horizon=120)
-    witness = lambda x: (lambda n, x=x: max(x, 1.0 / n))
+    witness = lambda x: (lambda ns, x=x: np.maximum(x, 1.0 / ns))
     report = property_g_check(family, space, witness, cfg, [0.0, 0.3, 1.0])
     assert report.passed
 
@@ -658,14 +659,14 @@ def test_property_g_convicts_far_witness():
     )
     cfg = CSeqProbeConfig(probes=(UT2Elem(0.5, 0.5),), horizon=60)
     report = property_g_check(
-        frozen, space, lambda x: (lambda n: 1.0), cfg, [0.3]
+        frozen, space, lambda x: (lambda ns: np.full(ns.shape, 1.0)), cfg, [0.3]
     )
     assert not report.passed
     dist_rep, image_rep = report.point_reports[0]
     assert not dist_rep.passed  # the witness never approaches the point
     with pytest.raises(WitnessOutsideDomain):
         property_g_check(
-            _subinterval_family(), space, lambda x: (lambda n: 0.0), cfg, [0.5]
+            _subinterval_family(), space, lambda x: (lambda ns: np.zeros(ns.shape)), cfg, [0.5]
         )
 
 
@@ -700,7 +701,7 @@ def test_h_implies_g_composition():
     family = _subinterval_family()
     space = IntervalUT2Space(1.0)
     cfg = CSeqProbeConfig(probes=(UT2Elem(0.5, 0.5), UT2Elem(0.05, 0.05)), horizon=120)
-    witness = lambda x: (lambda n, x=x: max(x, 1.0 / n))
+    witness = lambda x: (lambda ns, x=x: np.maximum(x, 1.0 / ns))
     report = h_limit_implies_g_limit_check(
         family, space, witness, lambda seq: seq, cfg, [0.0, 0.5, 1.0]
     )
@@ -735,7 +736,8 @@ def test_equicontinuous_pointwise_composition():
     )
     cfg = CSeqProbeConfig(probes=(UT2Elem(0.5, 0.5), UT2Elem(0.05, 0.05)), horizon=120)
     report = equicontinuous_pointwise_check(
-        family, space, lambda x: (lambda n: x), cfg, [0.3, 0.6], UT2Elem(0.25, 0.25)
+        family, space, lambda x: (lambda ns: np.full(ns.shape, x)), cfg, [0.3, 0.6],
+        UT2Elem(0.25, 0.25)
     )
     assert report.hypotheses["equicontinuous_at_points"]
     assert report.hypotheses["approach_property"]
@@ -1164,12 +1166,11 @@ class _PointwiseInterval:
 
 def test_a_domain_that_answers_only_for_points_is_refused_at_entry(monkeypatch):
     # thm_3_6's family, member n on [1/n, 1]: with a domain that cannot
-    # test columns the harness refuses the family before any solve, while
-    # property G, a checker, judges it index by index, as with lanes
+    # test columns the harness refuses the family before any solve, and
+    # property G, a checker, refuses it too
     space = IntervalUT2Space(2.0)
     cfg = CSeqProbeConfig.default(UT2Elem, horizon=200)
     calls = _counting_picard(monkeypatch)
-    reports = []
     for domain in (IntervalDomain, _PointwiseInterval):
         family = MapFamily(
             lambda n, domain=domain: ContractionMap(
@@ -1179,15 +1180,16 @@ def test_a_domain_that_answers_only_for_points_is_refused_at_entry(monkeypatch):
         harness = lambda: subdomain_limit_harness(
             family, space, cfg, (1, 2, 50, 200), start=1.0, x_inf=0.0,
             witness=lambda n: 1.0 / n)
+        premise = lambda: property_g_check(
+            family, space, lambda x: (lambda ns: np.maximum(x, 1.0 / ns)), cfg, [0.0, 0.5])
         if domain is IntervalDomain:
             assert all(harness().respected)
+            assert premise() == property_g_reference(
+                family, space, lambda x: (lambda n: max(x, 1.0 / n)), cfg, [0.0, 0.5])
         else:
-            with pytest.raises(TypeError, match="must answer one bool per lane"):
-                harness()
-        reports.append(property_g_check(
-            family, space, lambda x: (lambda n: max(x, 1.0 / n)), cfg, [0.0, 0.5],
-            lane_witness=lambda x: (lambda ns: np.maximum(x, 1.0 / ns))))
-    assert reports[0] == reports[1]
+            for refused in (harness, premise):
+                with pytest.raises(TypeError, match="must answer one bool per lane"):
+                    refused()
     assert calls == []
 
 
@@ -1197,17 +1199,13 @@ def test_one_answer_for_two_lanes_is_not_taken_for_both():
     # witnesses that the scalar check refuses
     box = BoxDomain((0.0, 0.0), (1.0, 1.0))
     cfg = CSeqProbeConfig(probes=(UT2Elem(0.5, 0.5),), horizon=2, tail_required=1)
-    outcomes = []
-    for lane_witness in (None, lambda x: (lambda ns: np.full(ns.shape, x))):
-        family = MapFamily(
-            lambda n: ContractionMap(lambda x: 0.5 * x + 0.25 / n, UT2Elem(0.5, 0.0), box),
-            ContractionMap(lambda x: 0.5 * x, UT2Elem(0.5, 0.0), box),
-        )
-        with pytest.raises(TypeError) as info:
-            property_g_check(family, IntervalUT2Space(2.0), lambda x: (lambda n: x), cfg,
-                             [0.5], lane_witness=lane_witness)
-        outcomes.append(str(info.value))
-    assert outcomes[0] == outcomes[1]
+    family = MapFamily(
+        lambda n: ContractionMap(lambda x: 0.5 * x + 0.25 / n, UT2Elem(0.5, 0.0), box),
+        ContractionMap(lambda x: 0.5 * x, UT2Elem(0.5, 0.0), box),
+    )
+    with pytest.raises(TypeError, match="must answer one bool per lane"):
+        property_g_check(family, IntervalUT2Space(2.0),
+                         lambda x: (lambda ns: np.full(ns.shape, x)), cfg, [0.5])
 
 
 @pytest.mark.parametrize("start, lanes_take_it", [

@@ -67,6 +67,19 @@ def test_interval_domain_sampling_respects_open_end():
     assert all(0.0 <= p < 1.0 for p in pts)
 
 
+def test_interval_domain_sampling_respects_an_open_lower_end():
+    # this draw hit lattice step 0, so lo itself, when steps were drawn from
+    # 0 at an open lower end too
+    dom = IntervalDomain(0.0, 1.0, open_lo=True)
+    pts = dom.sample(np.random.default_rng(14), 100_000)
+    assert min(pts) > 0.0
+    assert all(dom.contains(p) for p in pts)
+    # closed ends draw the steps they drew before, bit for bit
+    closed = IntervalDomain(0.0, 1.0).sample(np.random.default_rng(14), 1000)
+    steps = np.random.default_rng(14).integers(0, 1 << 20, size=1000, endpoint=True)
+    assert closed == [float(v) for v in steps * (1.0 / (1 << 20))]
+
+
 def test_box_domain():
     box = BoxDomain((0.0, -1.0), (2.0, 1.0))
     assert box.contains((1.0, 0.0)) and box.contains((0.0, -1.0))
@@ -634,25 +647,17 @@ def test_judge_rejects_other_kind_against_probes():
 # ------------------------------------------------ columnar sources of entries
 
 
-def _columns_of(fetch, kind, flaw, lane):
-    """A columnar source of the entries fetch gives, spoilt as flaw says at
-    the given lane (the flaws that need a lane leave an empty range alone)."""
+def _columns_of(entries, kind, flaw):
+    """A columnar source of the entries, faithful or spoilt as flaw says."""
 
     def fn(ns):
-        vals = [fetch(n) for n in ns.tolist()]
+        vals = [entries[n] for n in ns.tolist()]
         a = np.array([v.first for v in vals], dtype=np.float64)
         b = np.array([v.second for v in vals], dtype=np.float64)
-        bad = np.zeros(ns.shape, dtype=bool)
         if flaw == "raises":
             raise ZeroDivisionError("columnar source failed")
         if flaw == "divide":
             a = a + np.float64(1.0) / np.zeros(ns.shape)
-        if ns.size and flaw == "bad":
-            bad[lane] = True
-        if ns.size and flaw == "nan":
-            a[lane] = math.nan
-        if ns.size and flaw == "negative":
-            b[lane] = -1e-300
         if flaw == "float32":
             a = a.astype(np.float32)
         if flaw == "short":
@@ -663,13 +668,47 @@ def _columns_of(fetch, kind, flaw, lane):
             a = a.reshape(1, -1)
         if flaw == "list":
             a = a.tolist()
-        return a, b, bad
+        if flaw == "triple":
+            return a, b, np.zeros(ns.shape, dtype=bool)
+        return a, b
 
     return kind, fn
 
 
-_FLAWS = ("none", "bad", "nan", "negative", "float32", "short", "one", "2d", "list",
-          "raises", "divide", "kind")
+# flaws of the columns' form, each refused with TypeError whatever they hold
+_FORM_FLAWS = ("float32", "short", "one", "2d", "list", "triple")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_judge_cases(), st.sampled_from(("none", "kind", "raises", "divide") + _FORM_FLAWS),
+       st.data())
+def test_columnar_judge_matches_scalar_reference(case, flaw, data):
+    # faithful columns are judged as the scalar judge judges their entries,
+    # an entry out of the cone or NaN raising at the least such index;
+    # columns of the wrong form are refused, and the source's own
+    # exceptions propagate: nothing falls back to a scalar fetch
+    seq, cfg = case
+    kind = type(cfg.probes[0])
+    entries = [seq(n) for n in range(cfg.horizon + 1)]
+    # sometimes one entry the scalar judge must reject: out of the cone or NaN
+    poison = data.draw(st.sampled_from((None, -1.0, math.nan, -1e-300)))
+    if poison is not None:
+        entries[data.draw(st.integers(0, cfg.horizon))] = kind.of(0.0, poison)
+    if flaw == "kind":
+        # entries of the other algebra, described faithfully by the source:
+        # the judge must still refuse to compare them with the probes
+        kind = UT2Elem if kind is R2Elem else R2Elem
+        entries = [kind.of(v.first, v.second) for v in entries]
+    got = _outcome(lambda: is_c_sequence(_columns_of(entries, kind, flaw), cfg))
+    # a column cut to one entry is whole on a window of one index
+    if flaw in ("none", "kind") or (flaw == "one" and cfg.start == cfg.horizon):
+        assert got == _outcome(lambda: _reference_judge(entries.__getitem__, cfg))
+    elif flaw == "raises":
+        assert got == (ZeroDivisionError, "columnar source failed")
+    elif flaw == "divide":
+        assert got == (FloatingPointError, "divide by zero encountered in divide")
+    else:
+        assert got[0] is TypeError
 
 
 def _outcome(call):
@@ -679,58 +718,30 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-@settings(max_examples=400, deadline=None)
-@given(_judge_cases(), st.sampled_from(_FLAWS), st.data())
-def test_columnar_judge_matches_scalar_reference(case, flaw, data):
-    seq, cfg = case
-    kind = type(cfg.probes[0])
-    fetch = seq if callable(seq) else seq.__getitem__
-    entries = [fetch(n) for n in range(cfg.horizon + 1)]
-    # sometimes one entry the scalar fetch must reject: out of the cone or NaN
-    poison = data.draw(st.sampled_from((None, -1.0, math.nan)))
-    if poison is not None:
-        entries[data.draw(st.integers(0, cfg.horizon))] = kind.of(0.0, poison)
-    if flaw == "kind":
-        # entries of the other algebra, described faithfully by the source:
-        # the judge must still refuse to compare them with the probes
-        kind = UT2Elem if kind is R2Elem else R2Elem
-        entries = [kind.of(v.first, v.second) for v in entries]
-    lane = data.draw(st.integers(0, max(0, cfg.horizon - cfg.start)))
-    fetched = []
-
-    def scalar(n):
-        # a lane the source flags bad is one whose scalar fetch raises
-        if flaw == "bad" and n == cfg.start + lane:
-            raise PointOutsideCarrier(f"point outside carrier at {n}")
-        return entries[n]
-
-    def logged(n):
-        fetched.append(n)
-        return scalar(n)
-
-    columns = _columns_of(entries.__getitem__, kind, flaw, lane)
-    want = _outcome(lambda: _reference_judge(scalar, cfg))
-    assert _outcome(lambda: is_c_sequence(logged, cfg, columns)) == want
-    if flaw == "none" and isinstance(want, CSeqProbeReport):
-        assert fetched == []  # faithful columns are judged without a fetch
-
-
-def test_columnar_judge_replays_the_first_error():
-    # a bad lane at index 9 while the scalar fetch fails at index 4: the
-    # replay raises what the scalar fetch raises first, after fetching 1..4
+def test_columnar_judge_raises_at_the_least_lane_outside_the_cone():
+    # a NaN lane at index 9 and a negative one at index 4: the judge raises
+    # for index 4, as the scalar judge would, with its message
     cfg = CSeqProbeConfig.default(R2Elem, horizon=50)
-    fetched = []
-
-    def seq(n):
-        fetched.append(n)
-        if n == 4:
-            raise PointOutsideCarrier("point outside carrier box at 4")
-        return zero(R2Elem)
 
     def fn(ns):
-        zeros = np.zeros(ns.shape)
-        return zeros, zeros, ns == 9
+        first = np.where(ns == 9, np.nan, 0.0)
+        return first, np.where(ns == 4, -0.5, 0.0)
 
-    with pytest.raises(PointOutsideCarrier, match="at 4"):
-        is_c_sequence(seq, cfg, (R2Elem, fn))
-    assert fetched == [1, 2, 3, 4]
+    with pytest.raises(MemberOutsideCone) as got:
+        is_c_sequence((R2Elem, fn), cfg)
+    entries = [R2Elem(0.0, -0.5) if n == 4 else zero(R2Elem) for n in range(51)]
+    with pytest.raises(MemberOutsideCone) as want:
+        _reference_judge(entries.__getitem__, cfg)
+    assert str(got.value) == str(want.value) == (
+        "entry at index 4 left the cone: R2Elem(first=0.0, second=-0.5)")
+
+
+def test_columnar_judge_lets_division_by_index_zero_raise():
+    # fn runs with numpy's divide="raise": 1 / 0 at index 0 raises
+    # FloatingPointError rather than judging an infinite entry, as the
+    # scalar 1.0 / 0 raises ZeroDivisionError rather than return one
+    cfg = CSeqProbeConfig((UT2Elem(0.5, 0.5),), horizon=20, start=0)
+    with pytest.raises(FloatingPointError, match="divide by zero"):
+        is_c_sequence((UT2Elem, lambda ns: (1.0 / ns, 1.0 / ns)), cfg)
+    cfg = CSeqProbeConfig((UT2Elem(0.5, 0.5),), horizon=20, start=1)
+    assert is_c_sequence((UT2Elem, lambda ns: (1.0 / ns, 1.0 / ns)), cfg).passed
