@@ -498,8 +498,7 @@ def _shared(p, limit: OdeProblem, fields) -> bool:
 def _ode_lane_block(members, limit: OdeProblem, grid: _OdeGrid, ns, u, buffers,
                     failed: dict) -> np.ndarray:
     """ode_solve for the members of the int64 index column ns, as numpy
-    lanes of the lane member members(idx) (see ode_sequence_harness), with
-    idx the (lanes, 1) column of ns; it is rebuilt as lanes finish.
+    lanes of the lane member members(ns[:, None]) (see ode_sequence_harness).
     Returns the (2, lanes) weighted distances of the lanes to the limit
     solution u = (u_y, u_z), NaN where a solve failed, and puts into failed
     what ode_solve raises for each member whose solve fails.
@@ -514,46 +513,36 @@ def _ode_lane_block(members, limit: OdeProblem, grid: _OdeGrid, ns, u, buffers,
     buffers is a float64 array of shape (2, equations, rows, grid_pts), rows
     at least the block's lanes, made once by the caller and reused by every
     block: per equation, the current and the next values, lane i on row i.
-    They swap after a sweep, and when lanes drop out the rows that go on
-    are packed into the leading rows.  The slopes get views of these rows,
+    They swap after a sweep; a lane that has settled or failed keeps the
+    last values it accepted.  The slopes get views of these rows,
     overwritten on the next sweep.  An equation the lane member poses as the
-    limit does (see _shared; checked again at every rebuild, and never
-    regained once lost) is swept as one row, and its tube test, step and
-    distance to the limit are read by every lane: each lane would compute
-    that row from the same inputs in the same operations.
+    limit does (see _shared) is swept as one row, and its tube test, step
+    and distance to the limit are read by every lane: each lane would
+    compute that row from the same inputs in the same operations.
     """
-    nodes = grid.space.nodes
-    idx = ns[:, None]
-    gaps = np.full((2, ns.size), np.nan)
+    m = ns.size
+    gaps = np.full((2, m), np.nan)
     with np.errstate(all="ignore"):
-        p, built = members(idx), idx.size  # built: the lanes p is for
-        cols = [[np.broadcast_to(np.asarray(getattr(p, k)), idx.shape) for k in fields[1:]]
+        p = members(ns[:, None])
+        cols = [[np.broadcast_to(np.asarray(getattr(p, k)), (m, 1)) for k in fields[1:]]
                 for fields in _EQUATIONS]
         if any(c.dtype != np.float64 for pair in cols for c in pair):
             raise TypeError("a lane member's initial values and radii must be float64")
-        init = [v0 for v0, _ in cols]
-        radius = [r[:, 0] for _, r in cols]
         shared = [_shared(p, limit, fields) for fields in _EQUATIONS]
-        cur, nxt = (list(b) for b in buffers)
+        rows = [slice(1 if s else m) for s in shared]  # the rows each equation sweeps
+        init = [v0[at] for (v0, _), at in zip(cols, rows)]
+        radius = [r[at, 0] for (_, r), at in zip(cols, rows)]
+        cur, nxt = ([b[e][at] for e, at in enumerate(rows)] for b in buffers)
         for v, v0 in zip(cur, init):
-            v[:idx.size] = v0
-        lane = np.arange(idx.size)
+            v[:] = v0
+        live = np.ones(m, dtype=bool)
         for it in range(1, _MAX_SWEEPS + 1):
-            m = lane.size
-            if not m:
+            if not live.any():
                 break
-            if m != built:  # lanes only ever drop out
-                p, built = members(idx), m
-                for e, fields in enumerate(_EQUATIONS):
-                    if shared[e] and not _shared(p, limit, fields):
-                        shared[e] = False
-                        cur[e][1:m] = cur[e][0]
-            now, new, excess = [], [], []
-            inside = np.ones(m, dtype=bool)
-            for e, (slope, *_) in enumerate(_EQUATIONS):
-                k = 1 if shared[e] else m
-                v, v1, v0, r = cur[e][:k], nxt[e][:k], init[e][:k], radius[e][:k]
-                s = getattr(p, slope)(nodes, v)
+            excess = []
+            inside = live.copy()  # the live lanes whose sweep stays in its tube
+            for (slope, *_), v, v1, v0, r in zip(_EQUATIONS, cur, nxt, init, radius):
+                s = getattr(p, slope)(grid.space.nodes, v)
                 if not (isinstance(s, np.ndarray) and s.dtype == np.float64
                         and s.shape == v.shape):
                     raise TypeError("lane slopes must be float64 arrays of "
@@ -563,30 +552,22 @@ def _ode_lane_block(members, limit: OdeProblem, grid: _OdeGrid, ns, u, buffers,
                 v1 += v0
                 excess.append(np.broadcast_to(_tube_excess(v1, v0, r), (m,)))
                 inside &= excess[-1] <= _tube_slack(r)
-                now.append(v)
-                new.append(v1)
-            for i in np.flatnonzero(~inside).tolist():
-                failed[int(idx[i, 0])] = _left_tube(it, excess[0][i].item(), excess[1][i].item())
-            d1, d2, _ = grid.space.distances(new, now)
+            for i in np.flatnonzero(live & ~inside).tolist():
+                failed[int(ns[i])] = _left_tube(it, excess[0][i].item(), excess[1][i].item())
+            d1, d2, _ = grid.space.distances(nxt, cur)
             step = np.abs(d1) + np.abs(d2)
             done = inside & ((step + grid.first_weight * d1 < grid.threshold)
                              | (step == 0.0))
             if done.any():
-                ends = [v if s else v[done] for v, s in zip(new, shared)]
+                ends = [v if s else v[done] for v, s in zip(nxt, shared)]
                 g1, g2, _ = grid.space.distances(ends, u)
-                gaps[0, lane[done]], gaps[1, lane[done]] = g1, g2
-            keep = inside & ~done
-            kept = int(np.count_nonzero(keep))
-            for e, s in enumerate(shared):
-                if s or kept == m:
-                    cur[e], nxt[e] = nxt[e], cur[e]
-                else:
-                    np.compress(keep, new[e], axis=0, out=cur[e][:kept])
-            if kept < m:
-                lane, idx = lane[keep], idx[keep]
-                init = [v0[keep] for v0 in init]
-                radius = [r[keep] for r in radius]
-    for n in idx[:, 0].tolist():
+                gaps[0, done], gaps[1, done] = g1, g2
+            for v, v1, s in zip(cur, nxt, shared):
+                if not (s or inside.all()):  # a finished lane keeps what it accepted
+                    v1[~inside] = v[~inside]
+            cur, nxt = nxt, cur
+            live = inside & ~done
+    for n in ns[live].tolist():
         failed[n] = _unsettled(grid.tol)
     return gaps
 
@@ -632,7 +613,7 @@ def ode_sequence_harness(
 ) -> ConvergenceReport:
     """Solutions of a problem family against the limit problem's solution.
 
-    All solves share one certificate (tighter interval, larger rates, built
+    All solves share one certificate (tighter interval, larger rates, made
     from the first member and the limit) so distances compare functions on
     a common grid under a common weight; ValueError names the first member
     whose declared rates exceed its alpha.  Per index n the distance is the
@@ -652,15 +633,16 @@ def ode_sequence_harness(
     nodes and (lanes x grid_pts) arrays of values, one row per member, to
     slopes of that shape, and its initial values and radii are float64
     columns or shared scalars.  The limit is solved by ode_solve, every
-    member from the lane form alone (see _ode_lane_block), and only two
-    distance columns are kept, which the probe reads; a member whose solve
-    failed raises what ode_solve raises for it at its row, else at its
-    index in the probe.  The lane slopes are given views of value buffers
-    that the next sweep overwrites, so a slope must neither keep nor write
-    its inputs.  An equation the lane member poses with the limit's own
-    slope object (members(n).g is limit.g, say) and with a scalar initial
-    value and radius equal to the limit's is swept once per block, as one
-    row that every lane reads.
+    member from the lane form alone, made once per block of lanes and
+    swept until the block's last lane finishes (see _ode_lane_block), and
+    only two distance columns are kept, which the probe reads; a member
+    whose solve failed raises what ode_solve raises for it at its row, else
+    at its index in the probe.  The lane slopes are given views of value
+    buffers that the next sweep overwrites, so a slope must neither keep
+    nor write its inputs.  An equation the lane member poses with the
+    limit's own slope object (members(n).g is limit.g, say) and with a
+    scalar initial value and radius equal to the limit's is swept once per
+    block, as one row that every lane reads.
 
     When a distance_log dict is supplied, every index the rows and the
     probe read is recorded there as n -> distance element.

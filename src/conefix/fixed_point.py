@@ -160,10 +160,12 @@ class MapFamily:
     scalar operator lane by lane when its index is an array.  The map must
     not write into its input columns, which may be read-only broadcast
     views.  The fixed point harnesses solve members from the lane form
-    alone: an exception from it propagates, and a map that does not return
-    float64 columns of the lanes' shape, or a domain that does not answer
-    one bool per lane, raises TypeError.  The convergence checkers take the
-    same contract.
+    alone, built once per block of lanes, whose map is applied to the whole
+    block until its last lane finishes, a finished lane held at the last
+    point it accepted: an exception from it propagates, and a map that does
+    not return float64 columns of the lanes' shape, or a domain that does
+    not answer one bool per lane, raises TypeError.  The convergence
+    checkers take the same contract.
     """
 
     def __init__(
@@ -224,8 +226,11 @@ def verify_contraction(
     slack is an absolute allowance added to both coordinates of the right
     side before the exact cone test; it absorbs the one-ulp noise that maps
     with additive constants produce at equality, per the pre-rounding rule
-    for order comparisons.  Pass slack=0 for a literal test.
+    for order comparisons.  Pass slack=0 for a literal test.  ValueError
+    unless samples >= 1 and slack is non-negative and finite.
     """
+    if not (samples >= 1 and 0.0 <= slack < math.inf):
+        raise ValueError(f"need samples >= 1 and a finite slack >= 0, got {samples!r}, {slack!r}")
     rng = np.random.default_rng(seed)
     domain = T.domain if T.domain is not None else space
     pts = domain.sample(rng, 2 * samples)
@@ -799,51 +804,47 @@ def _lane_images(family, ns, at, dim: int) -> tuple:
 def _lane_block(family, space, dim, start, x0, tol, ns, failed) -> np.ndarray:
     """picard_solve(family.member(n), space, start, tol) for the members n
     of the int64 column ns, as numpy lanes of the lane member members(ns)
-    (see MapFamily), rebuilt as lanes finish: returns the SolvedMembers
-    columns of ns, and puts into failed what picard_solve raises for each
-    member whose solve fails.  Each lane runs picard_solve's steps from the
-    floats x0 in the same IEEE operations, so to the same bits, and leaves
-    at the failure picard_solve meets first; a lane that never settles runs
-    on to _MAX_ITER.  Any other exception propagates.
+    (see MapFamily): returns the SolvedMembers columns of ns, and puts into
+    failed what picard_solve raises for each member whose solve fails.
+    Each lane runs picard_solve's steps from the floats x0 in the same IEEE
+    operations, so to the same bits, until it settles or meets the failure
+    picard_solve meets first, and then stays at the last point it accepted;
+    a lane that never settles runs on to _MAX_ITER.  Any other exception
+    propagates.
     """
     member = family._members(ns)
     out = np.full((dim + 3, ns.size), np.nan)  # points, iterations, residuals
     with np.errstate(all="ignore"):
-        thr, wt = (np.broadcast_to(v, ns.shape) for v in _stop_rule(
-            tol, np.abs(member.alpha.first), member.alpha.second))
-        x = [np.full(ns.size, c) for c in x0]
-        keep = _inside(member.domain, x, dim)
-        for n in ns[~keep].tolist():
-            failed[n] = _escaped_start(start)
-        lane, idx, thr, wt = np.flatnonzero(keep), ns[keep], thr[keep], wt[keep]
-        x = [c[keep] for c in x]
-        built = ns.size  # the lanes member was built for
+        thr, wt = _stop_rule(tol, np.abs(member.alpha.first), member.alpha.second)
+        x = np.repeat(np.array([x0]).T, ns.size, axis=1)  # a row per coordinate
+        live = _inside(member.domain, x, dim)
+        if not live.all():  # a refused start is never mapped
+            for n in ns[~live].tolist():
+                failed[n] = _escaped_start(start)
+            if live.any():
+                out[:, live] = _lane_block(family, space, dim, start, x0, tol, ns[live], failed)
+            return out
         for it in range(1, _MAX_ITER + 1):
-            if not lane.size:
+            if not live.any():
                 break
-            if idx.size != built:  # lanes only ever drop out
-                member, built = family._members(idx), idx.size
-            x_next = _lane_columns(member.map(_pack(x, dim)), dim, idx.shape)
+            x_next = _lane_columns(member.map(_pack(x, dim)), dim, ns.shape)
             d1, d2, outside = space.distances(_pack(x_next, dim), _pack(x, dim))
             inside = _inside(member.domain, x_next, dim)
-            ok = inside & ~outside
-            for i in np.flatnonzero(~ok).tolist():
+            moved = live & inside & ~outside  # the lanes whose step is accepted
+            for i in np.flatnonzero(live & ~moved).tolist():
                 p = _point_at(x_next, i)
-                failed[int(idx[i])] = (_escaped(it, p) if not inside[i]
-                                       else _carrier_failure(space, p, _point_at(x, i)))
+                failed[int(ns[i])] = (_escaped(it, p) if not inside[i]
+                                      else _carrier_failure(space, p, _point_at(x, i)))
             delta = np.abs(d1) + np.abs(d2)
-            done = ok & ((delta + wt * d1 < thr) | (delta == 0.0))
-            out[dim, lane[done]] = it
-            for a in range(dim):
-                out[a, lane[done]] = x_next[a][done]
-            keep = ok & ~done
-            lane, idx, thr, wt = lane[keep], idx[keep], thr[keep], wt[keep]
-            x = [c[keep] for c in x_next]
-        for n in idx.tolist():
+            done = moved & ((delta + wt * d1 < thr) | (delta == 0.0))
+            out[dim, done] = it
+            np.copyto(x, x_next, where=moved)
+            live = moved & ~done
+        for n in ns[live].tolist():
             failed[n] = _no_fixed_point(tol)
         settled = np.flatnonzero(out[dim] > 0.0)
         if settled.size:
-            at = out[:dim, settled]
+            at = out[:dim, settled] = x[:, settled]
             images = _lane_images(family, ns[settled], at, dim)
             out[dim + 1, settled], out[dim + 2, settled], outside = space.distances(
                 _pack(images, dim), _pack(at, dim))
@@ -1078,16 +1079,21 @@ def fixed_point_cluster_check(
     candidate is polished by iterating the limit map until the float
     iteration reaches an exact fixed point or _POLISH_CAP applications
     pass, and the residual d(y, T y) at the polished point is reported,
-    acceptable when its norm is at most 10 * tol.
+    acceptable when its norm is at most 10 * tol.  ValueError unless tol is
+    positive and finite and indices holds at least one index.
     """
     indices = tuple(indices)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not indices:
+        raise ValueError("indices must hold at least one index")
     store = _solve_members(family, space, start, _CLUSTER_SOLVER_TOL, fp_cache,
                            _solved_indices(indices))
     points = [store[n].point for n in indices]
     quarter = points[-max(1, len(points) // 4):]
     anchor = quarter[-1]
     radius = max(norm(space.distance(p, anchor)) for p in quarter)
-    if radius > 10.0 * tol:
+    if not radius <= 10.0 * tol:  # a NaN radius is no cluster
         return ClusterCheckReport(
             False, None, radius, None, False, "not convergent, no conclusion"
         )

@@ -367,8 +367,10 @@ def check_metric_axioms(space, samples: int = 10_000, seed: int = 0) -> AxiomRep
       triangle: d(x, y) precedes d(x, z) + d(z, y) in the cone order.
 
     Comparisons are exact; see the module docstring for the sampling lattice
-    that makes exactness attainable.
+    that makes exactness attainable.  ValueError unless samples >= 1.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     pts = space.sample(rng, 3 * samples)
     theta = zero(space.kind)

@@ -602,6 +602,71 @@ def test_ode_lanes_leave_failing_members_to_ode_solve(k, make, sweeps, error, mo
     assert calls == [limit]
 
 
+def test_ode_lanes_build_their_member_once_per_block():
+    # ode_sequence's family over 1..1000 at grid 257: blocks of 128 lanes,
+    # each building its lane member once, after the one build that checks
+    # every member's rates against the family certificate
+    members, limit = _damped_ivp_family()
+    builds = []
+
+    def counted(n):
+        if isinstance(n, np.ndarray):
+            builds.append(n.shape)
+        return members(n)
+
+    cfg = CSeqProbeConfig.default(R2Elem, horizon=1000)
+    report = ode_sequence_harness(counted, limit, (1, 2, 10, 1000), cfg, grid_pts=257)
+    assert report.verdict
+    lanes = applications._ODE_BLOCK // 256
+    assert builds == [(1000, 1)] + [(min(lanes, 1000 - i), 1) for i in range(0, 1000, lanes)]
+
+
+def test_ode_lanes_hold_a_lane_that_left_its_tube():
+    # member 3's y tube is too narrow for its slope, so its first sweep
+    # leaves it; the others settle after some ten sweeps.  The y slope
+    # refuses a row outside its tube, so the block goes on only while the
+    # row of member 3 holds the values it accepted
+    k = 3
+    members, limit = _leaky_member_family(k)
+
+    def guarded(n):
+        p = members(n)
+
+        def f(x, y):
+            gap = np.abs(y - p.y_init).max(axis=-1, keepdims=True) - p.y_radius
+            if not np.all(gap <= applications._tube_slack(p.y_radius)):
+                raise AssertionError("a slope was given values outside their tube")
+            return p.f(x, y)
+
+        return dataclasses.replace(p, f=f)
+
+    cert = _family_certificate(ode_certify(guarded(1)), ode_certify(limit), limit.center)
+    u = ode_solve(limit, 65, 1e-10, cert)
+    ns = np.arange(1, 31)
+    failed: dict = {}
+    gaps = applications._ode_lane_block(
+        guarded, limit, applications._ode_grid(cert, 65, 1e-10), ns, (u.y, u.z),
+        np.empty((2, 2, ns.size, 65)), failed)
+    assert list(failed) == [k]
+    want = _raised(lambda: ode_solve(guarded(k), 65, 1e-10, cert))
+    assert want[0] is LeftInvariantSet
+    assert (type(failed[k]), str(failed[k])) == want
+    assert np.isnan(gaps[:, k - 1]).all()
+    others = [n for n in ns.tolist() if n != k]
+    want = _ode_solve_distances(guarded, limit, others, 65)
+    assert _bits(gaps[:, ns != k].T) == [_bits((want[n].first, want[n].second)) for n in others]
+
+
+def test_ode_lanes_refuse_initial_values_that_are_not_float64():
+    members, limit = _damped_ivp_family()
+    narrow = lambda n: (dataclasses.replace(members(n), y_init=np.ones(n.shape, np.float32))
+                        if isinstance(n, np.ndarray) else members(n))
+    cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=30)
+    with pytest.raises(TypeError, match="^a lane member's initial values and radii must be "
+                                        "float64$"):
+        ode_sequence_harness(narrow, limit, (1, 2, 5, 10), cfg, grid_pts=65)
+
+
 def test_ode_lane_build_errors_propagate(monkeypatch):
     # no lane member that holds a member from 7 on can be built: the
     # harness raises that error before it solves anything, though member
@@ -721,8 +786,9 @@ def test_ode_lanes_sweep_an_equation_shared_with_the_limit_once(
 
 def test_ode_lanes_keep_the_bits_of_a_shared_equation_whose_sharing_ends(monkeypatch):
     # members 1, 2, 5 and 7 damp y twice as hard and take one sweep more;
-    # the lane member rebuilt for those four alone has its own g, so the
-    # one shared z row must go on in four rows, bit for bit
+    # a lane member built for those four alone would have its own g, but
+    # the block builds its member once, for all its lanes, so the one
+    # shared z row goes on for the four, bit for bit
     slow = (1, 2, 5, 7)
     members, limit = _damped_ivp_family()
     own_g = lambda x, z: -2.0 * z

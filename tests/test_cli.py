@@ -113,6 +113,14 @@ def test_huge_size_knobs_exit_two_before_running(name, flag, key, value, monkeyp
     assert captured.err == f"error: {key} must be at most {KNOB_CAPS[key]}, got {value}\n"
 
 
+@pytest.mark.parametrize("flag, key", [("--horizon", "horizon"), ("--grid-pts", "grid_pts")])
+def test_zero_size_knobs_exit_two(flag, key, capsys):
+    assert main(["run", "thm_2_9", flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key} must be positive, got 0\n"
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 def test_non_finite_tol_exits_two(tol, capsys):
     assert main(["run", "thm_2_9", "--tol", tol]) == 2

@@ -1,6 +1,7 @@
 """Contraction solving, convergence-mode checkers, and limit harnesses."""
 
 import dataclasses
+import math
 import operator
 from fractions import Fraction
 
@@ -244,6 +245,17 @@ def test_verify_contraction_convicts_identity():
     assert report.worst_excess > 0.0
 
 
+@pytest.mark.parametrize("samples, slack", [
+    (0, 1e-12), (-1, 1e-12), (1000, math.inf), (1000, math.nan), (1000, -1e-12),
+])
+def test_verify_contraction_refuses_samples_and_slacks_that_check_nothing(samples, slack):
+    # no samples would report ok with nothing checked; an infinite slack
+    # would pass any map, and a negative or NaN one fail every sample
+    liar = ContractionMap(lambda x: x, UT2Elem(0.5, 0.0))
+    with pytest.raises(ValueError, match=r"^need samples >= 1 and a finite slack >= 0, got "):
+        verify_contraction(liar, IntervalUT2Space(1.0), samples=samples, slack=slack)
+
+
 # ----------------------------------------------------------------- sampling
 
 
@@ -276,6 +288,15 @@ def test_pointwise_convergence_on_power_family():
     )
     assert report.passed
     assert len(report.reports) == 2
+
+
+def test_pointwise_convergence_refuses_a_plane_point_that_is_not_a_pair():
+    from conefix.scenarios import _power_family
+
+    space, family = _power_family()
+    with pytest.raises(TypeError, match="^plane points must be pairs$"):
+        check_pointwise_convergence(family, space, [[0.5, 0.5]],
+                                    CSeqProbeConfig.default(R2Elem, horizon=30))
 
 
 def test_pointwise_convergence_trivial_and_failing():
@@ -630,6 +651,30 @@ def test_cluster_check_flags_moved_cluster():
     assert report.conclusion == "convergent, but the limit map moves the cluster point"
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-4, math.inf, math.nan])
+def test_cluster_check_refuses_a_tol_that_is_not_positive_and_finite(tol):
+    # a NaN tol would make every radius a cluster, an infinite one every
+    # residual acceptable
+    family = MapFamily(lambda n: _half_plus(0.25), _half_plus(0.25))
+    with pytest.raises(ValueError, match=rf"^tol must be positive and finite, got {tol!r}$"):
+        fixed_point_cluster_check(family, IntervalUT2Space(1.0), range(1, 41), start=0.0,
+                                  tol=tol)
+
+
+def test_cluster_check_refuses_empty_indices():
+    family = MapFamily(lambda n: _half_plus(0.25), _half_plus(0.25))
+    with pytest.raises(ValueError, match="^indices must hold at least one index$"):
+        fixed_point_cluster_check(family, IntervalUT2Space(1.0), (), start=0.0)
+
+
+def test_cluster_check_takes_a_nan_radius_for_no_cluster(monkeypatch):
+    family = MapFamily(lambda n: _half_plus(0.25), _half_plus(0.25))
+    monkeypatch.setattr(fixed_point, "norm", lambda d: math.nan)
+    report = fixed_point_cluster_check(family, IntervalUT2Space(1.0), range(1, 41), start=0.0)
+    assert not report.converged
+    assert report.conclusion == "not convergent, no conclusion"
+
+
 # ------------------------------------------------------ property G and H
 
 
@@ -870,8 +915,8 @@ def test_lane_stop_rule_edges_match_picard(jump, tol, iterations):
 
 def test_a_stalled_lane_runs_on_the_lanes_to_the_iteration_cap(monkeypatch):
     # member 3 swaps x and 1 - x forever; the others contract slowly, at
-    # rate 0.99, over some 2500 iterations.  The stuck lane iterates on the
-    # lanes, alone at the end, until the cap, and then raises NoConvergence
+    # rate 0.99, over some 2500 iterations.  The stuck lane keeps its block
+    # of 8 lanes iterating until the cap, and then raises NoConvergence
     monkeypatch.setattr(fixed_point, "_MAX_ITER", 3000)
     calls = []
 
@@ -889,10 +934,52 @@ def test_a_stalled_lane_runs_on_the_lanes_to_the_iteration_cap(monkeypatch):
     store = _solve_members(family, space, 0.25, 1e-12, None, np.arange(1, 9))
     # one map call per iteration up to the cap, then one for the residuals
     assert len(calls) == 3000 + 1
-    assert calls[0] == 8 and calls[-2] == 1 and calls[-1] == 7
+    assert calls[:-1] == [8] * 3000 and calls[-1] == 7
     assert list(store._failed) == [3]
     _assert_store_is_picard(store, family, space, 0.25, 1e-12, range(1, 9))
     with pytest.raises(NoConvergence, match=r"^no fixed point within 3000 iterations"):
+        store[3]
+
+
+def test_each_block_builds_its_lane_member_for_its_iterations_and_its_residuals():
+    # thm_2_10's family at 1..10000 solves in blocks of _LANE_BLOCK lanes,
+    # every member settling: each block builds its lane member once for all
+    # its iterations and once for the residuals of its settled lanes
+    family, space, x0, tol = _shipped_lane_families()["thm_2_10"]
+    builds = []
+
+    def members(n):
+        if isinstance(n, np.ndarray):
+            builds.append(n.size)
+        return family._members(n)
+
+    counted = MapFamily(members, family.limit, family.coefficient_bound)
+    store = _solve_members(counted, space, x0, tol, None, np.arange(1, 10_001))
+    assert store._failed == {}
+    block = fixed_point._LANE_BLOCK
+    sizes = [min(block, 10_000 - i) for i in range(0, 10_000, block)]
+    assert builds == [size for size in sizes for _ in range(2)]
+
+
+def test_a_lane_that_leaves_its_domain_is_never_mapped_again():
+    # member 3 maps 0 to 0.5 and then 0.5 to 2.5, outside its domain, at
+    # iteration 2; the others halve toward 0.25 for some 40 iterations.  The
+    # lane map refuses any point outside [0, 1], so the block goes on only
+    # while the lane of member 3 is held at 0.5, the last point it accepted
+    def members(n):
+        def step(x):
+            if np.any((x < 0.0) | (x > 1.0)):
+                raise AssertionError(f"a point outside [0, 1] was mapped: {x!r}")
+            return _where(n == 3, 4.0 * x + 0.5, 0.5 * x + 0.125)
+
+        return ContractionMap(step, UT2Elem(0.5, 0.0), UNIT_INTERVAL)
+
+    family = MapFamily(members, _half_plus(0.0))
+    space = IntervalUT2Space(1.0)
+    store = _solve_members(family, space, 0.0, 1e-12, None, np.arange(1, 9))
+    assert list(store._failed) == [3]
+    _assert_store_is_picard(store, family, space, 0.0, 1e-12, range(1, 9))
+    with pytest.raises(IterateEscapedDomain, match=r"^iterate 2 left the declared domain: 2\.5$"):
         store[3]
 
 

@@ -195,6 +195,13 @@ def test_metric_axioms_hold_on_shipped_spaces():
         assert report.clean, (space, report)
 
 
+def test_metric_axioms_refuse_a_check_of_no_samples():
+    # no samples would report clean with nothing checked
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match=rf"^samples must be at least 1, got {samples}$"):
+            check_metric_axioms(IntervalUT2Space(1.0), samples=samples)
+
+
 class _NegatedDistance:
     """Broken stand-in: a sign flip must be caught by the first axiom."""
 
@@ -337,6 +344,13 @@ def test_bielecki_pair_space_distance():
     for tau in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             BieleckiPairSpace(0.0, 1.0, 17, tau)
+
+
+def test_bielecki_space_refuses_a_grid_of_one_node_and_an_empty_interval():
+    with pytest.raises(ValueError, match="^grid_pts must be >= 2$"):
+        BieleckiPairSpace(0.0, 1.0, 1, 1.0)
+    with pytest.raises(ValueError, match="^interval must have lo < hi$"):
+        BieleckiPairSpace(1.0, 1.0, 5, 1.0)
 
 
 # ------------------------------------------------------------------ grids
