@@ -160,12 +160,12 @@ class MapFamily:
     scalar operator lane by lane when its index is an array.  The map must
     not write into its input columns, which may be read-only broadcast
     views.  The fixed point harnesses solve members from the lane form
-    alone, built once per block of lanes, whose map is applied to the whole
-    block until its last lane finishes, a finished lane held at the last
-    point it accepted: an exception from it propagates, and a map that does
-    not return float64 columns of the lanes' shape, or a domain that does
-    not answer one bool per lane, raises TypeError.  The convergence
-    checkers take the same contract.
+    alone, built for every member they lack at once and again for the
+    lanes still live each time at most 1/8 of them are, a finished lane
+    held at the last point it accepted: an exception from it propagates,
+    and a map that does not return float64 columns of the lanes' shape, or
+    a domain that does not answer one bool per lane, raises TypeError.  The
+    convergence checkers take the same contract.
     """
 
     def __init__(
@@ -630,10 +630,6 @@ def _require_inside(domain, y, what: str) -> None:
         raise WitnessOutsideDomain(f"{what}: {y!r}")
 
 
-# lanes per block of the lane solver: bounds the size of its temporaries
-_LANE_BLOCK = 1024
-
-
 def _inside(domain, cols, dim: int) -> np.ndarray:
     """Per lane, whether the point in the dim columns cols lies in domain
     (None: every lane does); TypeError unless domain.contains answers with
@@ -801,32 +797,31 @@ def _lane_images(family, ns, at, dim: int) -> tuple:
     return _lane_columns(family._members(ns).map(_pack(at, dim)), dim, ns.shape)
 
 
-def _lane_block(family, space, dim, start, x0, tol, ns, failed) -> np.ndarray:
+def _lane_block(family, space, dim, start, x, tol, ns, failed, it=0) -> np.ndarray:
     """picard_solve(family.member(n), space, start, tol) for the members n
     of the int64 column ns, as numpy lanes of the lane member members(ns)
-    (see MapFamily): returns the SolvedMembers columns of ns, and puts into
-    failed what picard_solve raises for each member whose solve fails.
-    Each lane runs picard_solve's steps from the floats x0 in the same IEEE
+    (see MapFamily), resumed after iteration it from the points in the
+    float64 array x (dim rows, a column per lane; written over), which
+    are start at iteration 0: returns the SolvedMembers columns of ns, and
+    puts into failed what picard_solve raises for each member whose solve
+    fails.  Each lane runs picard_solve's steps in the same IEEE
     operations, so to the same bits, until it settles or meets the failure
-    picard_solve meets first, and then stays at the last point it accepted;
-    a lane that never settles runs on to _MAX_ITER.  Any other exception
-    propagates.
+    picard_solve meets first, and then stays at the last point it
+    accepted.  Once at most 1/8 of the lanes are live, the live lanes alone
+    resume, with a lane member built for them, so a lane that never
+    settles runs on to _MAX_ITER among few others; they resume at once,
+    before any lane is mapped, when some member's domain refuses the
+    start, which is never mapped.  Any other exception propagates.
     """
     member = family._members(ns)
     out = np.full((dim + 3, ns.size), np.nan)  # points, iterations, residuals
     with np.errstate(all="ignore"):
         thr, wt = _stop_rule(tol, np.abs(member.alpha.first), member.alpha.second)
-        x = np.repeat(np.array([x0]).T, ns.size, axis=1)  # a row per coordinate
         live = _inside(member.domain, x, dim)
-        if not live.all():  # a refused start is never mapped
-            for n in ns[~live].tolist():
-                failed[n] = _escaped_start(start)
-            if live.any():
-                out[:, live] = _lane_block(family, space, dim, start, x0, tol, ns[live], failed)
-            return out
-        for it in range(1, _MAX_ITER + 1):
-            if not live.any():
-                break
+        for n in ns[~live].tolist():
+            failed[n] = _escaped_start(start)
+        while it < _MAX_ITER and (live.all() or it > 0 and 8 * np.count_nonzero(live) > ns.size):
+            it += 1
             x_next = _lane_columns(member.map(_pack(x, dim)), dim, ns.shape)
             d1, d2, outside = space.distances(_pack(x_next, dim), _pack(x, dim))
             inside = _inside(member.domain, x_next, dim)
@@ -840,8 +835,6 @@ def _lane_block(family, space, dim, start, x0, tol, ns, failed) -> np.ndarray:
             out[dim, done] = it
             np.copyto(x, x_next, where=moved)
             live = moved & ~done
-        for n in ns[live].tolist():
-            failed[n] = _no_fixed_point(tol)
         settled = np.flatnonzero(out[dim] > 0.0)
         if settled.size:
             at = out[:dim, settled] = x[:, settled]
@@ -852,14 +845,21 @@ def _lane_block(family, space, dim, start, x0, tol, ns, failed) -> np.ndarray:
                 failed[int(ns[settled[i]])] = _carrier_failure(
                     space, _point_at(images, i), _point_at(at, i))
                 out[:dim, settled[i]] = np.nan
+        if it == _MAX_ITER:
+            for n in ns[live].tolist():
+                failed[n] = _no_fixed_point(tol)
+        elif live.any():
+            out[:, live] = _lane_block(family, space, dim, start, x[:, live], tol, ns[live],
+                                       failed, it)
     return out
 
 
 def _solve_members(family, space, start, tol, store, ns) -> SolvedMembers:
     """store, or a new SolvedMembers for None, holding every member of the
-    sorted int64 column ns solved from start at tol, those it lacks in
-    blocks of _LANE_BLOCK lanes; ValueError for a start _start_point
-    refuses, and for a store of another family, space, start or tol."""
+    sorted int64 column ns solved from start at tol, those it lacks in one
+    _lane_block (none built or mapped when it lacks none); ValueError for a
+    start _start_point refuses, and for a store of another family, space,
+    start or tol."""
     dim = _space_dim(space)
     problem = (family, space, _start_point(start, dim), tol)
     store = store if store is not None else SolvedMembers()
@@ -868,12 +868,12 @@ def _solve_members(family, space, start, tol, store, ns) -> SolvedMembers:
     elif not (family is store._problem[0] and problem[1:] == store._problem[1:]):
         raise ValueError("fp_cache holds members solved for another family, space, start or tol")
     todo = np.setdiff1d(ns, store._ns, assume_unique=True)
-    blocks = [_lane_block(family, space, dim, start, problem[2], tol,
-                          todo[i:i + _LANE_BLOCK], store._failed)
-              for i in range(0, todo.size, _LANE_BLOCK)]
-    ns = np.concatenate((store._ns, todo))
-    order = np.argsort(ns, kind="stable")
-    store._ns, store._cols = ns[order], np.concatenate((store._cols, *blocks), axis=1)[:, order]
+    if todo.size:
+        x = np.repeat(np.array([problem[2]]).T, todo.size, axis=1)  # a row per coordinate
+        cols = _lane_block(family, space, dim, start, x, tol, todo, store._failed)
+        ns = np.concatenate((store._ns, todo))
+        order = np.argsort(ns, kind="stable")
+        store._ns, store._cols = ns[order], np.concatenate((store._cols, cols), axis=1)[:, order]
     return store
 
 

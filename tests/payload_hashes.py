@@ -8,6 +8,11 @@ message of the exception the run raised.  Each scenario is given only the
 knobs it declares (ScenarioConfig.declared_by), as `conefix run --all`
 gives them.  A change that moves no payload byte prints the same lines
 before and after it: run the script in both checkouts and diff the output.
+
+tests/golden/payload_hashes.txt holds the lines, and tests/test_golden.py
+compares them with a fresh run.  Like the golden payloads, the file may be
+regenerated (redirect this script's output into it) only by a change that
+states which payloads moved and why.
 """
 
 import hashlib
@@ -37,10 +42,16 @@ def payload_line(config: ScenarioConfig, name: str) -> str:
     return " ".join(_sha256(text) for text in (run.to_json(), run.to_csv(), "\n".join(run.notes)))
 
 
-def main() -> None:
+def payload_lines():
+    """The script's lines, one per knob set and scenario, in order."""
     for label, config in KNOB_SETS:
         for name in SCENARIOS:
-            print(f"{label} {name} {payload_line(config, name)}", flush=True)
+            yield f"{label} {name} {payload_line(config, name)}"
+
+
+def main() -> None:
+    for line in payload_lines():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

@@ -914,51 +914,167 @@ def test_lane_stop_rule_edges_match_picard(jump, tol, iterations):
 
 
 def test_a_stalled_lane_runs_on_the_lanes_to_the_iteration_cap(monkeypatch):
-    # member 3 swaps x and 1 - x forever; the others contract slowly, at
-    # rate 0.99, over some 2500 iterations.  The stuck lane keeps its block
-    # of 8 lanes iterating until the cap, and then raises NoConvergence
+    # member 3 swaps x and 1 - x forever; members 1..64 halve toward 0.5 in
+    # some 40 iterations and members 65..72 contract at rate 0.9 in some
+    # 260.  When the fast lanes settle, 9 of 72 are live, at most 1/8, so
+    # those 9 resume alone; when the slow ones settle, the stuck lane goes
+    # on alone to the cap, and then raises NoConvergence
     monkeypatch.setattr(fixed_point, "_MAX_ITER", 3000)
     calls = []
 
     def members(n):
-        stuck = n == 3
+        stuck, fast = n == 3, n <= 64
 
         def step(x):
             calls.append(np.size(x))
-            return _where(stuck, 1.0 - x, 0.99 * x + 0.005)
+            return _where(stuck, 1.0 - x, _where(fast, 0.5 * x + 0.25, 0.9 * x + 0.05))
 
-        return ContractionMap(step, UT2Elem(_where(stuck, 0.5, 0.99), 0.0), UNIT_INTERVAL)
+        rate = _where(stuck | fast, 0.5, 0.9)
+        return ContractionMap(step, UT2Elem(rate, 0.0), UNIT_INTERVAL)
 
     family = MapFamily(members, _half_plus(0.0))
     space = IntervalUT2Space(1.0)
-    store = _solve_members(family, space, 0.25, 1e-12, None, np.arange(1, 9))
-    # one map call per iteration up to the cap, then one for the residuals
-    assert len(calls) == 3000 + 1
-    assert calls[:-1] == [8] * 3000 and calls[-1] == 7
+    store = _solve_members(family, space, 0.25, 1e-12, None, np.arange(1, 73))
+    fast, slow = store[1].iterations, store[72].iterations
+    assert 0 < fast < slow < 3000
+    # the map calls of the iterations, each followed by one for the
+    # residuals of the lanes that settled: widths 72, 9 and 1, each at
+    # most 1/8 of the one before, never growing between
+    assert calls == ([72] * fast + [63] + [9] * (slow - fast) + [8]
+                     + [1] * (3000 - slow))
+    assert all(a >= b for a, b in zip(calls, calls[1:]))
     assert list(store._failed) == [3]
-    _assert_store_is_picard(store, family, space, 0.25, 1e-12, range(1, 9))
+    _assert_store_is_picard(store, family, space, 0.25, 1e-12, range(1, 73))
     with pytest.raises(NoConvergence, match=r"^no fixed point within 3000 iterations"):
         store[3]
 
 
+def _counted(family, builds: list, maps: list | None = None) -> MapFamily:
+    """family, appending the width of every lane member it builds to
+    builds, and, given maps, the width of every map call of those members
+    to maps."""
+    def members(n):
+        member = family._members(n)
+        if not isinstance(n, np.ndarray):
+            return member
+        builds.append(n.size)
+        if maps is None:
+            return member
+
+        def step(x):
+            maps.append(np.size(x[0] if type(x) is tuple else x))
+            return member.map(x)
+
+        return ContractionMap(step, member.alpha, member.domain)
+
+    return MapFamily(members, family.limit, family.coefficient_bound)
+
+
 def test_each_block_builds_its_lane_member_for_its_iterations_and_its_residuals():
-    # thm_2_10's family at 1..10000 solves in blocks of _LANE_BLOCK lanes,
-    # every member settling: each block builds its lane member once for all
-    # its iterations and once for the residuals of its settled lanes
+    # thm_2_10's family at 1..10000 solves in one block, every member
+    # settling: the block builds its lane member once for all 10000 lanes,
+    # and again, narrower, each time at most 1/8 of its lanes are live; each
+    # width builds one more member for the residuals of the lanes that
+    # settled in it
     family, space, x0, tol = _shipped_lane_families()["thm_2_10"]
     builds = []
+    store = _solve_members(_counted(family, builds), space, x0, tol, None,
+                           np.arange(1, 10_001))
+    assert store._failed == {}
+    widths, residuals = builds[0::2], builds[1::2]
+    assert widths[0] == 10_000 and len(widths) == len(residuals)
+    assert 1 < len(widths) <= 1 + math.ceil(math.log(10_000, 8))
+    for width, settled, narrower in zip(widths, residuals, widths[1:] + [0]):
+        assert settled == width - narrower and 8 * narrower <= width
+
+
+def test_a_solve_the_store_already_holds_builds_and_maps_nothing():
+    # the second call lacks no member, so it builds no lane member, maps no
+    # point and leaves the store as it was; nor does a call for no member
+    family, space, x0, tol = _shipped_lane_families()["thm_2_9"]
+    builds, maps = [], []
+    counted = _counted(family, builds, maps)
+    store = _solve_members(counted, space, x0, tol, None, np.arange(1, 101))
+    assert builds and maps
+    ns, cols = store._ns, store._cols
+    builds.clear()
+    maps.clear()
+    assert _solve_members(counted, space, x0, tol, store, np.arange(20, 80)) is store
+    assert store._ns is ns and store._cols is cols
+    assert _solve_members(counted, space, x0, tol, None, np.arange(1, 1))._ns.size == 0
+    assert builds == [] and maps == []
+
+
+def _planted_affine_family(plane, rates, second, target, refused, escape, carrier, stuck):
+    """Affine members on the indices 0..len(rates) - 1: member n maps x to
+    a x + b, with a = rates[n] and fixed point target, and on the plane y
+    to a y + second (x - target).  Four members are planted: at refused a
+    domain that refuses the starts, at escape a fixed point outside the
+    domain, at carrier one outside the carrier but in the domain, and at
+    stuck x -> 1 - x.  Each number is read from one table, so lane i is
+    members(ns[i]) bit for bit."""
+    size = len(rates)
+    a, c, s = np.array(rates), np.full(size, target), np.full(size, second)
+    lo, hi, alpha = np.zeros(size), np.ones(size), a.copy()
+    lo[refused] = 0.9
+    c[escape], hi[escape] = 0.95, 0.8
+    c[carrier], hi[carrier] = 1.5, 2.0
+    b = (1.0 - a) * c
+    a[stuck], b[stuck], s[stuck], alpha[stuck] = -1.0, 1.0, 0.0, 0.5
 
     def members(n):
-        if isinstance(n, np.ndarray):
-            builds.append(n.size)
-        return family._members(n)
+        at = lambda table: table[n] if isinstance(n, np.ndarray) else table[n].item()
+        a_n, b_n, c_n, s_n = at(a), at(b), at(c), at(s)
+        if plane:
+            step = lambda p: (a_n * p[0] + b_n, a_n * p[1] + s_n * (p[0] - c_n))
+            domain = BoxDomain((at(lo), -math.inf), (at(hi), math.inf))
+            return ContractionMap(step, R2Elem.of(at(alpha), s_n), domain)
+        step = lambda x: a_n * x + b_n
+        return ContractionMap(step, UT2Elem.of(at(alpha), s_n), IntervalDomain(at(lo), at(hi)))
 
-    counted = MapFamily(members, family.limit, family.coefficient_bound)
-    store = _solve_members(counted, space, x0, tol, None, np.arange(1, 10_001))
-    assert store._failed == {}
-    block = fixed_point._LANE_BLOCK
-    sizes = [min(block, 10_000 - i) for i in range(0, 10_000, block)]
-    assert builds == [size for size in sizes for _ in range(2)]
+    return MapFamily(members, members(0))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    plane=st.booleans(),
+    second=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+    target=st.floats(0.1, 0.6),
+    x0=st.floats(0.0, 0.45),
+    y0=st.floats(-0.5, 0.5),
+    tol=st.floats(1e-12, 1e-3),
+    data=st.data(),
+)
+def test_narrowing_lanes_match_picard_with_planted_failures_and_a_reused_cache(
+        plane, second, target, x0, y0, tol, data):
+    # a rate per member, across (0, 0.99], spreads the settling iterations
+    # over two or more narrowings in most draws: the fewer lanes are left,
+    # the slower they contract.  The store solves 1..first, then reuses the
+    # cache for again..size, and must then hold what picard_solve returns
+    # or raises for every member, the four planted failures among them
+    size = data.draw(st.integers(100, 200), label="size")
+    rates = data.draw(st.lists(st.floats(0.0, 0.99, exclude_min=True),
+                               min_size=size + 1, max_size=size + 1), label="rates")
+    first = data.draw(st.integers(size // 2, size - 1), label="first")
+    again = data.draw(st.integers(2, first), label="again")
+    refused, escape, carrier, stuck = data.draw(
+        st.lists(st.integers(1, size), min_size=4, max_size=4, unique=True), label="planted")
+    family = _planted_affine_family(plane, rates, second, target,
+                                    refused, escape, carrier, stuck)
+    space = PlaneR2Space((-1.0, -math.inf), (1.0, math.inf)) if plane else IntervalUT2Space(2.0)
+    start = (x0, y0) if plane else x0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fixed_point, "_MAX_ITER", 3000)
+        store = _solve_members(family, space, start, tol, None, np.arange(1, first + 1))
+        assert store._ns.tolist() == list(range(1, first + 1))
+        assert _solve_members(family, space, start, tol, store,
+                              np.arange(again, size + 1)) is store
+        assert store._ns.tolist() == list(range(1, size + 1))
+        _assert_store_is_picard(store, family, space, start, tol, range(1, size + 1))
+        failures = {n: type(store._failed[n]) for n in (refused, escape, carrier, stuck)}
+    assert failures == {refused: IterateEscapedDomain, escape: IterateEscapedDomain,
+                        carrier: PointOutsideCarrier, stuck: NoConvergence}
+    assert str(store._failed[refused]).startswith("start point")
 
 
 def test_a_lane_that_leaves_its_domain_is_never_mapped_again():

@@ -8,7 +8,9 @@ regenerated only by a change that states which columns moved and why.
 The committed files are also audited on their own: every row's bound
 must dominate the exact distance, computed in rationals by the benchmark's
 checks (perfbench/checks.py), the one copy of that oracle.  The same audit
-runs on fresh payloads at two non-default knob sets.
+runs on fresh payloads at two non-default knob sets.  Beyond the defaults,
+the hashes of every payload under six knob sets must equal the lines of
+tests/golden/payload_hashes.txt (see tests/payload_hashes.py).
 
 Regenerate with:  PYTHONPATH=src python tests/test_golden.py [scenario ...]
 It rewrites the files of the named scenarios only (all of them when none is
@@ -69,6 +71,15 @@ def test_payloads_pass_the_exact_audit_at_other_knobs(name, knob_set):
     for fmt, text in (("json", run.to_json()), ("csv", run.to_csv())):
         op = Operation(name, name, fmt, {**defaults, **given})
         assert check_payload(op, knobs["seed"], text) == []
+
+
+def test_payload_hashes_match_golden():
+    # the sha256 of every scenario's payloads and notes under six knob sets
+    # (tests/payload_hashes.py), against the committed lines
+    from payload_hashes import payload_lines
+
+    golden = (GOLDEN_DIR / "payload_hashes.txt").read_text().splitlines()
+    assert list(payload_lines()) == golden
 
 
 def _write_goldens(names) -> None:
