@@ -16,7 +16,8 @@ interval half-width comes from an inflated bound on |f| and |g| so the
 iterates stay inside the stated tube, and the one weight rate tau is chosen
 so the iteration contracts with factor at most one half.  Every step, row
 distance and displacement is measured in the certificate's
-BieleckiPairSpace, through its distances; the tube test is a plain max.
+BieleckiPairSpace, through its distances or weighted_sups; the tube test
+is a plain max.
 """
 
 from __future__ import annotations
@@ -476,97 +477,167 @@ def ode_solve(
 
 
 # float64 entries per (lanes x grid) block of the lane solver, so 128 lanes
-# at grid 257 and 16 at grid 2049.  Medians of five in-process runs of
-# ode_sequence at grids 257 and 2049 (2-vCPU shared host, Python 3.11,
-# numpy 2.4): 1 << 14 took 0.040 and 0.329 s, 1 << 15 0.035 and 0.247 s,
-# 1 << 16 0.035 and 0.227 s, within the host's spread at twice the buffers
+# at grid 257 and 16 at grid 2049.  Medians of 25 interleaved in-process
+# runs of ode_sequence at grids 257 and 2049, in CPU time (2-vCPU shared
+# host, Python 3.11, numpy 2.4): 1 << 14 took 0.044 and 0.260 s, 1 << 15
+# 0.035 and 0.219 s, 1 << 16 0.038 and 0.213 s, within the host's spread
+# (interquartile ranges of 0.011 and 0.051 s) at twice the buffers
 _ODE_BLOCK = 1 << 15
 
 # the slope, initial value and radius fields of OdeProblem, per equation
 _EQUATIONS = (("f", "y_init", "y_radius"), ("g", "z_init", "z_radius"))
 
-
-def _shared(p, limit: OdeProblem, fields) -> bool:
-    """Whether the lane member p poses this equation as the limit does: with
-    the limit's own slope object, from one initial value in one radius, both
-    equal to the limit's.  Every lane then sweeps the same row."""
-    slope, *scalars = fields
-    return getattr(p, slope) is getattr(limit, slope) and all(
-        np.ndim(getattr(p, k)) == 0 and getattr(p, k) == getattr(limit, k) for k in scalars)
+# the lane solver bounds each sweep's weighted step from every
+# _STEP_SAMPLE-th node before it takes the full step (see _ode_lane_block)
+_STEP_SAMPLE = 32
 
 
-def _ode_lane_block(members, limit: OdeProblem, grid: _OdeGrid, ns, u, buffers,
+def _lane_slopes(slope, nodes, values):
+    s = slope(nodes, values)
+    if not (isinstance(s, np.ndarray) and s.dtype == np.float64 and s.shape == values.shape):
+        raise TypeError("lane slopes must be float64 arrays of "
+                        "the shape of the values they are given")
+    return s
+
+
+class _LimitEquation:
+    """One equation of the limit problem, with the limit solution's values
+    u on the grid, swept from its initial value as one row as far as the
+    lanes ask: self[it] is sweep it's (tube excess, weighted step, weighted
+    distance to u).
+
+    A lane member that poses the equation as the limit does would sweep
+    this row in each of its lanes, from the same inputs in the same
+    operations, so the lanes read these instead, and one harness call
+    sweeps the row once however many blocks read it.  Sweeps run in the
+    numpy error state of the lane block that first asks for them.
+    """
+
+    def __init__(self, limit: OdeProblem, fields, grid: _OdeGrid, u) -> None:
+        self.limit, self.fields, self.grid, self.u = limit, fields, grid, u
+        self._values = np.full((1, u.size), float(getattr(limit, fields[1])))
+        self._sweeps: list = []
+
+    def posed_by(self, p) -> bool:
+        """Whether the lane member p poses this equation as the limit does:
+        with the limit's own slope object, from one initial value in one
+        radius, both equal to the limit's, signs of zero included."""
+        slope, *scalars = self.fields
+        pairs = [(getattr(p, k), getattr(self.limit, k)) for k in scalars]
+        return getattr(p, slope) is getattr(self.limit, slope) and all(
+            np.ndim(a) == 0 and a == b and np.signbit(a) == np.signbit(b) for a, b in pairs)
+
+    def __getitem__(self, it: int) -> tuple:
+        slope, init, radius = (getattr(self.limit, k) for k in self.fields)
+        space = self.grid.space
+        while len(self._sweeps) < it:
+            v = self._values
+            v1 = self.grid.integral(_lane_slopes(slope, space.nodes, v))
+            v1 += init
+            self._sweeps.append((_tube_excess(v1, init, radius)[0],
+                                 space.weighted_sups(v1 - v)[0],
+                                 space.weighted_sups(v1 - self.u)[0]))
+            self._values = v1
+        return self._sweeps[it - 1]
+
+
+def _ode_lane_block(members, grid: _OdeGrid, ns, limit_equations, buffers,
                     failed: dict) -> np.ndarray:
     """ode_solve for the members of the int64 index column ns, as numpy
     lanes of the lane member members(ns[:, None]) (see ode_sequence_harness).
     Returns the (2, lanes) weighted distances of the lanes to the limit
-    solution u = (u_y, u_z), NaN where a solve failed, and puts into failed
-    what ode_solve raises for each member whose solve fails.
+    solution, NaN where a solve failed, and puts into failed what ode_solve
+    raises for each member whose solve fails.  limit_equations are the
+    limit's two _LimitEquation, which hold the limit solution.
 
     Each lane is one row of (lanes x grid) float64 arrays and runs
     ode_solve's sweep in the same IEEE operations, so to the same bits: the
     slopes, the row-wise trapezoid integral, the tube test against the
     lane's own initial values and radii, the weighted step and the shared
     stop rule.  Any other exception propagates, and initial values, radii
-    or slopes that are not float64 of the lanes' shape raise TypeError.
+    or slopes that are not float64 of the lanes' shape raise TypeError.  An
+    equation the lane member poses as the limit does (see _LimitEquation)
+    is not swept here: its tube excess, step and distance to the limit are
+    the limit equation's, which is what each lane would compute.
+
+    The full weighted step, a subtract, abs, weight multiply and max over
+    every lane and node, is taken only on sweeps where a lane may stop.
+    First the same |next - current| * weight products are taken on every
+    _STEP_SAMPLE-th node only.  Their max b is a lower bound of the full
+    step's d, exactly, in each equation (BieleckiPairSpace.weighted_sups).
+    Rounding is monotone and the stop rule's first_weight is >= 0 (the rate
+    is at most 1/2, see _stop_rule), so |b1| + |b2| <= |d1| + |d2| and
+    |b1| + |b2| + first_weight * b1 <= |d1| + |d2| + first_weight * d1.
+    A lane whose bound sum is above 0 and already fails the stop test
+    therefore fails it on the full step too; the full step is taken when
+    any live lane is not ruled out so.
 
     buffers is a float64 array of shape (2, equations, rows, grid_pts), rows
     at least the block's lanes, made once by the caller and reused by every
     block: per equation, the current and the next values, lane i on row i.
     They swap after a sweep; a lane that has settled or failed keeps the
-    last values it accepted.  The slopes get views of these rows,
-    overwritten on the next sweep.  An equation the lane member poses as the
-    limit does (see _shared) is swept as one row, and its tube test, step
-    and distance to the limit are read by every lane: each lane would
-    compute that row from the same inputs in the same operations.
+    last values it accepted.  The slopes get views of these rows, and the
+    full step is worked in the current values once they are spent, so both
+    are overwritten on the next sweep.
     """
     m = ns.size
     gaps = np.full((2, m), np.nan)
+    space = grid.space
+    every = _STEP_SAMPLE
     with np.errstate(all="ignore"):
         p = members(ns[:, None])
-        cols = [[np.broadcast_to(np.asarray(getattr(p, k)), (m, 1)) for k in fields[1:]]
-                for fields in _EQUATIONS]
-        if any(c.dtype != np.float64 for pair in cols for c in pair):
+        given = [[np.asarray(getattr(p, k)) for k in fields[1:]] for fields in _EQUATIONS]
+        # a scalar that every lane shares stays a scalar, which adds faster
+        # than a broadcast column
+        init = [v0[()] if v0.ndim == 0 else np.broadcast_to(v0, (m, 1)) for v0, _ in given]
+        radius = [r[()] if r.ndim == 0 else np.broadcast_to(r, (m, 1))[:, 0] for _, r in given]
+        if any(c.dtype != np.float64 for pair in given for c in pair):
             raise TypeError("a lane member's initial values and radii must be float64")
-        shared = [_shared(p, limit, fields) for fields in _EQUATIONS]
-        rows = [slice(1 if s else m) for s in shared]  # the rows each equation sweeps
-        init = [v0[at] for (v0, _), at in zip(cols, rows)]
-        radius = [r[at, 0] for (_, r), at in zip(cols, rows)]
-        cur, nxt = ([b[e][at] for e, at in enumerate(rows)] for b in buffers)
+        own = [not eq.posed_by(p) for eq in limit_equations]  # swept here, per lane
+        cur, nxt = ([b[e, :m] if o else None for e, o in enumerate(own)] for b in buffers)
         for v, v0 in zip(cur, init):
-            v[:] = v0
+            if v is not None:
+                v[:] = v0
         live = np.ones(m, dtype=bool)
         for it in range(1, _MAX_SWEEPS + 1):
             if not live.any():
                 break
-            excess = []
-            inside = live.copy()  # the live lanes whose sweep stays in its tube
-            for (slope, *_), v, v1, v0, r in zip(_EQUATIONS, cur, nxt, init, radius):
-                s = getattr(p, slope)(grid.space.nodes, v)
-                if not (isinstance(s, np.ndarray) and s.dtype == np.float64
-                        and s.shape == v.shape):
-                    raise TypeError("lane slopes must be float64 arrays of "
-                                    "the shape of the values they are given")
-                # v0 + integral as in ode_solve, in place: IEEE addition commutes
-                grid.integral(s, out=v1)
-                v1 += v0
-                excess.append(np.broadcast_to(_tube_excess(v1, v0, r), (m,)))
-                inside &= excess[-1] <= _tube_slack(r)
+            excess, low = [], []  # per equation: tube excess, step or its bound
+            for eq, v, v1, v0, r in zip(limit_equations, cur, nxt, init, radius):
+                if v is None:
+                    exc, step, _ = eq[it]
+                else:
+                    # v0 + integral as in ode_solve, in place: IEEE addition commutes
+                    grid.integral(_lane_slopes(getattr(p, eq.fields[0]), space.nodes, v), out=v1)
+                    v1 += v0
+                    exc = _tube_excess(v1, v0, r)
+                    step = space.weighted_sups(v1[:, ::every] - v[:, ::every], every)
+                excess.append(exc)
+                low.append(step)
+            inside = live & (excess[0] <= _tube_slack(radius[0])) & (
+                excess[1] <= _tube_slack(radius[1]))  # the live lanes still in their tubes
             for i in np.flatnonzero(live & ~inside).tolist():
-                failed[int(ns[i])] = _left_tube(it, excess[0][i].item(), excess[1][i].item())
-            d1, d2, _ = grid.space.distances(nxt, cur)
-            step = np.abs(d1) + np.abs(d2)
-            done = inside & ((step + grid.first_weight * d1 < grid.threshold)
-                             | (step == 0.0))
-            if done.any():
-                ends = [v if s else v[done] for v, s in zip(nxt, shared)]
-                g1, g2, _ = grid.space.distances(ends, u)
-                gaps[0, done], gaps[1, done] = g1, g2
-            for v, v1, s in zip(cur, nxt, shared):
-                if not (s or inside.all()):  # a finished lane keeps what it accepted
-                    v1[~inside] = v[~inside]
+                y_exc, z_exc = (np.broadcast_to(e, (m,))[i].item() for e in excess)
+                failed[int(ns[i])] = _left_tube(it, y_exc, z_exc)
+            if not inside.all():
+                for v, v1 in zip(cur, nxt):
+                    if v is not None:  # a finished lane keeps what it accepted
+                        v1[~inside] = v[~inside]
+            live = inside
+            bound = np.abs(low[0]) + np.abs(low[1])
+            ruled_out = (bound + grid.first_weight * low[0] >= grid.threshold) & (bound > 0.0)
+            if (inside & ~ruled_out).any():
+                d1, d2 = (d if v is None else space.weighted_sups(np.subtract(v1, v, out=v))
+                          for d, v, v1 in zip(low, cur, nxt))
+                step = np.abs(d1) + np.abs(d2)
+                done = inside & ((step + grid.first_weight * d1 < grid.threshold)
+                                 | (step == 0.0))
+                if done.any():
+                    for e, (eq, v1) in enumerate(zip(limit_equations, nxt)):
+                        gaps[e, done] = (eq[it][2] if v1 is None
+                                         else space.weighted_sups(v1[done] - eq.u))
+                live = inside & ~done
             cur, nxt = nxt, cur
-            live = inside & ~done
     for n in ns[live].tolist():
         failed[n] = _unsettled(grid.tol)
     return gaps
@@ -642,7 +713,7 @@ def ode_sequence_harness(
     nor write its inputs.  An equation the lane member poses with the
     limit's own slope object (members(n).g is limit.g, say) and with a
     scalar initial value and radius equal to the limit's is swept once per
-    block, as one row that every lane reads.
+    call, as one row that every lane of every block reads.
 
     When a distance_log dict is supplied, every index the rows and the
     probe read is recorded there as n -> distance element.
@@ -664,9 +735,11 @@ def ode_sequence_harness(
     # one allocation for every block: freed and made again per block, the
     # buffers leave the heap to be trimmed and faulted back in
     buffers = np.empty((2, len(_EQUATIONS), min(lanes, ns.size), grid_pts))
+    limit_equations = [_LimitEquation(limit, fields, grid, u)
+                       for fields, u in zip(_EQUATIONS, (u_y, u_z))]
     failed: dict = {}
     gaps = np.concatenate([
-        _ode_lane_block(members, limit, grid, ns[i:i + lanes], (u_y, u_z), buffers, failed)
+        _ode_lane_block(members, grid, ns[i:i + lanes], limit_equations, buffers, failed)
         for i in range(0, ns.size, lanes)
     ], axis=1)
 
@@ -695,6 +768,9 @@ def ode_sequence_harness(
         rows.append((dist, _padded_bound(inv, displacement) + solver_slack))
     probe = is_c_sequence((R2Elem, columns), cfg)
     if distance_log is not None:
-        for n in (*indices, *range(cfg.start, cfg.horizon + 1)):
-            distance_log[n] = distance_to_limit(n)
+        # the rows and the probe have read every index, and raised for any
+        # whose solve failed
+        logged = (*indices, *range(cfg.start, cfg.horizon + 1))
+        d1, d2 = gaps[:, np.searchsorted(ns, np.array(logged, dtype=np.int64))].tolist()
+        distance_log.update(zip(logged, map(R2Elem, d1, d2)))
     return _bound_report(indices, rows, probe)

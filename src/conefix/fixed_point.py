@@ -807,9 +807,10 @@ def _lane_block(family, space, dim, start, x, tol, ns, failed, it=0) -> np.ndarr
     fails.  Each lane runs picard_solve's steps in the same IEEE
     operations, so to the same bits, until it settles or meets the failure
     picard_solve meets first, and then stays at the last point it
-    accepted.  Once at most 1/8 of the lanes are live, the live lanes alone
-    resume, with a lane member built for them, so a lane that never
-    settles runs on to _MAX_ITER among few others; they resume at once,
+    accepted.  Once at most max(1, lanes // 8) lanes are live (1/8 of them
+    from 8 lanes on), the live lanes alone resume, with a lane member built
+    for them, so a lane that never settles runs on to _MAX_ITER alone once
+    the others have settled or failed; they resume at once,
     before any lane is mapped, when some member's domain refuses the
     start, which is never mapped.  Any other exception propagates.
     """
@@ -820,7 +821,8 @@ def _lane_block(family, space, dim, start, x, tol, ns, failed, it=0) -> np.ndarr
         live = _inside(member.domain, x, dim)
         for n in ns[~live].tolist():
             failed[n] = _escaped_start(start)
-        while it < _MAX_ITER and (live.all() or it > 0 and 8 * np.count_nonzero(live) > ns.size):
+        while it < _MAX_ITER and (live.all() or it > 0
+                                  and np.count_nonzero(live) > max(1, ns.size // 8)):
             it += 1
             x_next = _lane_columns(member.map(_pack(x, dim)), dim, ns.shape)
             d1, d2, outside = space.distances(_pack(x_next, dim), _pack(x, dim))

@@ -232,14 +232,6 @@ class PlaneR2Space:
         return np.abs(ps[0] - qs[0]), np.abs(ps[1] - qs[1]), ~inside
 
 
-def _weighted_max(gap: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """max |gap| * w over the last axis, worked in gap's own buffer: on a
-    block of lanes a second temporary costs more than the arithmetic."""
-    np.abs(gap, out=gap)
-    gap *= w
-    return gap.max(axis=-1)
-
-
 @dataclass(frozen=True)
 class BieleckiPairSpace:
     """Pairs of grid functions on [lo, hi] under the Bielecki norm.
@@ -318,6 +310,20 @@ class BieleckiPairSpace:
         d1, d2, _ = self.distances(p, q)
         return R2Elem(float(d1), float(d2))
 
+    def weighted_sups(self, gaps: np.ndarray, every: int = 1) -> np.ndarray:
+        """max |gap| * w over the nodes, one per row of the float64 array
+        gaps (..., grid_pts): for gaps p - q, the coordinate distances gives.
+        It is worked in gaps' own buffer, written over: on a block of lanes
+        a second temporary costs more than the arithmetic.
+
+        With every = k, gaps holds the gaps at every k-th node only, as
+        full[..., ::k] would: over finite gaps their max is a lower bound of
+        the full one, exactly, being the max of some of the same products.
+        """
+        np.abs(gaps, out=gaps)
+        gaps *= self._weight[::every]
+        return gaps.max(axis=-1)
+
     def distances(self, ps: tuple[np.ndarray, np.ndarray], qs: tuple[np.ndarray, np.ndarray]):
         """distance for points given as pairs of value arrays on the nodes.
 
@@ -328,7 +334,7 @@ class BieleckiPairSpace:
         the rows with a non-finite value, where distance would raise
         PointOutsideCarrier instead.
         """
-        d1, d2 = (_weighted_max(p - q, self._weight) for p, q in zip(ps, qs))
+        d1, d2 = (self.weighted_sups(p - q) for p, q in zip(ps, qs))
         # only a row whose maximum is not finite can hold a non-finite value
         outside = ~(np.isfinite(d1) & np.isfinite(d2))
         if outside.any():

@@ -580,16 +580,17 @@ def _restless_member_family(k: int):
     return members, flat
 
 
-@pytest.mark.parametrize("k", [3, 7])
+@pytest.mark.parametrize("k", [3, 5, 7])
 @pytest.mark.parametrize("make, sweeps, error", [
     (_leaky_member_family, 200, LeftInvariantSet),
     (_nan_member_family, 200, LeftInvariantSet),
     (_restless_member_family, 1, NoConvergence),
 ])
 def test_ode_lanes_leave_failing_members_to_ode_solve(k, make, sweeps, error, monkeypatch):
-    # the lanes record the failure of member k, and the probe, the first
-    # to read it, raises what ode_solve raises for member k; ode_solve
-    # itself sees the limit only
+    # the lanes record the failure of member k, and the first to read it,
+    # its row (k = 5) or else the probe, raises what ode_solve raises for
+    # member k, before the distance log is filled; ode_solve itself sees
+    # the limit only
     monkeypatch.setattr(applications, "_MAX_SWEEPS", sweeps)
     members, limit = make(k)
     cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=30)
@@ -597,9 +598,10 @@ def test_ode_lanes_leave_failing_members_to_ode_solve(k, make, sweeps, error, mo
     want = _raised(lambda: ode_solve(members(k), 65, 1e-10, cert))
     assert want[0] is error
     calls = _counting_ode_solve(monkeypatch)
+    log: dict = {}
     assert _raised(lambda: ode_sequence_harness(
-        members, limit, (1, 2, 5, 10), cfg, grid_pts=65)) == want
-    assert calls == [limit]
+        members, limit, (1, 2, 5, 10), cfg, grid_pts=65, distance_log=log)) == want
+    assert calls == [limit] and log == {}
 
 
 def test_ode_lanes_build_their_member_once_per_block():
@@ -619,6 +621,15 @@ def test_ode_lanes_build_their_member_once_per_block():
     assert report.verdict
     lanes = applications._ODE_BLOCK // 256
     assert builds == [(1000, 1)] + [(min(lanes, 1000 - i), 1) for i in range(0, 1000, lanes)]
+
+
+def _block_inputs(limit, cert, grid_pts, tol, ns) -> tuple:
+    """The (grid, ns, limit equations) arguments of _ode_lane_block, as
+    ode_sequence_harness makes them."""
+    grid = applications._ode_grid(cert, grid_pts, tol)
+    u = ode_solve(limit, grid_pts, tol, cert)
+    return grid, ns, [applications._LimitEquation(limit, fields, grid, v)
+                      for fields, v in zip(applications._EQUATIONS, (u.y, u.z))]
 
 
 def test_ode_lanes_hold_a_lane_that_left_its_tube():
@@ -641,12 +652,11 @@ def test_ode_lanes_hold_a_lane_that_left_its_tube():
         return dataclasses.replace(p, f=f)
 
     cert = _family_certificate(ode_certify(guarded(1)), ode_certify(limit), limit.center)
-    u = ode_solve(limit, 65, 1e-10, cert)
     ns = np.arange(1, 31)
     failed: dict = {}
     gaps = applications._ode_lane_block(
-        guarded, limit, applications._ode_grid(cert, 65, 1e-10), ns, (u.y, u.z),
-        np.empty((2, 2, ns.size, 65)), failed)
+        guarded, *_block_inputs(limit, cert, 65, 1e-10, ns), np.empty((2, 2, ns.size, 65)),
+        failed)
     assert list(failed) == [k]
     want = _raised(lambda: ode_solve(guarded(k), 65, 1e-10, cert))
     assert want[0] is LeftInvariantSet
@@ -775,11 +785,14 @@ def test_ode_lanes_sweep_an_equation_shared_with_the_limit_once(
     report = ode_sequence_harness(members, limit, (1, 2, 5, 10), cfg, grid_pts=grid_pts,
                                   distance_log=log)
     assert calls == [limit]  # every member came from the lanes
-    # a shared equation is swept as one row per block, any other per lane
-    for rows, shared in ((y_rows, y_shared), (z_rows, z_shared)):
-        assert rows
-        assert (set(rows) == {1}) if shared else (max(rows) > 1), (kind, rows)
     monkeypatch.undo()
+    # a shared equation is swept as one row once per call, so once per
+    # sweep of the longest lane, not once per block (3 at grid 2049); any
+    # other per lane
+    cert = _family_certificate(ode_certify(members(1)), ode_certify(limit), limit.center)
+    longest = max(ode_solve(members(n), grid_pts, 1e-10, cert).iterations for n in range(1, 41))
+    for rows, shared in ((y_rows, y_shared), (z_rows, z_shared)):
+        assert (rows == [1] * longest) if shared else (max(rows) > 1), (kind, rows)
     want = _ode_solve_distances(members, limit, range(1, 41), grid_pts)
     _assert_is_ode_solve(report, log, want, cfg)
 
@@ -807,6 +820,100 @@ def test_ode_lanes_keep_the_bits_of_a_shared_equation_whose_sharing_ends(monkeyp
     assert calls == [limit]
     _assert_is_ode_solve(report, log, _ode_solve_distances(parted, limit, range(1, 31), 65),
                          cfg)
+
+
+def test_ode_lanes_sweep_an_initial_value_that_differs_from_the_limits_in_sign_only():
+    # members start z at -0.0, the limit at 0.0, with the limit's own g,
+    # which reads the sign of a zero: the members' first z slope is 0.5,
+    # the limit's 0.0, so reading the limit's sweeps would be wrong
+    members, limit = _damped_ivp_family()
+    g = lambda x, z: -2.0 * z + np.where((z == 0.0) & np.signbit(z), 0.5, 0.0)
+    limit = dataclasses.replace(limit, g=g, z_init=0.0)
+    signed = lambda n: dataclasses.replace(members(n), g=g, z_init=-0.0)
+    cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=30)
+    log: dict = {}
+    report = ode_sequence_harness(signed, limit, (1, 2, 5, 10), cfg, grid_pts=65,
+                                  distance_log=log)
+    want = _ode_solve_distances(signed, limit, range(1, 31), 65)
+    assert all(d.second > 0.0 for d in want.values())
+    _assert_is_ode_solve(report, log, want, cfg)
+
+
+def test_ode_lanes_stop_on_the_full_step_where_it_peaks_between_sampled_nodes():
+    # members declare lip_f = 200 for slopes of rate at most 2, so the
+    # weight decays as exp(-400 |x|) and each weighted step peaks a few
+    # nodes from the center, between the nodes the lanes sample; z stays
+    # at its initial value, so the steps are y's.  The sampled bound falls
+    # below the stop threshold a sweep before the full step does, and the
+    # lanes must stop on the full step, as ode_solve does
+    members, limit = _damped_ivp_family()
+    flat = lambda x, z: 0.0 * z
+    steep = lambda n: dataclasses.replace(members(n), g=flat, lip_f=200.0)
+    grid_pts, tol, every = 257, 1e-10, applications._STEP_SAMPLE
+    cert = _family_certificate(ode_certify(steep(1)), ode_certify(limit), limit.center)
+    grid = applications._ode_grid(cert, grid_pts, tol)
+    nodes, weight = grid.space.nodes, grid.space._weight
+    y, steps = np.ones(grid_pts), []
+    for _ in range(ode_solve(steep(1), grid_pts, tol, cert).iterations):
+        y, gap = 1.0 + grid.integral(steep(1).f(nodes, y)), y
+        steps.append(np.abs(y - gap) * weight)
+    assert np.argmax(steps[-1]) % every != 0
+    assert steps[-2][::every].max() < grid.threshold <= steps[-2].max()
+    cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=30)
+    log: dict = {}
+    report = ode_sequence_harness(steep, limit, (1, 2, 5, 10), cfg, grid_pts=grid_pts,
+                                  tol=tol, distance_log=log)
+    _assert_is_ode_solve(report, log, _ode_solve_distances(steep, limit, range(1, 31),
+                                                           grid_pts, tol), cfg)
+
+
+def test_ode_lanes_take_the_full_step_only_where_a_lane_may_stop(monkeypatch):
+    # ode_sequence's family over 1..1000 at grid 257, block by block as the
+    # harness runs them: the full-width weighted step, worked in the block's
+    # buffers, is taken on at most 2 of each block's ten or so sweeps
+    members, limit = _damped_ivp_family()
+    grid_pts, tol = 257, 1e-10
+    cert = _family_certificate(ode_certify(members(1)), ode_certify(limit), limit.center)
+    lanes = applications._ODE_BLOCK // (grid_pts - 1)
+    buffers = np.empty((2, 2, lanes, grid_pts))
+    full, sweeps = [], []
+    weighted_sups = BieleckiPairSpace.weighted_sups
+
+    def noted(self, gaps, every=1):
+        if every == 1 and np.shares_memory(gaps, buffers):
+            full.append(gaps.shape)
+        return weighted_sups(self, gaps, every)
+
+    def counted(n):
+        p = members(n)
+        return dataclasses.replace(p, f=lambda x, y: sweeps.append(1) or p.f(x, y))
+
+    monkeypatch.setattr(BieleckiPairSpace, "weighted_sups", noted)
+    for i in range(1, 1001, lanes):
+        ns = np.arange(i, min(i + lanes, 1001))
+        full.clear()
+        sweeps.clear()
+        failed: dict = {}
+        gaps = applications._ode_lane_block(
+            counted, *_block_inputs(limit, cert, grid_pts, tol, ns), buffers, failed)
+        assert failed == {} and not np.isnan(gaps).any()
+        assert len(sweeps) >= 8 and 1 <= len(full) <= 2, (i, len(sweeps), full)
+
+
+def test_ode_distance_log_keeps_its_order_and_its_keys():
+    # repeated indices, indices inside the window and past it, and a key
+    # the log held before: each index is logged once, rows first, in the
+    # order of first reading, and a key already there keeps its place
+    members, limit = _damped_ivp_family()
+    cfg = CSeqProbeConfig(probes=TWO_PROBES, horizon=30)
+    indices = (np.int64(40), 3, 40, 1, 3)
+    log: dict = {7: None, "other": 1}
+    report = ode_sequence_harness(members, limit, indices, cfg, grid_pts=65, distance_log=log)
+    want = _ode_solve_distances(members, limit, (*range(1, 31), 40), 65)
+    assert list(log) == [7, "other", 40, 3, 1, 2, *range(4, 7), *range(8, 31)]
+    assert type(next(k for k in log if k == 40)) is np.int64
+    del log["other"]
+    _assert_is_ode_solve(report, log, want, cfg)
 
 
 def test_ode_sequence_scenario_solves_only_the_limit_through_ode_solve(monkeypatch):

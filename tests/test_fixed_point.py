@@ -949,6 +949,32 @@ def test_a_stalled_lane_runs_on_the_lanes_to_the_iteration_cap(monkeypatch):
         store[3]
 
 
+def test_a_block_of_fewer_than_8_lanes_narrows_to_its_stalled_lane(monkeypatch):
+    # member 3 of 7 swaps x and 1 - x forever, the others halve toward 0.5:
+    # once they settle, the stuck lane, 1 of 7, goes on alone to the cap
+    # rather than keeping the 6 settled lanes mapped beside it
+    monkeypatch.setattr(fixed_point, "_MAX_ITER", 200)
+    calls = []
+
+    def members(n):
+        def step(x):
+            calls.append(np.size(x))
+            return _where(n == 3, 1.0 - x, 0.5 * x + 0.25)
+
+        return ContractionMap(step, UT2Elem(0.5, 0.0), UNIT_INTERVAL)
+
+    family = MapFamily(members, _half_plus(0.0))
+    space = IntervalUT2Space(1.0)
+    store = _solve_members(family, space, 0.25, 1e-12, None, np.arange(1, 8))
+    settled = store[1].iterations
+    assert 0 < settled < 200
+    # the iterations at width 7, the residuals of the 6 settled lanes, then
+    # the stuck lane alone
+    assert calls == [7] * settled + [6] + [1] * (200 - settled)
+    assert list(store._failed) == [3]
+    _assert_store_is_picard(store, family, space, 0.25, 1e-12, range(1, 8))
+
+
 def _counted(family, builds: list, maps: list | None = None) -> MapFamily:
     """family, appending the width of every lane member it builds to
     builds, and, given maps, the width of every map call of those members
